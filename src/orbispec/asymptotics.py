@@ -14,7 +14,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ResourceLimitError
-from .exponents import relative_chamber_matrix
+# relative_chamber_matrix stays bound here for code that patches it by module
+from .exponents import ZERO_DISTANCE, distance_table, relative_chamber_matrix  # noqa: F401
 from .liecore import ChamberVector, RootSystemData
 from .orbit import OrbitBall
 
@@ -26,8 +27,6 @@ QUAD_EVAL_CAP = 10_000_000
 
 SMALL_RADII_DEFAULT = np.geomspace(0.05, 0.2, 10)
 LARGE_RADII_DEFAULT = np.linspace(10.0, 30.0, 21)
-
-_ZERO_DISTANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -226,14 +225,13 @@ def green_series_diagnostic(ball: OrbitBall, rs: RootSystemData, zeta: float,
     """
     if zeta <= 0:
         raise ValueError(f"zeta must be positive, got {zeta}")
-    chamber = relative_chamber_matrix(ball, x, y)
-    d = np.linalg.norm(chamber, axis=1)
-    keep = d > _ZERO_DISTANCE
-    d = d[keep]
-    dprime = chamber[keep] @ rs.rho / rs.rho_norm
+    table = distance_table(ball, rs, x, y)
+    keep = table.d > ZERO_DISTANCE
+    keep = slice(None) if keep.all() else keep  # a view, not a copy, when all are kept
+    d, dprime, chamber = table.d[keep], table.dprime[keep], table.chamber[keep]
     prefactor = np.ones_like(d)
     for alpha in rs.reduced_positive_roots:
-        prefactor *= 1.0 + chamber[keep] @ alpha
+        prefactor *= 1.0 + chamber @ alpha
     power = -(rs.rank - 1) / 2.0 - len(rs.reduced_positive_roots)
     terms = prefactor * d**power * np.exp(-rs.rho_norm * dprime - zeta * d)
 

@@ -28,7 +28,7 @@ from .exponents import (KIND_MIXED, KIND_POLYHEDRAL, KIND_RIEMANNIAN,
                         counting_curve, delta_second_bisection, exponent_triple,
                         level_partial_sums, poincare_partial_sum)
 from .liecore import GroupSpec, build_root_system
-from .orbit import DEFAULT_MAX_ELEMENTS, GeneratorSet, OrbitBall, enumerate_ball, trust_radius
+from .orbit import DEFAULT_MAX_ELEMENTS, GeneratorSet, enumerate_ball, trust_radius
 from .spectrum import (consistency_check, lambda0_characterization,
                        lambda0_lower_polyhedral, lambda0_two_sided_bounds)
 
@@ -97,10 +97,6 @@ class JobConfig:
     include_torsion: bool = False
     threads: int = 1
     seed: int = 0
-
-    @property
-    def orbit_needed(self) -> bool:
-        return True  # the report always carries the exponent triple
 
 
 _KNOWN_KEYS = {
@@ -400,32 +396,31 @@ def run(config: JobConfig, out_dir: str | Path = ".") -> int:
 
     if "heatbound" in requested:
         ds = min(max(triple.delta_second.value, 0.0), 2 * rs.rho_norm)
+        x, y = config.base_x, config.base_y
+        if ds < rs.rho_norm:
+            s = 0.5 * (ds + rs.rho_norm)
+            p = poincare_partial_sum(ball, rs, KIND_MIXED, s, x, y)
+        elif ds < 2 * rs.rho_norm:
+            gap = rs.rho_norm - (ds - rs.rho_norm)
+            s1 = ds - rs.rho_norm + 0.25 * gap
+            s2 = ds - rs.rho_norm + 0.75 * gap
+            p = poincare_partial_sum(ball, rs, KIND_MIXED, rs.rho_norm + s1, x, y)
+        if ds < 2 * rs.rho_norm:
+            s3, eps = ds + 0.25, 0.05
+            px = poincare_partial_sum(ball, rs, KIND_MIXED, s3, x, x)
+            py = poincare_partial_sum(ball, rs, KIND_MIXED, s3, y, y)
         rows = []
         for t in config.heat_times:
             if ds < rs.rho_norm:
-                s = 0.5 * (ds + rs.rho_norm)
-                p = poincare_partial_sum(ball, rs, KIND_MIXED, s,
-                                         config.base_x, config.base_y)
                 val = heat_bound(rs, "i", t=t, delta_second=ds, s=s, psecond=p)
                 rows.append(["i", t, s, "", "", "", "", val])
             elif ds < 2 * rs.rho_norm:
-                gap = rs.rho_norm - (ds - rs.rho_norm)
-                s1 = ds - rs.rho_norm + 0.25 * gap
-                s2 = ds - rs.rho_norm + 0.75 * gap
-                p = poincare_partial_sum(ball, rs, KIND_MIXED, rs.rho_norm + s1,
-                                         config.base_x, config.base_y)
                 val = heat_bound(rs, "ii", t=t, delta_second=ds, s1=s1, s2=s2, psecond=p)
                 rows.append(["ii", t, "", s1, s2, "", "", val])
             if ds < 2 * rs.rho_norm:
-                s = ds + 0.25
-                eps = 0.05
-                px = poincare_partial_sum(ball, rs, KIND_MIXED, s,
-                                          config.base_x, config.base_x)
-                py = poincare_partial_sum(ball, rs, KIND_MIXED, s,
-                                          config.base_y, config.base_y)
-                val = heat_bound(rs, "iii", t=t, delta_second=ds, s=s, eps=eps,
+                val = heat_bound(rs, "iii", t=t, delta_second=ds, s=s3, eps=eps,
                                  psecond_x=px, psecond_y=py)
-                rows.append(["iii", t, s, "", "", eps, "", val])
+                rows.append(["iii", t, s3, "", "", eps, "", val])
         _write_csv(out / "heat_bounds.csv",
                    ["case", "t", "s", "s1", "s2", "eps", "pseudo_dim", "value"], rows)
         report["heat_bounds"] = len(rows)

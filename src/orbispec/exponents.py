@@ -33,7 +33,7 @@ MIN_WINDOW_POINTS = 6
 # slack applied on top of the 2*||rho|| range bound when flagging estimates
 EXPONENT_RANGE_SLACK = 0.2
 
-_ZERO_DISTANCE = 1e-12
+ZERO_DISTANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,20 +94,46 @@ def relative_chamber_matrix(ball: OrbitBall, x=None, y=None) -> np.ndarray:
     return np.concatenate(pieces, axis=1)
 
 
-def _base_shift(ball: OrbitBall, rs: RootSystemData, x, y) -> float:
-    shift = 0.0
-    for g in (x, y):
-        if g is not None:
-            h = np.concatenate([log_singular_values(b[None])[0] for b in g.float_blocks()])
-            shift += float(np.linalg.norm(h))
-    return shift
+@dataclass(frozen=True)
+class DistanceTable:
+    """Read-only chamber matrix of x^-1 gamma y over a ball, with each
+    element's distances d and d' and the trust-radius shift d(x,e) + d(y,e)."""
+
+    chamber: np.ndarray
+    d: np.ndarray
+    dprime: np.ndarray
+    shift: float
+    rho_norm: float
+
+    def of_kind(self, kind: str, s: float | None = None) -> np.ndarray:
+        if kind == KIND_RIEMANNIAN:
+            return self.d
+        if kind == KIND_POLYHEDRAL:
+            return self.dprime
+        if kind == KIND_MIXED:
+            if s is None or s <= 0:
+                raise ValueError("mixed kind needs a positive parameter s")
+            return mixed_from_parts(self.rho_norm, s, self.dprime, self.d)
+        raise ValueError(f"unknown distance kind {kind!r}")
 
 
-def _distance_arrays(ball: OrbitBall, rs: RootSystemData, x=None, y=None):
-    chamber = relative_chamber_matrix(ball, x, y)
-    d = np.linalg.norm(chamber, axis=1)
-    dprime = chamber @ rs.rho / rs.rho_norm
-    return chamber, d, dprime
+def distance_table(ball: OrbitBall, rs: RootSystemData, x=None, y=None) -> DistanceTable:
+    """The distance table of the ball based at (x, y), built on first use and
+    kept in `ball.tables` for the ball's lifetime."""
+    table = ball.tables.get((x, y))
+    if table is None:
+        chamber = relative_chamber_matrix(ball, x, y)
+        d = np.linalg.norm(chamber, axis=1)
+        dprime = chamber @ rs.rho / rs.rho_norm
+        shift = 0.0
+        for g in (x, y):
+            if g is not None:
+                h = np.concatenate([log_singular_values(b[None])[0] for b in g.float_blocks()])
+                shift += float(np.linalg.norm(h))
+        for a in (chamber, d, dprime):
+            a.flags.writeable = False
+        table = ball.tables[(x, y)] = DistanceTable(chamber, d, dprime, shift, rs.rho_norm)
+    return table
 
 
 def completeness_radius(ball: OrbitBall, rs: RootSystemData, kind: str,
@@ -119,7 +145,7 @@ def completeness_radius(ball: OrbitBall, rs: RootSystemData, kind: str,
     t = trust_radius(ball)
     if math.isinf(t):
         return math.inf
-    t = max(t - _base_shift(ball, rs, x, y), 0.0)
+    t = max(t - distance_table(ball, rs, x, y).shift, 0.0)
     ratio = rs.rho_min / rs.rho_norm
     if kind == KIND_RIEMANNIAN:
         return t
@@ -132,26 +158,13 @@ def completeness_radius(ball: OrbitBall, rs: RootSystemData, kind: str,
     raise ValueError(f"unknown distance kind {kind!r}")
 
 
-def _kind_distances(ball, rs, kind, s, x, y):
-    _, d, dprime = _distance_arrays(ball, rs, x, y)
-    if kind == KIND_RIEMANNIAN:
-        return d
-    if kind == KIND_POLYHEDRAL:
-        return dprime
-    if kind == KIND_MIXED:
-        if s is None or s <= 0:
-            raise ValueError("mixed kind needs a positive parameter s")
-        return mixed_from_parts(rs.rho_norm, s, dprime, d)
-    raise ValueError(f"unknown distance kind {kind!r}")
-
-
 def _torsion_mask(ball: OrbitBall, include_torsion: bool) -> np.ndarray | None:
     """Mask selecting elements kept for counting; drops non-identity
     elements whose own Cartan projection vanishes (the stabilizer of the
     base point) when include_torsion is False."""
     if include_torsion:
         return None
-    drop = (ball.distances() < _ZERO_DISTANCE) & (ball.word_lengths > 0)
+    drop = (ball.distances() < ZERO_DISTANCE) & (ball.word_lengths > 0)
     return ~drop if drop.any() else None
 
 
@@ -161,7 +174,7 @@ def counting_curve(ball: OrbitBall, rs: RootSystemData, kind: str,
                    radii_step: float = DEFAULT_RADII_STEP,
                    include_torsion: bool = True) -> CountingCurve:
     """Exact counts N_R = |{gamma : dist(xK, gamma yK) <= R}| over the ball."""
-    dist = _kind_distances(ball, rs, kind, s, x, y)
+    dist = distance_table(ball, rs, x, y).of_kind(kind, s)
     mask = _torsion_mask(ball, include_torsion)
     if mask is not None:
         dist = dist[mask]
@@ -181,6 +194,13 @@ def counting_curve(ball: OrbitBall, rs: RootSystemData, kind: str,
                          base_x=x, base_y=y)
 
 
+def _series_terms(ball, rs, kind, s, x, y) -> np.ndarray:
+    if s <= 0:
+        raise ValueError(f"series parameter must be positive, got {s}")
+    rate = 1.0 if kind == KIND_MIXED else s
+    return np.exp(-rate * distance_table(ball, rs, x, y).of_kind(kind, s))
+
+
 def poincare_partial_sum(ball: OrbitBall, rs: RootSystemData, kind: str,
                          s: float, x=None, y=None) -> float:
     """Partial Poincare sum over the ball.
@@ -189,24 +209,31 @@ def poincare_partial_sum(ball: OrbitBall, rs: RootSystemData, kind: str,
     the mixed kind the parameter enters through the distance itself, so the
     sum is sum exp(-dist_mixed_s) with no outer factor.
     """
-    if s <= 0:
-        raise ValueError(f"series parameter must be positive, got {s}")
-    dist = _kind_distances(ball, rs, kind, s, x, y)
-    rate = 1.0 if kind == KIND_MIXED else s
-    return float(np.exp(-rate * dist).sum())
+    return float(_series_terms(ball, rs, kind, s, x, y).sum())
 
 
 def level_partial_sums(ball: OrbitBall, rs: RootSystemData, kind: str,
                        s: float, x=None, y=None) -> np.ndarray:
     """Cumulative partial sums of the Poincare series by word-length level."""
-    if s <= 0:
-        raise ValueError(f"series parameter must be positive, got {s}")
-    dist = _kind_distances(ball, rs, kind, s, x, y)
-    rate = 1.0 if kind == KIND_MIXED else s
-    terms = np.exp(-rate * dist)
+    terms = _series_terms(ball, rs, kind, s, x, y)
     per_level = np.bincount(ball.word_lengths, weights=terms,
                             minlength=len(ball.growth_per_level))
     return np.cumsum(per_level)
+
+
+def _fit_window(r: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """Least-squares line through (r, log values) over a fit window: its
+    slope and RMS residual."""
+    if r.size < MIN_WINDOW_POINTS:
+        raise ValueError(
+            f"need at least {MIN_WINDOW_POINTS} samples in the fit window, got {r.size}"
+        )
+    if np.any(values <= 0):
+        raise ValueError("zero counts inside the fit window")
+    logv = np.log(values)
+    design = np.vstack([np.ones_like(r), r]).T
+    coef, *_ = np.linalg.lstsq(design, logv, rcond=None)
+    return float(coef[1]), float(np.sqrt(np.mean((design @ coef - logv) ** 2)))
 
 
 def estimate_exponent(curve: CountingCurve,
@@ -221,40 +248,12 @@ def estimate_exponent(curve: CountingCurve,
         r_max = min(r_max, curve.completeness_radius)
     lo = window_fraction * r_max
     sel = (curve.radii >= lo - 1e-12) & (curve.radii <= r_max + 1e-12)
-    if sel.sum() < MIN_WINDOW_POINTS:
-        raise ValueError(
-            f"need at least {MIN_WINDOW_POINTS} samples in the fit window, got {int(sel.sum())}"
-        )
-    counts = curve.counts[sel]
-    if np.any(counts <= 0):
-        raise ValueError("zero counts inside the fit window")
-    r = curve.radii[sel]
-    logn = np.log(counts.astype(float))
-    design = np.vstack([np.ones_like(r), r]).T
-    coef, *_ = np.linalg.lstsq(design, logn, rcond=None)
-    resid = float(np.sqrt(np.mean((design @ coef - logn) ** 2)))
-    value = float(coef[1])
+    value, resid = _fit_window(curve.radii[sel], curve.counts[sel].astype(float))
     in_range = True
     if rho_norm is not None:
         in_range = -EXPONENT_RANGE_SLACK <= value <= 2 * rho_norm + EXPONENT_RANGE_SLACK
     return ExponentEstimate(value, (float(lo), float(r_max)), resid,
                             complete=curve.complete, in_range=in_range)
-
-
-def _weighted_slope(radii, weighted_sums, window_fraction):
-    r_max = float(radii.max())
-    lo = window_fraction * r_max
-    sel = (radii >= lo - 1e-12) & (weighted_sums > 0)
-    if sel.sum() < MIN_WINDOW_POINTS:
-        raise ValueError(
-            f"need at least {MIN_WINDOW_POINTS} samples in the fit window, got {int(sel.sum())}"
-        )
-    r = radii[sel]
-    logm = np.log(weighted_sums[sel])
-    design = np.vstack([np.ones_like(r), r]).T
-    coef, *_ = np.linalg.lstsq(design, logm, rcond=None)
-    resid = float(np.sqrt(np.mean((design @ coef - logm) ** 2)))
-    return float(coef[1]), resid, (float(lo), r_max)
 
 
 def exponent_triple(ball: OrbitBall, rs: RootSystemData, x=None, y=None,
@@ -287,19 +286,23 @@ def exponent_triple(ball: OrbitBall, rs: RootSystemData, x=None, y=None,
     if delta_prime.value <= rs.rho_norm:
         delta_second = replace(delta_prime)
     else:
-        _, d, dprime = _distance_arrays(ball, rs, x, y)
+        table = distance_table(ball, rs, x, y)
+        d, dprime = table.d, table.dprime
         mask = _torsion_mask(ball, include_torsion)
         if mask is not None:
             d, dprime = d[mask], dprime[mask]
         order = np.argsort(d, kind="stable")
         cum = np.cumsum(np.exp(-rs.rho_norm * dprime[order]))
         sums = cum[np.searchsorted(d[order], curve_d.radii, side="right") - 1]
-        slope, resid, window = _weighted_slope(curve_d.radii, sums, window_fraction)
+        r_max = float(curve_d.radii.max())
+        r_lo = window_fraction * r_max
+        sel = (curve_d.radii >= r_lo - 1e-12) & (sums > 0)
+        slope, resid = _fit_window(curve_d.radii[sel], sums[sel])
         raw = rs.rho_norm + slope
         lo, hi = sorted((delta.value, delta_prime.value))
         value = min(max(raw, lo), hi)
         in_range = -EXPONENT_RANGE_SLACK <= value <= 2 * rs.rho_norm + EXPONENT_RANGE_SLACK
-        delta_second = ExponentEstimate(value, window, resid,
+        delta_second = ExponentEstimate(value, (float(r_lo), r_max), resid,
                                         complete=curve_d.complete, in_range=in_range)
     return ExponentTriple(delta, delta_second, delta_prime)
 

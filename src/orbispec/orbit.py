@@ -120,7 +120,7 @@ class OrbitBall:
 
     Storage is one of: an (N, m) int64 entry matrix, an (N, m) float64
     matrix, or a list of exact flat tuples (rationals / oversized integers).
-    Cartan data for the whole ball is computed lazily and cached.
+    Cartan data and each base-point pair's distance table are cached lazily.
     """
 
     def __init__(self, spec: GroupSpec, max_word_length: int, levels, mode: str,
@@ -142,6 +142,7 @@ class OrbitBall:
         self._float_matrix = None
         self._chamber = None
         self._distances = None
+        self.tables: dict = {}
 
     def __len__(self) -> int:
         return int(self.word_lengths.size)
@@ -221,11 +222,14 @@ def enumerate_ball(gens: GeneratorSet, max_word_length: int,
 
     Deduplication is exact matrix equality in the exact modes and quantized
     (1e-9) key equality in float mode.  Every element records the minimal
-    word length at which it was reached.  Raises ResourceLimitError when the
-    ball would exceed max_elements.
+    word length at which it was reached.  A non-symmetric set is closed
+    under inverses first: the two-level dedup needs symmetry.  Raises
+    ResourceLimitError when the ball would exceed max_elements.
     """
     if max_word_length < 0:
         raise ValueError("max_word_length must be >= 0")
+    if not gens.symmetric and gens.elements:
+        gens = GeneratorSet.from_elements(gens.elements)
     spec = gens.spec
     if spec.arithmetic == "float":
         return _enumerate_float(gens, max_word_length, max_elements)

@@ -219,3 +219,52 @@ def test_torsion_exclusion_in_counting():
     assert with_t.counts[0] > 1   # -I and friends sit at distance zero
     assert no_t.counts[0] == 1    # identity retained
     assert with_t.counts[1] - no_t.counts[1] == with_t.counts[0] - 1
+
+
+def _based_ball_and_points(depth):
+    spec = GroupSpec.sl(2)
+    x = GroupElement(spec, (((2, 1), (1, 1)),))
+    y = GroupElement(spec, (((1, 2), (0, 1)),))
+    return enumerate_ball(sanov_generators(spec), depth), x, y
+
+
+def test_distance_table_matches_per_element_oracles(sanov_rs):
+    """Each table entry is d(x, gamma y) and its polyhedral counterpart."""
+    from orbispec.cartan import distance_polyhedral, distance_riemannian
+    from orbispec.exponents import distance_table
+    ball, x, y = _based_ball_and_points(5)
+    table = distance_table(ball, sanov_rs, x, y)
+    assert table.d.shape == table.dprime.shape == (len(ball),)
+    for i, g in enumerate(ball.iter_elements()):
+        assert table.d[i] == pytest.approx(distance_riemannian(g @ y, x), abs=1e-12)
+        assert table.dprime[i] == pytest.approx(
+            distance_polyhedral(sanov_rs, g @ y, x), abs=1e-12)
+    assert table.shift == pytest.approx(distance_riemannian(x) + distance_riemannian(y),
+                                        abs=1e-12)
+    assert distance_table(ball, sanov_rs, x, y) is table
+    with pytest.raises(ValueError):
+        table.d[0] = 0.0
+
+
+def test_one_chamber_rebuild_per_base_point_pair(sanov_rs, monkeypatch):
+    """Every analysis over the same ball and base points reads one table."""
+    from orbispec import exponents, green_series_diagnostic
+    ball, x, y = _based_ball_and_points(8)
+    calls = []
+    build = exponents.relative_chamber_matrix
+
+    def counted(b, bx=None, by=None):
+        calls.append((bx, by))
+        return build(b, bx, by)
+
+    monkeypatch.setattr(exponents, "relative_chamber_matrix", counted)
+    for px, py in ((x, y), (None, None), (x, None)):
+        triple = exponent_triple(ball, sanov_rs, x=px, y=py, radii_step=0.1)
+        if py is None:  # the fit reaches the mixed branch, which reads the table too
+            assert triple.delta_prime.value > sanov_rs.rho_norm
+        for kind, s in ((KIND_RIEMANNIAN, None), (KIND_POLYHEDRAL, None), (KIND_MIXED, 1.0)):
+            counting_curve(ball, sanov_rs, kind, s=s, x=px, y=py)
+        level_partial_sums(ball, sanov_rs, KIND_MIXED, 1.0, px, py)
+        poincare_partial_sum(ball, sanov_rs, KIND_POLYHEDRAL, 1.0, px, py)
+        green_series_diagnostic(ball, sanov_rs, 0.5, x=px, y=py)
+    assert calls == [(x, y), (None, None), (x, None)]

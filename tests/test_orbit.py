@@ -58,6 +58,18 @@ def test_torsion_collapses_by_direct_multiplication_oracle():
     assert all(c <= b for c, b in zip(ball.growth_per_level, free_bound))
 
 
+def test_non_symmetric_set_is_closed_under_inverses():
+    """An order-three generator passed without its inverse: the ball is the
+    group {I, g, g^2}, fully enumerated, with no element repeated."""
+    spec = GroupSpec.sl(2)
+    g = GroupElement(spec, (((0, -1), (1, -1)),))
+    ball = enumerate_ball(GeneratorSet(spec, (g,), symmetric=False), 4)
+    assert len(ball) == 3
+    assert len(ball_key_set(ball)) == 3
+    assert ball.growth_per_level == [1, 2]
+    assert ball.exhausted
+
+
 def test_dedup_idempotence():
     deep = enumerate_ball(sanov_generators(), 5)
     shallow = enumerate_ball(sanov_generators(), 4)

@@ -185,13 +185,14 @@ class GroupElement:
         return True
 
 
-def log_singular_values(stack: np.ndarray) -> np.ndarray:
+def log_singular_values(stack: np.ndarray, det: float | None = None) -> np.ndarray:
     """Per-matrix log singular values, sorted non-increasingly and recentred
     to sum zero, for a (..., n, n) float stack.
 
     For 2x2 matrices the Frobenius norm q and determinant give the exact
     closed form arccosh(q / (2|det|)) / 2, avoiding millions of LAPACK calls
-    in orbit-scale batches.
+    in orbit-scale batches.  Callers knowing |det| (1 for exact entries) pass
+    it as `det`, since ad - bc in float64 cancels once entries pass ~1e8.
     """
     stack = np.asarray(stack, dtype=float)
     if not np.all(np.isfinite(stack)):
@@ -204,9 +205,10 @@ def log_singular_values(stack: np.ndarray) -> np.ndarray:
     if n == 2:
         a, b = stack[..., 0, 0], stack[..., 0, 1]
         c, d = stack[..., 1, 0], stack[..., 1, 1]
-        det = np.abs(a * d - b * c)
-        if np.any(det <= 0):
-            raise NumericalError("singular 2x2 block")
+        if det is None:
+            det = np.abs(a * d - b * c)
+            if np.any(det <= 0):
+                raise NumericalError("singular 2x2 block")
         q = (a * a + b * b + c * c + d * d) / (2.0 * det)
         h = 0.5 * np.arccosh(np.maximum(q, 1.0))
         return np.stack([h, -h], axis=-1)

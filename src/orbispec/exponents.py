@@ -123,7 +123,7 @@ def distance_table(ball: OrbitBall, rs: RootSystemData, x=None, y=None) -> Dista
     table = ball.tables.get((x, y))
     if table is None:
         chamber = relative_chamber_matrix(ball, x, y)
-        d = np.linalg.norm(chamber, axis=1)
+        d = ball.distances() if x is None and y is None else np.linalg.norm(chamber, axis=1)
         dprime = chamber @ rs.rho / rs.rho_norm
         shift = 0.0
         for g in (x, y):

@@ -1,15 +1,19 @@
 """Breadth-first enumeration of orbit balls in finitely generated subgroups.
 
-Elements are gathered level by level in word length with exact
-deduplication.  With a symmetric generating set the word length of a product
-gamma*g differs from that of gamma by at most one, so a candidate produced
-from the frontier is new precisely when it avoids the previous two levels;
-the exact-integer path exploits this to run fully vectorized on int64 rows.
-Float mode quantizes entries to a 1e-9 grid for deduplication (documented
-risk: distinct elements closer than the quantum collapse) and keeps the full
-key history, since rounding noise does not respect word-length metrics.
-Rational and oversized-integer inputs fall back to a dictionary-based walk
-on exact flat tuples.
+Elements are gathered level by level in word length with exact deduplication.
+With a symmetric generating set the word length of a product gamma*g differs
+from that of gamma by at most one, so a candidate produced from the frontier
+is new precisely when it avoids the previous two levels; the exact-integer
+path exploits this to run fully vectorized on int64 rows, storing each level
+in lexicographic row order.  Float mode quantizes entries to a 1e-9 grid
+(documented risk: distinct elements closer than the quantum collapse) and
+checks the full history, since rounding noise does not respect word-length
+metrics; its levels keep the order in which candidates first occur.  Both
+paths find keys by 64-bit row hashes, sorted per level, and compare full key
+rows within every equal-hash group and on every hash hit; a level where two
+different rows share a hash is deduplicated by sorting whole rows.  Rational
+and oversized-integer inputs fall back to a dictionary-based walk on exact
+flat tuples.
 """
 
 from __future__ import annotations
@@ -131,9 +135,9 @@ class OrbitBall:
         self.exhausted = exhausted
         self._mode = mode
         if mode == "int":
-            self._entries = np.vstack(levels).astype(np.int64)
+            self._entries = np.vstack(levels).astype(np.int64, copy=False)
         elif mode == "float":
-            self._entries = np.vstack(levels).astype(float)
+            self._entries = np.vstack(levels).astype(float, copy=False)
         else:
             self._entries = [t for lvl in levels for t in lvl]
         self.word_lengths = np.repeat(
@@ -185,9 +189,10 @@ class OrbitBall:
     def chamber_matrix(self) -> np.ndarray:
         """Cartan projections of all elements, as an (N, ambient_dim) array."""
         if self._chamber is None:
+            # exact blocks have determinant 1, which ad - bc in float64 can lose
+            det = None if self._mode == "float" else 1.0
             self._chamber = np.concatenate(
-                [log_singular_values(stack) for stack in self.block_stacks()], axis=1
-            )
+                [log_singular_values(s, det=det) for s in self.block_stacks()], axis=1)
         return self._chamber
 
     def distances(self) -> np.ndarray:
@@ -221,9 +226,10 @@ def enumerate_ball(gens: GeneratorSet, max_word_length: int,
     """Enumerate {gamma : word length <= max_word_length} by levelled BFS.
 
     Deduplication is exact matrix equality in the exact modes and quantized
-    (1e-9) key equality in float mode.  Every element records the minimal
-    word length at which it was reached.  A non-symmetric set is closed
-    under inverses first: the two-level dedup needs symmetry.  Raises
+    (1e-9) key equality in float mode, found through 64-bit row hashes with
+    full-row verification (see the module docstring).  Every element records
+    the minimal word length at which it was reached.  A non-symmetric set is
+    closed under inverses first: the two-level dedup needs symmetry.  Raises
     ResourceLimitError when the ball would exceed max_elements.
     """
     if max_word_length < 0:
@@ -232,12 +238,12 @@ def enumerate_ball(gens: GeneratorSet, max_word_length: int,
         gens = GeneratorSet.from_elements(gens.elements)
     spec = gens.spec
     if spec.arithmetic == "float":
-        return _enumerate_float(gens, max_word_length, max_elements)
+        return _enumerate_rows(gens, max_word_length, max_elements, exact=False)
     if spec.arithmetic == "exact-int":
         gen_max = max((max(abs(x) for x in g.flat_entries()) for g in gens.elements),
                       default=0)
         if max(spec.sizes) * max(gen_max, 1) * gen_max < _INT64_SAFE:
-            return _enumerate_int(gens, max_word_length, max_elements)
+            return _enumerate_rows(gens, max_word_length, max_elements, exact=True)
     return _enumerate_generic(gens, max_word_length, max_elements)
 
 
@@ -248,21 +254,86 @@ def _block_products(spec: GroupSpec, frontier: np.ndarray, gen_rows: np.ndarray)
     for n in spec.sizes:
         fb = frontier[:, off:off + n * n].reshape(nf, n, n)
         gb = gen_rows[:, off:off + n * n].reshape(ng, n, n)
-        prod = np.einsum("fij,gjk->fgik", fb, gb)
+        if frontier.dtype == np.int64:
+            prod = np.matmul(fb[:, None], gb)  # exact, and much faster than einsum on ints
+        else:
+            prod = np.einsum("fij,gjk->fgik", fb, gb)  # float bits depend on this order
         pieces.append(prod.reshape(nf * ng, n * n))
         off += n * n
     return np.concatenate(pieces, axis=1)
 
 
-def _enumerate_int(gens: GeneratorSet, L: int, cap: int) -> OrbitBall:
+def _row_hashes(keys: np.ndarray) -> np.ndarray:
+    """64-bit multiply-xor hash of each row of an (N, m) int64 key array."""
+    words = keys.view(np.uint64)
+    h = np.zeros(len(keys), dtype=np.uint64)
+    for j in range(words.shape[1]):
+        h ^= words[:, j]
+        h *= np.uint64(0x9E3779B97F4A7C15)
+        h ^= h >> np.uint64(29)
+    return h
+
+
+def _fresh_rows(keys: np.ndarray, known, known_keys) -> tuple[np.ndarray, np.ndarray]:
+    """First occurrences of the distinct rows of `keys` that no known set
+    holds: candidate indices and row hashes, in ascending hash order.  `known`
+    lists (sorted hashes, fetch) pairs, fetch(i) giving the key rows behind
+    sorted positions i.  Rows are compared in full within equal-hash groups and
+    on hash hits; if two different rows share a hash, the level is deduplicated
+    by a row sort against known_keys() instead."""
+    h = _row_hashes(keys)
+    order = np.argsort(h)
+    h = h[order]
+    head = np.r_[True, h[1:] != h[:-1]]
+    repeat = np.flatnonzero(~head)
+    clash = not np.array_equal(keys[order[repeat]], keys[order[repeat - 1]])
+    groups = np.flatnonzero(head)
+    first, h = np.minimum.reduceat(order, groups), h[groups]
+    fresh = np.ones(len(first), dtype=bool)
+    for sorted_h, fetch in known:
+        at = np.minimum(np.searchsorted(sorted_h, h), len(sorted_h) - 1)
+        hit = sorted_h[at] == h
+        clash |= not np.array_equal(keys[first[hit]], fetch(at[hit]))
+        fresh &= ~hit
+    if not clash:
+        return first[fresh], h[fresh]
+    ref = known_keys()
+    _, first = np.unique(np.vstack([ref, keys]), axis=0, return_index=True)
+    first = first[first >= len(ref)] - len(ref)
+    h = _row_hashes(keys[first])
+    order = np.argsort(h)
+    return first[order], h[order]
+
+
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """Permutation putting distinct int64 rows in lexicographic order, sorting
+    runs of columns packed into uint64 mixed-radix keys (one key: one argsort)."""
+    lo, m = int(rows.min()), rows.shape[1]
+    span = int(rows.max()) - lo + 1
+    width = max([w for w in range(1, m + 1) if span ** w <= 2 ** 64], default=1)
+    keys = []
+    for j in range(0, m, width):
+        key = np.zeros(len(rows), dtype=np.uint64)
+        for col in rows[:, j:j + width].T:
+            key = key * np.uint64(span) + (col - lo).astype(np.uint64)
+        keys.append(key)
+    return np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+
+
+def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitBall:
+    """Vectorized BFS on int64 rows (exact) or float64 rows with quantized keys."""
     spec = gens.spec
-    gen_rows = np.array([g.flat_entries() for g in gens.elements], dtype=np.int64)
+    dtype = np.int64 if exact else float
+    keys_of = (lambda rows: rows) if exact else _quantized_keys
+    gen_rows = np.array([g.flat_entries() for g in gens.elements], dtype=dtype)
     gen_rows = gen_rows.reshape(len(gens.elements), spec.entry_count)
     gen_max = int(np.abs(gen_rows).max()) if gen_rows.size else 0
     n_max = max(spec.sizes)
 
-    identity = np.array([GroupElement.identity(spec).flat_entries()], dtype=np.int64)
+    identity = np.array([GroupElement.identity(spec).flat_entries()], dtype=dtype)
     levels = [identity]
+    # per level: its sorted row hashes and the level row behind each
+    index = [(_row_hashes(keys_of(identity)), np.zeros(1, dtype=np.intp))]
     total = 1
     exhausted = False
     for w in range(1, L + 1):
@@ -270,59 +341,34 @@ def _enumerate_int(gens: GeneratorSet, L: int, cap: int) -> OrbitBall:
         if gen_rows.size == 0:
             exhausted = True
             break
-        frontier_max = int(np.abs(frontier).max())
-        if n_max * max(frontier_max, 1) * max(gen_max, 1) >= _INT64_SAFE:
+        if exact and n_max * max(int(np.abs(frontier).max()), 1) * max(gen_max, 1) >= _INT64_SAFE:
             # entries outgrow the int64 fast path; continue on exact big ints
             return _enumerate_generic(gens, L, cap,
                                       seed_levels=[lvl.tolist() for lvl in levels])
         cand = _block_products(spec, frontier, gen_rows)
-        prev = [levels[-1]] + ([levels[-2]] if len(levels) >= 2 else [])
-        stacked = np.vstack(prev + [cand])
-        offset = sum(len(p) for p in prev)
-        uniq, first = np.unique(stacked, axis=0, return_index=True)
-        new = uniq[first >= offset]
-        if len(new) == 0:
+        # float rounding noise does not respect word length: check every level
+        known = range(max(len(levels) - 2, 0) if exact else 0, len(levels))
+        fetch = [(index[k][0], lambda i, k=k: keys_of(levels[k][index[k][1][i]]))
+                 for k in known]
+        first, hashes = _fresh_rows(keys_of(cand), fetch,
+                                    lambda: keys_of(np.vstack([levels[k] for k in known])))
+        if len(first) == 0:
             exhausted = True
             break
-        total += len(new)
+        total += len(first)
         if total > cap:
             raise ResourceLimitError(
                 f"orbit ball exceeds {cap} elements at word length {w}"
             )
-        levels.append(new)
-    return OrbitBall(spec, L, levels, "int", exhausted)
-
-
-def _enumerate_float(gens: GeneratorSet, L: int, cap: int) -> OrbitBall:
-    spec = gens.spec
-    gen_rows = np.array([g.flat_entries() for g in gens.elements], dtype=float)
-    gen_rows = gen_rows.reshape(len(gens.elements), spec.entry_count)
-
-    identity = np.array([GroupElement.identity(spec).flat_entries()], dtype=float)
-    levels = [identity]
-    seen_keys = _quantized_keys(identity)
-    total = 1
-    exhausted = False
-    for w in range(1, L + 1):
-        if gen_rows.size == 0:
-            exhausted = True
-            break
-        cand = _block_products(spec, levels[-1], gen_rows)
-        cand_keys = _quantized_keys(cand)
-        stacked = np.vstack([seen_keys, cand_keys])
-        uniq, first = np.unique(stacked, axis=0, return_index=True)
-        new_idx = np.sort(first[first >= len(seen_keys)] - len(seen_keys))
-        if len(new_idx) == 0:
-            exhausted = True
-            break
-        total += len(new_idx)
-        if total > cap:
-            raise ResourceLimitError(
-                f"orbit ball exceeds {cap} elements at word length {w}"
-            )
-        levels.append(cand[new_idx])
-        seen_keys = np.vstack([seen_keys, cand_keys[new_idx]])
-    return OrbitBall(spec, L, levels, "float", exhausted)
+        rows = cand[first]
+        order = _lex_order(rows) if exact else np.argsort(first)
+        levels.append(rows[order])
+        at = np.empty_like(order)
+        at[order] = np.arange(len(order))
+        index.append((hashes, at))
+        if exact and len(index) > 2:
+            index[-3] = None
+    return OrbitBall(spec, L, levels, "int" if exact else "float", exhausted)
 
 
 def _enumerate_generic(gens: GeneratorSet, L: int, cap: int,

@@ -242,6 +242,7 @@ def test_distance_table_matches_per_element_oracles(sanov_rs):
     assert table.shift == pytest.approx(distance_riemannian(x) + distance_riemannian(y),
                                         abs=1e-12)
     assert distance_table(ball, sanov_rs, x, y) is table
+    assert distance_table(ball, sanov_rs).d is ball.distances()
     with pytest.raises(ValueError):
         table.d[0] = 0.0
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from orbispec import (GeneratorSet, GroupElement, GroupSpec, NumericalError,
-                      ResourceLimitError, enumerate_ball, trust_radius)
+                      ResourceLimitError, enumerate_ball, orbit, trust_radius)
 
 from conftest import cyclic_hyperbolic_generator, sanov_generators
 
@@ -187,3 +187,126 @@ def test_empty_generating_set_gives_trivial_ball():
     ball = enumerate_ball(GeneratorSet.trivial(GroupSpec.sl(2)), 5)
     assert len(ball) == 1
     assert ball.exhausted
+
+
+def _elementary_sl3():
+    spec = GroupSpec.sl(3)
+    mats = []
+    for i, j in ((0, 1), (1, 2), (0, 2), (1, 0), (2, 1), (2, 0)):
+        m = [[int(r == c) for c in range(3)] for r in range(3)]
+        m[i][j] = 1
+        mats.append(GroupElement(spec, (tuple(map(tuple, m)),)))
+    return GeneratorSet.from_elements(mats)
+
+
+def _product_generators():
+    spec = GroupSpec.product((2, 2))
+    a = GroupElement(spec, (((1, 2), (0, 1)), ((1, 1), (0, 1))))
+    b = GroupElement(spec, (((1, 0), (2, 1)), ((1, 0), (1, 1))))
+    return GeneratorSet.from_elements([a, b])
+
+
+def _cube_rotations():
+    """Rotations by a quarter turn about two axes: they generate the
+    24-element rotation group of the cube inside SL(3,Z)."""
+    spec = GroupSpec.sl(3)
+    rx = GroupElement(spec, (((1, 0, 0), (0, 0, -1), (0, 1, 0)),))
+    rz = GroupElement(spec, (((0, -1, 0), (1, 0, 0), (0, 0, 1)),))
+    return GeneratorSet.from_elements([rx, rz])
+
+
+def _sym2_float_generators():
+    """Gamma(2) in SL(3,R) through the symmetric square, in float mode."""
+    spec = GroupSpec.sl(3, "float")
+    out = []
+    for (a, b), (c, d) in (((1, 2), (0, 1)), ((1, 0), (2, 1))):
+        m = ((a * a, 2 * a * b, b * b), (a * c, a * d + b * c, b * d),
+             (c * c, 2 * c * d, d * d))
+        out.append(GroupElement(spec, (m,)))
+    return GeneratorSet.from_elements(out)
+
+
+def _levels(ball):
+    bounds = np.cumsum([0] + ball.growth_per_level)
+    rows = ball.float_entry_matrix()
+    return [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+INT_CASES = [(sanov_generators, 8), (_elementary_sl3, 4), (_product_generators, 7),
+             (_cube_rotations, 10)]
+
+
+@pytest.mark.parametrize("make_gens, L", INT_CASES)
+def test_int_levels_match_exact_dict_walk(make_gens, L):
+    """The hashed int64 dedup finds, level by level, the elements of the
+    dictionary walk on exact tuples, and stores each level in strict
+    lexicographic row order."""
+    gens = make_gens()
+    ball = enumerate_ball(gens, L)
+    oracle = orbit._enumerate_generic(gens, L, orbit.DEFAULT_MAX_ELEMENTS)
+    assert ball.growth_per_level == oracle.growth_per_level
+    assert ball.exhausted == oracle.exhausted
+    for got, want in zip(_levels(ball), _levels(oracle)):
+        assert {tuple(r) for r in got.tolist()} == {tuple(r) for r in want.tolist()}
+        step = np.diff(got, axis=0)
+        lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+        assert (lead > 0).all()
+    if make_gens is _cube_rotations:
+        assert ball.exhausted and len(ball) == 24
+
+
+def test_float_levels_keep_first_occurrence_order():
+    """Each float level holds the candidates whose key no earlier level
+    holds, in the order the candidates first occur."""
+    gens = _sym2_float_generators()
+    ball = enumerate_ball(gens, 5)
+    levels = _levels(ball)
+    gen_rows = np.array([g.flat_entries() for g in gens.elements], dtype=float)
+    seen = {tuple(orbit._quantized_keys(levels[0])[0].tolist())}
+    for prev, level in zip(levels[:-1], levels[1:]):
+        cand = orbit._block_products(ball.spec, prev, gen_rows)
+        keep = []
+        for i, key in enumerate(map(tuple, orbit._quantized_keys(cand).tolist())):
+            if key not in seen:
+                seen.add(key)
+                keep.append(i)
+        np.testing.assert_array_equal(level, cand[keep])
+
+
+@pytest.mark.parametrize("bound", [3, 2**20, 2**40, 2**61])
+def test_lex_order_matches_python_tuple_sort(bound):
+    """Packed sort keys (one key, several, or one column each) order rows
+    exactly as Python orders their tuples."""
+    rng = np.random.default_rng(7)
+    rows = np.unique(rng.integers(-bound, bound, size=(500, 4)), axis=0)
+    rows = rows[rng.permutation(len(rows))]
+    expect = sorted(range(len(rows)), key=lambda i: tuple(rows[i].tolist()))
+    np.testing.assert_array_equal(orbit._lex_order(rows), expect)
+
+
+@pytest.mark.parametrize("weak_hash", [
+    lambda keys: np.zeros(len(keys), dtype=np.uint64),
+    lambda keys: keys[:, 0].astype(np.uint64),
+], ids=["constant", "first-column"])
+@pytest.mark.parametrize("make_gens, L", [(sanov_generators, 6), (_cube_rotations, 10),
+                                          (_sym2_float_generators, 4)])
+def test_hash_collisions_fall_back_to_identical_balls(make_gens, L, weak_hash, monkeypatch):
+    """Hashes that collide for different rows change nothing: the verified
+    rows expose every clash and the row-sort fallback gives the same ball."""
+    ref = enumerate_ball(make_gens(), L)
+    monkeypatch.setattr(orbit, "_row_hashes", weak_hash)
+    ball = enumerate_ball(make_gens(), L)
+    assert ball.growth_per_level == ref.growth_per_level
+    assert ball.exhausted == ref.exhausted
+    assert ball.float_entry_matrix().tobytes() == ref.float_entry_matrix().tobytes()
+
+
+def test_exact_determinant_survives_large_entries():
+    """Entries of <[[3,8],[1,3]]> reach 3.7e8 at word length 12, where ad - bc
+    cancels in float64; the exact ball's h still equals acosh(|g|_F^2 / 2) / 2
+    evaluated on Python integers."""
+    g = GroupElement(GroupSpec.sl(2), (((3, 8), (1, 3)),))
+    ball = enumerate_ball(GeneratorSet.from_elements([g]), 12)
+    expect = [0.5 * math.acosh(sum(x * x for x in e.flat_entries()) / 2)
+              for e in ball.iter_elements()]
+    np.testing.assert_allclose(ball.chamber_matrix()[:, 0], expect, rtol=1e-15, atol=0)

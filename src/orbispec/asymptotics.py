@@ -58,11 +58,11 @@ def _coords(rs: RootSystemData, H) -> np.ndarray:
 
 def cartan_density(rs: RootSystemData, H) -> float:
     """Density of the Cartan integration formula: the product of
-    sinh<alpha, H> over positive roots with multiplicities."""
+    sinh<alpha, H> over the positive roots (all of multiplicity 1)."""
     h = _coords(rs, H)
     val = 1.0
-    for alpha, mult in rs.positive_roots:
-        val *= math.sinh(float(alpha @ h)) ** mult
+    for alpha in rs.positive_roots:
+        val *= math.sinh(float(alpha @ h))
     return val
 
 
@@ -79,7 +79,7 @@ class _ChamberIntegrator:
         self.gram = self.rays @ self.rays.T             # (ell, ell)
         self.root_coeffs = np.array([
             [float(alpha @ u) for u in rs.chamber_rays]
-            for alpha, _ in rs.positive_roots
+            for alpha in rs.positive_roots
         ])                                              # (nroots, ell)
         self.rho_coeffs = np.array([float(rs.rho @ u) for u in rs.chamber_rays])
         self.epsrel = epsrel
@@ -205,9 +205,9 @@ def green_asymptotic(rs: RootSystemData, zeta: float, H) -> float:
             return math.log(1.0 / norm)
         return norm ** (-(rs.dim_x - 2))
     prefactor = 1.0
-    for alpha in rs.reduced_positive_roots:
+    for alpha in rs.positive_roots:
         prefactor *= 1.0 + float(alpha @ h)
-    power = -(rs.rank - 1) / 2.0 - len(rs.reduced_positive_roots)
+    power = -(rs.rank - 1) / 2.0 - len(rs.positive_roots)
     return prefactor * norm**power * math.exp(-float(rs.rho @ h) - zeta * norm)
 
 
@@ -230,9 +230,9 @@ def green_series_diagnostic(ball: OrbitBall, rs: RootSystemData, zeta: float,
     keep = slice(None) if keep.all() else keep  # a view, not a copy, when all are kept
     d, dprime, chamber = table.d[keep], table.dprime[keep], table.chamber[keep]
     prefactor = np.ones_like(d)
-    for alpha in rs.reduced_positive_roots:
+    for alpha in rs.positive_roots:
         prefactor *= 1.0 + chamber @ alpha
-    power = -(rs.rank - 1) / 2.0 - len(rs.reduced_positive_roots)
+    power = -(rs.rank - 1) / 2.0 - len(rs.positive_roots)
     terms = prefactor * d**power * np.exp(-rs.rho_norm * dprime - zeta * d)
 
     n_levels = len(ball.growth_per_level)
@@ -284,7 +284,7 @@ def heat_bound(rs: RootSystemData, case: str, *, t: float, delta_second: float,
             raise ValueError(
                 f"case 'i' needs delta_second < s < ||rho||, got {delta_second}, {s}, {rho}"
             )
-        D = pseudo_dim if pseudo_dim is not None else rs.rank + 2 * len(rs.reduced_positive_roots)
+        D = pseudo_dim if pseudo_dim is not None else rs.rank + 2 * len(rs.positive_roots)
         return (base * (1.0 + t) ** ((n - D) / 2.0) * math.exp(-rho**2 * t)
                 * math.exp(-(distance**2) / (4.0 * t)) * psecond)
     if case == "ii":

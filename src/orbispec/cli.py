@@ -13,14 +13,13 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import cartan
 from .asymptotics import (fit_ball_volume, green_series_diagnostic, heat_bound,
-                          classical_ball_volume, polyhedral_ball_volume,
                           LARGE_RADII_DEFAULT, SMALL_RADII_DEFAULT)
 from .cartan import GroupElement, cartan_projection, distance_polyhedral, distance_riemannian
 from .errors import ConfigError, NumericalError, ResourceLimitError, UnsupportedGroupError
@@ -31,9 +30,6 @@ from .liecore import GroupSpec, build_root_system
 from .orbit import DEFAULT_MAX_ELEMENTS, GeneratorSet, enumerate_ball, trust_radius
 from .spectrum import (consistency_check, lambda0_characterization,
                        lambda0_lower_polyhedral, lambda0_two_sided_bounds)
-
-ANALYSES = ("project", "orbit", "count", "exponent", "lambda0",
-            "volume", "green", "heatbound")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -51,9 +47,9 @@ config schema (JSON):
                    square matrices (row-major nested arrays); entries are
                    integers, floats, or rationals written as "p/q"
   max_word_length  orbit ball depth (>= 1 for orbit-dependent analyses)
-  analyses         subset of: project orbit count exponent lambda0 volume
-                   green heatbound (exponent/lambda0 dependencies are pulled
-                   in automatically; the report always carries them)
+  analyses         any of the names below (exponent/lambda0 dependencies are
+                   pulled in automatically; the report always carries them):
+                   %s
   optional keys    radii_step (0.25), window_fraction (0.5), base_points
                    {"x": element, "y": element}, max_elements (1e7),
                    mixed_s, green_zetas, heat_times, volume_radii_small,
@@ -96,7 +92,6 @@ class JobConfig:
     volume_radii_large: list[float] | None = None
     include_torsion: bool = False
     threads: int = 1
-    seed: int = 0
 
 
 _KNOWN_KEYS = {
@@ -117,8 +112,15 @@ def _parse_element(spec: GroupSpec, blocks, what: str) -> GroupElement:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
+def _positive(what: str, val) -> float:
+    if isinstance(val, bool) or not isinstance(val, (int, float)) \
+            or not 0 < val <= sys.float_info.max:
+        raise ConfigError(f"{what} must be a positive number, got {val!r}")
+    return float(val)
+
+
 def load_config(path: str | Path, include_torsion: bool = False,
-                threads: int = 1, seed: int = 0) -> JobConfig:
+                threads: int = 1) -> JobConfig:
     """Parse and validate a JSON job config."""
     try:
         raw = json.loads(Path(path).read_text())
@@ -152,16 +154,22 @@ def load_config(path: str | Path, include_torsion: bool = False,
         raise ConfigError("generators must be a list")
     generators = [_parse_element(spec, g, f"generator {i}") for i, g in enumerate(gens_raw)]
 
-    analyses = tuple(raw.get("analyses", ["orbit", "count", "exponent", "lambda0"]))
+    analyses = raw.get("analyses", ["orbit", "count", "exponent", "lambda0"])
+    if not isinstance(analyses, list):
+        raise ConfigError("analyses must be a list of names")
     for a in analyses:
-        if a not in ANALYSES:
-            raise ConfigError(f"unknown analysis {a!r}; choose from {ANALYSES}")
+        if not isinstance(a, str) or a not in ANALYSES:
+            raise ConfigError(f"unknown analysis {a!r}; choose from {tuple(ANALYSES)}")
 
     max_word_length = raw.get("max_word_length", 0)
     if not isinstance(max_word_length, int) or max_word_length < 0:
         raise ConfigError("max_word_length must be a non-negative integer")
     if generators and max_word_length < 1:
         raise ConfigError("max_word_length must be >= 1 for orbit-dependent analyses")
+
+    max_elements = _positive("max_elements", raw.get("max_elements", DEFAULT_MAX_ELEMENTS))
+    if not max_elements.is_integer():
+        raise ConfigError(f"max_elements must be a positive integer, got {max_elements!r}")
 
     base_x = base_y = None
     base = raw.get("base_points")
@@ -173,38 +181,34 @@ def load_config(path: str | Path, include_torsion: bool = False,
         if "y" in base:
             base_y = _parse_element(spec, base["y"], "base point y")
 
-    def _float_list(key):
+    def _positive_list(key):
         val = raw.get(key)
-        if val is None:
-            return None
-        if not isinstance(val, list) or not all(isinstance(v, (int, float)) for v in val):
-            raise ConfigError(f"{key} must be a list of numbers")
-        return [float(v) for v in val]
+        if val is not None and not isinstance(val, list):
+            raise ConfigError(f"{key} must be a list of positive numbers")
+        return None if val is None else [_positive(f"{key} entry", v) for v in val]
 
-    cfg = JobConfig(
+    window_fraction = _positive("window_fraction", raw.get("window_fraction", 0.5))
+    if window_fraction > 1:
+        raise ConfigError("window_fraction must lie in (0, 1]")
+    mixed_s = raw.get("mixed_s")
+    return JobConfig(
         spec=spec,
         generators=generators,
         max_word_length=max_word_length,
-        analyses=analyses,
-        radii_step=float(raw.get("radii_step", 0.25)),
-        window_fraction=float(raw.get("window_fraction", 0.5)),
+        analyses=tuple(analyses),
+        radii_step=_positive("radii_step", raw.get("radii_step", 0.25)),
+        window_fraction=window_fraction,
         base_x=base_x,
         base_y=base_y,
-        max_elements=int(raw.get("max_elements", DEFAULT_MAX_ELEMENTS)),
-        mixed_s=raw.get("mixed_s"),
-        green_zetas=_float_list("green_zetas"),
-        heat_times=_float_list("heat_times") or [0.5, 1.0, 2.0, 4.0, 8.0],
-        volume_radii_small=_float_list("volume_radii_small"),
-        volume_radii_large=_float_list("volume_radii_large"),
+        max_elements=int(max_elements),
+        mixed_s=None if mixed_s is None else _positive("mixed_s", mixed_s),
+        green_zetas=_positive_list("green_zetas"),
+        heat_times=_positive_list("heat_times") or [0.5, 1.0, 2.0, 4.0, 8.0],
+        volume_radii_small=_positive_list("volume_radii_small"),
+        volume_radii_large=_positive_list("volume_radii_large"),
         include_torsion=include_torsion,
         threads=threads,
-        seed=seed,
     )
-    if cfg.radii_step <= 0:
-        raise ConfigError("radii_step must be positive")
-    if not 0 < cfg.window_fraction <= 1:
-        raise ConfigError("window_fraction must lie in (0, 1]")
-    return cfg
 
 
 def _fmt(x) -> str:
@@ -223,20 +227,129 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(x) for x in row])
 
 
-def _estimate_dict(est) -> dict:
-    return {
-        "value": est.value,
-        "window": list(est.window),
-        "residual": est.residual,
-        "complete": est.complete,
-        "in_range": est.in_range,
-    }
-
-
 def _json_safe(x):
     if isinstance(x, float) and not math.isfinite(x):
         return None
     return x
+
+
+def _project(config, rs, ball, triple, out) -> None:
+    gens = GeneratorSet.from_elements(config.generators).elements if config.generators else ()
+    rows = []
+    for i, g in enumerate(gens):
+        h = cartan_projection(g)
+        rows.append([i, *h.coords.tolist(),
+                     distance_riemannian(g), distance_polyhedral(rs, g)])
+    header = ["generator_index"] + [f"coordinate_{k}" for k in range(rs.ambient_dim)]
+    header += ["d_riemannian", "d_polyhedral"]
+    _write_csv(out / "projections.csv", header, rows)
+
+
+def _orbit(config, rs, ball, triple, out) -> None:
+    _write_csv(out / "orbit_levels.csv", ["word_length", "count"],
+               list(enumerate(ball.growth_per_level)))
+
+
+def _count(config, rs, ball, triple, out) -> None:
+    for kind in (KIND_RIEMANNIAN, KIND_POLYHEDRAL, KIND_MIXED):
+        s = (config.mixed_s or rs.rho_norm) if kind == KIND_MIXED else None
+        curve = counting_curve(ball, rs, kind, s=s, x=config.base_x, y=config.base_y,
+                               radii_step=config.radii_step,
+                               include_torsion=config.include_torsion)
+        rows = [[r, int(c), curve.complete] for r, c in zip(curve.radii, curve.counts)]
+        _write_csv(out / f"counting_{kind}.csv", ["radius", "count", "complete"], rows)
+
+
+def _partial_sums(config, rs, ball, triple, out) -> None:
+    rows = []
+    for kind in (KIND_RIEMANNIAN, KIND_POLYHEDRAL, KIND_MIXED):
+        for mult in (0.5, 1.0, 1.5, 2.0):
+            s = mult * rs.rho_norm
+            sums = level_partial_sums(ball, rs, kind, s, config.base_x, config.base_y)
+            rows += [[kind, s, lvl, v] for lvl, v in enumerate(sums)]
+    _write_csv(out / "partial_sums.csv", ["kind", "s", "level", "partial_sum"], rows)
+
+
+def _volume(config, rs, ball, triple, out) -> dict:
+    if rs.rank > 3:
+        raise NumericalError("volume quadrature supports rank <= 3")
+    small = config.volume_radii_small or SMALL_RADII_DEFAULT.tolist()
+    large = config.volume_radii_large or LARGE_RADII_DEFAULT.tolist()
+    rows, fits = [], {}
+    for family in ("polyhedral", "classical"):
+        for regime, radii in (("small", small), ("large", large)):
+            fit = fit_ball_volume(rs, family, regime, np.asarray(radii))
+            fits[f"{family}_{regime}"] = {
+                "exponential_rate": fit.fitted_exponential_rate,
+                "polynomial_degree": fit.fitted_polynomial_degree,
+            }
+            rows += [[family, regime, r, math.exp(lv)]
+                     for r, lv in zip(fit.radii, fit.log_volumes)]
+    _write_csv(out / "volumes.csv", ["family", "regime", "radius", "volume"], rows)
+    return {"volume_fits": fits}
+
+
+def _green(config, rs, ball, triple, out) -> dict:
+    zetas = config.green_zetas
+    if zetas is None:
+        crit = triple.delta_second.value - rs.rho_norm
+        if crit > 0.05:
+            zetas = [max(crit + d, 0.01) for d in (-0.2, -0.1, 0.0, 0.1, 0.2)]
+        else:
+            zetas = [0.1, 0.5, 1.0]
+    rows, summary = [], []
+    for zeta in zetas:
+        diag = green_series_diagnostic(ball, rs, zeta, x=config.base_x, y=config.base_y)
+        rows += [[zeta, lvl, v, diag.verdict] for lvl, v in enumerate(diag.partial_sums)]
+        summary.append({"zeta": zeta, "verdict": diag.verdict,
+                        "trend_slope": _json_safe(diag.trend_slope)})
+    _write_csv(out / "green_series.csv", ["zeta", "level", "partial_sum", "verdict"], rows)
+    return {"green": summary}
+
+
+def _heatbound(config, rs, ball, triple, out) -> dict:
+    """Case i below ||rho||, case ii below 2||rho||, each with case iii; at
+    the lattice endpoint 2||rho|| no case applies."""
+    rho, x, y = rs.rho_norm, config.base_x, config.base_y
+    ds = min(max(triple.delta_second.value, 0.0), 2 * rho)
+    rows = []
+    if ds < 2 * rho:
+        if ds < rho:
+            s = 0.5 * (ds + rho)
+            case, params, cols = "i", {"s": s}, [s, "", ""]
+            p = poincare_partial_sum(ball, rs, KIND_MIXED, s, x, y)
+        else:
+            gap = rho - (ds - rho)
+            s1, s2 = ds - rho + 0.25 * gap, ds - rho + 0.75 * gap
+            case, params, cols = "ii", {"s1": s1, "s2": s2}, ["", s1, s2]
+            p = poincare_partial_sum(ball, rs, KIND_MIXED, rho + s1, x, y)
+        s3, eps = ds + 0.25, 0.05
+        px = poincare_partial_sum(ball, rs, KIND_MIXED, s3, x, x)
+        py = poincare_partial_sum(ball, rs, KIND_MIXED, s3, y, y)
+        for t in config.heat_times:
+            val = heat_bound(rs, case, t=t, delta_second=ds, psecond=p, **params)
+            rows.append([case, t, *cols, "", "", val])
+            val = heat_bound(rs, "iii", t=t, delta_second=ds, s=s3, eps=eps,
+                             psecond_x=px, psecond_y=py)
+            rows.append(["iii", t, s3, "", "", eps, "", val])
+    _write_csv(out / "heat_bounds.csv",
+               ["case", "t", "s", "s1", "s2", "eps", "pseudo_dim", "value"], rows)
+    return {"heat_bounds": len(rows)}
+
+
+# Every analysis a config can request, run in this order.  Each writes its
+# CSVs and returns its report entries, if it has any; lambda0 does neither,
+# because the report always carries the exponents and the spectrum.
+ANALYSES = {
+    "project": _project,
+    "orbit": _orbit,
+    "count": _count,
+    "exponent": _partial_sums,
+    "lambda0": lambda config, rs, ball, triple, out: None,
+    "volume": _volume,
+    "green": _green,
+    "heatbound": _heatbound,
+}
 
 
 def run(config: JobConfig, out_dir: str | Path = ".") -> int:
@@ -257,7 +370,6 @@ def run(config: JobConfig, out_dir: str | Path = ".") -> int:
             "window_fraction": config.window_fraction,
             "include_torsion_in_counting": config.include_torsion,
             "threads": config.threads,
-            "seed": config.seed,
         },
         "rho_norm": rs.rho_norm,
         "rho_min": rs.rho_min,
@@ -272,12 +384,11 @@ def run(config: JobConfig, out_dir: str | Path = ".") -> int:
         gens = GeneratorSet.trivial(config.spec)
         depth = max(config.max_word_length, 1)
     ball = enumerate_ball(gens, depth, config.max_elements)
-    tr = trust_radius(ball)
     report["orbit"] = {
         "size": len(ball),
         "levels": ball.growth_per_level,
         "exhausted": ball.exhausted,
-        "trust_radius": _json_safe(tr),
+        "trust_radius": _json_safe(trust_radius(ball)),
     }
 
     try:
@@ -291,9 +402,9 @@ def run(config: JobConfig, out_dir: str | Path = ".") -> int:
             f"increase max_word_length or decrease radii_step"
         ) from exc
     report["exponents"] = {
-        "delta": _estimate_dict(triple.delta),
-        "delta_second": _estimate_dict(triple.delta_second),
-        "delta_prime": _estimate_dict(triple.delta_prime),
+        "delta": asdict(triple.delta),
+        "delta_second": asdict(triple.delta_second),
+        "delta_prime": asdict(triple.delta_prime),
         "ordered": triple.ordered(),
         "mixed_bisection_diagnostic": delta_second_bisection(ball, rs),
     }
@@ -316,114 +427,9 @@ def run(config: JobConfig, out_dir: str | Path = ".") -> int:
         "notes": list(spec_report.notes),
     }
 
-    requested = set(config.analyses)
-    if "project" in requested:
-        rows = []
-        for i, g in enumerate(gens.elements):
-            h = cartan_projection(g)
-            rows.append([i, *h.coords.tolist(),
-                         distance_riemannian(g), distance_polyhedral(rs, g)])
-        header = ["generator_index"] + [f"coordinate_{k}" for k in range(rs.ambient_dim)]
-        header += ["d_riemannian", "d_polyhedral"]
-        _write_csv(out / "projections.csv", header, rows)
-
-    if "orbit" in requested:
-        _write_csv(out / "orbit_levels.csv", ["word_length", "count"],
-                   list(enumerate(ball.growth_per_level)))
-
-    if "count" in requested:
-        mixed_s = config.mixed_s if config.mixed_s is not None else rs.rho_norm
-        for kind, fname, s in (
-            (KIND_RIEMANNIAN, "counting_riemannian.csv", None),
-            (KIND_POLYHEDRAL, "counting_polyhedral.csv", None),
-            (KIND_MIXED, "counting_mixed.csv", mixed_s),
-        ):
-            curve = counting_curve(ball, rs, kind, s=s, x=config.base_x, y=config.base_y,
-                                   radii_step=config.radii_step,
-                                   include_torsion=config.include_torsion)
-            rows = [[r, int(c), curve.complete]
-                    for r, c in zip(curve.radii, curve.counts)]
-            _write_csv(out / fname, ["radius", "count", "complete"], rows)
-
-    if "exponent" in requested:
-        rows = []
-        for kind in (KIND_RIEMANNIAN, KIND_POLYHEDRAL, KIND_MIXED):
-            for mult in (0.5, 1.0, 1.5, 2.0):
-                s = mult * rs.rho_norm
-                sums = level_partial_sums(ball, rs, kind, s,
-                                          config.base_x, config.base_y)
-                rows += [[kind, s, lvl, v] for lvl, v in enumerate(sums)]
-        _write_csv(out / "partial_sums.csv", ["kind", "s", "level", "partial_sum"], rows)
-
-    if "volume" in requested:
-        if rs.rank > 3:
-            raise NumericalError("volume quadrature supports rank <= 3")
-        small = config.volume_radii_small or SMALL_RADII_DEFAULT.tolist()
-        large = config.volume_radii_large or LARGE_RADII_DEFAULT.tolist()
-        rows, fits = [], {}
-        for family, fn in (("polyhedral", polyhedral_ball_volume),
-                           ("classical", classical_ball_volume)):
-            for regime, radii in (("small", small), ("large", large)):
-                fit = fit_ball_volume(rs, family, regime, np.asarray(radii))
-                fits[f"{family}_{regime}"] = {
-                    "exponential_rate": fit.fitted_exponential_rate,
-                    "polynomial_degree": fit.fitted_polynomial_degree,
-                }
-                rows += [[family, regime, r, math.exp(lv)]
-                         for r, lv in zip(fit.radii, fit.log_volumes)]
-        _write_csv(out / "volumes.csv", ["family", "regime", "radius", "volume"], rows)
-        report["volume_fits"] = fits
-
-    if "green" in requested:
-        zetas = config.green_zetas
-        if zetas is None:
-            crit = triple.delta_second.value - rs.rho_norm
-            if crit > 0.05:
-                zetas = [max(crit + d, 0.01) for d in (-0.2, -0.1, 0.0, 0.1, 0.2)]
-            else:
-                zetas = [0.1, 0.5, 1.0]
-        rows, summary = [], []
-        for zeta in zetas:
-            diag = green_series_diagnostic(ball, rs, zeta,
-                                           x=config.base_x, y=config.base_y)
-            rows += [[zeta, lvl, v, diag.verdict]
-                     for lvl, v in enumerate(diag.partial_sums)]
-            summary.append({"zeta": zeta, "verdict": diag.verdict,
-                            "trend_slope": _json_safe(diag.trend_slope)})
-        _write_csv(out / "green_series.csv",
-                   ["zeta", "level", "partial_sum", "verdict"], rows)
-        report["green"] = summary
-
-    if "heatbound" in requested:
-        ds = min(max(triple.delta_second.value, 0.0), 2 * rs.rho_norm)
-        x, y = config.base_x, config.base_y
-        if ds < rs.rho_norm:
-            s = 0.5 * (ds + rs.rho_norm)
-            p = poincare_partial_sum(ball, rs, KIND_MIXED, s, x, y)
-        elif ds < 2 * rs.rho_norm:
-            gap = rs.rho_norm - (ds - rs.rho_norm)
-            s1 = ds - rs.rho_norm + 0.25 * gap
-            s2 = ds - rs.rho_norm + 0.75 * gap
-            p = poincare_partial_sum(ball, rs, KIND_MIXED, rs.rho_norm + s1, x, y)
-        if ds < 2 * rs.rho_norm:
-            s3, eps = ds + 0.25, 0.05
-            px = poincare_partial_sum(ball, rs, KIND_MIXED, s3, x, x)
-            py = poincare_partial_sum(ball, rs, KIND_MIXED, s3, y, y)
-        rows = []
-        for t in config.heat_times:
-            if ds < rs.rho_norm:
-                val = heat_bound(rs, "i", t=t, delta_second=ds, s=s, psecond=p)
-                rows.append(["i", t, s, "", "", "", "", val])
-            elif ds < 2 * rs.rho_norm:
-                val = heat_bound(rs, "ii", t=t, delta_second=ds, s1=s1, s2=s2, psecond=p)
-                rows.append(["ii", t, "", s1, s2, "", "", val])
-            if ds < 2 * rs.rho_norm:
-                val = heat_bound(rs, "iii", t=t, delta_second=ds, s=s3, eps=eps,
-                                 psecond_x=px, psecond_y=py)
-                rows.append(["iii", t, s3, "", "", eps, "", val])
-        _write_csv(out / "heat_bounds.csv",
-                   ["case", "t", "s", "s1", "s2", "eps", "pseudo_dim", "value"], rows)
-        report["heat_bounds"] = len(rows)
+    for name, analysis in ANALYSES.items():
+        if name in config.analyses:
+            report.update(analysis(config, rs, ball, triple, out) or {})
 
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -434,7 +440,7 @@ def main(argv=None) -> int:
         prog="orbispec",
         description="Critical exponents of orbit growth and the bottom of the "
                     "L2 spectrum for discrete subgroups of SL(n,R) products.",
-        epilog=_HELP_EPILOG,
+        epilog=_HELP_EPILOG % " ".join(ANALYSES),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--config", required=True, help="path to the JSON job config")
@@ -444,16 +450,12 @@ def main(argv=None) -> int:
     parser.add_argument("--include-torsion-in-counting", action="store_true",
                         help="keep base-point stabilizer elements in counting "
                              "curves (default: excluded)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property sampling (recorded "
-                             "in the report; the shipped analyses are "
-                             "deterministic)")
     args = parser.parse_args(argv)
 
     try:
         config = load_config(args.config,
                              include_torsion=args.include_torsion_in_counting,
-                             threads=args.threads, seed=args.seed)
+                             threads=args.threads)
     except UnsupportedGroupError as exc:
         print(f"unsupported group: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED_GROUP

@@ -124,18 +124,16 @@ class ChamberVector:
 class RootSystemData:
     """Restricted-root data of the symmetric space of a GroupSpec.
 
-    positive_roots carries (vector, multiplicity) pairs; for SL(n,R) factors
-    every multiplicity is 1 and the reduced system coincides with the full
-    one.  chamber_rays are the unit extreme rays of the closed chamber (the
-    normalized fundamental weight directions), along which the minimum of
-    <rho, .> over the unit sphere of the chamber is attained.
+    positive_roots are bare vectors (SL(n,R) has every multiplicity 1 and a
+    reduced system).  chamber_rays are the unit extreme rays of the closed
+    chamber (the normalized fundamental weight directions), along which the
+    minimum of <rho, .> over the unit sphere of the chamber is attained.
     """
 
     spec: GroupSpec
     rank: int
     ambient_dim: int
-    positive_roots: tuple[tuple[np.ndarray, int], ...]
-    reduced_positive_roots: tuple[np.ndarray, ...]
+    positive_roots: tuple[np.ndarray, ...]
     simple_roots: tuple[np.ndarray, ...]
     fundamental_weights: tuple[np.ndarray, ...]
     chamber_rays: tuple[np.ndarray, ...]
@@ -192,8 +190,7 @@ def build_root_system(spec: GroupSpec) -> RootSystemData:
         spec=spec,
         rank=rank,
         ambient_dim=dim,
-        positive_roots=tuple((_readonly(a), 1) for a in positive),
-        reduced_positive_roots=tuple(_readonly(a) for a in positive),
+        positive_roots=tuple(_readonly(a) for a in positive),
         simple_roots=tuple(_readonly(a) for a in simple),
         fundamental_weights=tuple(_readonly(w) for w in weights),
         chamber_rays=rays,

@@ -143,7 +143,6 @@ class OrbitBall:
         self.word_lengths = np.repeat(
             np.arange(len(levels), dtype=np.int32), self.growth_per_level
         )
-        self._float_matrix = None
         self._chamber = None
         self._distances = None
         self.tables: dict = {}
@@ -164,19 +163,16 @@ class OrbitBall:
             yield self.element(i)
 
     def float_entry_matrix(self) -> np.ndarray:
-        if self._float_matrix is None:
-            if self._mode == "float":
-                self._float_matrix = self._entries
-            elif self._mode == "int":
-                self._float_matrix = self._entries.astype(float)
-            else:
-                try:
-                    self._float_matrix = np.array(
-                        [[float(x) for x in t] for t in self._entries], dtype=float
-                    )
-                except OverflowError as exc:
-                    raise NumericalError("entries too large for a float image") from exc
-        return self._float_matrix
+        """Float64 image of the entries.  Exact balls convert on every call
+        rather than keep a second (N, m) copy for the ball's lifetime."""
+        if self._mode == "float":
+            return self._entries
+        if self._mode == "int":
+            return self._entries.astype(float)
+        try:
+            return np.array([[float(x) for x in t] for t in self._entries], dtype=float)
+        except OverflowError as exc:
+            raise NumericalError("entries too large for a float image") from exc
 
     def block_stacks(self) -> list[np.ndarray]:
         mat = self.float_entry_matrix()
@@ -201,15 +197,6 @@ class OrbitBall:
             self._distances = np.linalg.norm(self.chamber_matrix(), axis=1)
         return self._distances
 
-    @property
-    def frontier_min_d(self) -> float:
-        if self.exhausted:
-            return math.inf
-        mask = self.word_lengths == self.max_word_length
-        if not mask.any():
-            raise ValueError("empty frontier")
-        return float(self.distances()[mask].min())
-
 
 def trust_radius(ball: OrbitBall) -> float:
     """Largest radius at which metric counting over the ball is heuristically
@@ -218,7 +205,10 @@ def trust_radius(ball: OrbitBall) -> float:
     downstream fits treat this as a diagnostic, not a guarantee."""
     if ball.max_word_length < 1:
         raise ValueError("empty frontier: enumerate with max_word_length >= 1")
-    return ball.frontier_min_d
+    if ball.exhausted:
+        return math.inf
+    mask = ball.word_lengths == ball.max_word_length
+    return float(ball.distances()[mask].min())
 
 
 def enumerate_ball(gens: GeneratorSet, max_word_length: int,

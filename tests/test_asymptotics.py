@@ -169,7 +169,7 @@ def test_green_terms_bracketed_by_poincare_terms():
     d = d[keep]
     dprime = h[keep] @ rs.rho / rs.rho_norm
     zeta, eps = 1.0, 0.5
-    pref = 1.0 + h[keep] @ rs.reduced_positive_roots[0]
+    pref = 1.0 + h[keep] @ rs.positive_roots[0]
     green = pref * d**-1.0 * np.exp(-rs.rho_norm * dprime - zeta * d)
     upper = (SQRT2 + 1.0) * np.exp(-(rs.rho_norm + zeta) * dprime)
     lower = np.exp(-(rs.rho_norm + zeta + eps) * d)

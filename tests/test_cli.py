@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from orbispec.cli import main
+from orbispec.cli import ANALYSES, main
 
 SQRT2 = 2.0 ** 0.5
 
@@ -141,8 +141,9 @@ def test_unsupported_group_exits_2(tmp_path):
 
 
 def test_resource_cap_exits_3(tmp_path):
-    cfg = write_config(tmp_path, sanov_config(max_elements=50))
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    for cap in (50, 50.0):  # JSON may spell an integer as a float
+        cfg = write_config(tmp_path, sanov_config(max_elements=cap))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
 
 def test_numerical_overflow_exits_4(tmp_path):
@@ -156,7 +157,7 @@ def test_numerical_overflow_exits_4(tmp_path):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
 
 
-def test_bad_json_and_unknown_keys_exit_1(tmp_path):
+def test_bad_json_and_unknown_keys_exit_1(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert main(["--config", str(broken), "--out", str(tmp_path / "o")]) == 1
@@ -165,6 +166,22 @@ def test_bad_json_and_unknown_keys_exit_1(tmp_path):
     # too-shallow ball for the requested fits
     cfg = write_config(tmp_path, sanov_config(max_word_length=1))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    # values that are not positive numbers, or not positive integers
+    for bad in ({"mixed_s": -1}, {"mixed_s": "abc"}, {"green_zetas": [0.0]},
+                {"radii_step": "x"}, {"heat_times": [1.0, -2.0]},
+                {"volume_radii_large": ["7"]}, {"window_fraction": "x"},
+                {"max_elements": 0}, {"max_elements": 2.5}, {"analyses": [["orbit"]]},
+                {"analyses": 5}):
+        capsys.readouterr()
+        cfg = write_config(tmp_path, sanov_config(**bad))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1, bad
+        assert capsys.readouterr().err.startswith("config error:"), bad
+
+
+def test_help_lists_every_analysis(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert " ".join(ANALYSES) in capsys.readouterr().out
 
 
 def test_torsion_flag_changes_counting(tmp_path):

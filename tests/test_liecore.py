@@ -47,11 +47,10 @@ def test_root_system_examples(ns, rank, dim_x, rho, rho_norm):
 @pytest.mark.parametrize("ns", [(2,), (3,), (4,), (2, 2), (2, 3)])
 def test_rho_recomputed_from_stored_roots(ns):
     rs = build_root_system(GroupSpec.product(ns))
-    recomputed = 0.5 * sum(m * a for a, m in rs.positive_roots)
+    recomputed = 0.5 * sum(rs.positive_roots)
     np.testing.assert_allclose(recomputed, rs.rho, atol=1e-12)
-    # type A is reduced: the reduced system is the full one, all mult 1
-    assert all(m == 1 for _, m in rs.positive_roots)
-    assert len(rs.reduced_positive_roots) == len(rs.positive_roots)
+    # type A is reduced with every multiplicity 1: a root is a bare vector
+    assert all(a.shape == (rs.ambient_dim,) for a in rs.positive_roots)
     assert rs.dim_x == rs.rank + len(rs.positive_roots)
 
 

@@ -310,3 +310,19 @@ def test_exact_determinant_survives_large_entries():
     expect = [0.5 * math.acosh(sum(x * x for x in e.flat_entries()) / 2)
               for e in ball.iter_elements()]
     np.testing.assert_allclose(ball.chamber_matrix()[:, 0], expect, rtol=1e-15, atol=0)
+
+
+def test_chamber_matrix_keeps_no_float_copy_of_an_int_ball():
+    """An int ball converts its entries to float64 only while it projects
+    them: afterwards it holds the chamber matrix and no float copy."""
+    import tracemalloc
+    ball = enumerate_ball(sanov_generators(), 8)
+    entries = sum(n * n for n in ball.spec.sizes)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ball.chamber_matrix()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < len(ball) * entries * 8

@@ -244,8 +244,11 @@ def cartan_projection(g: GroupElement) -> ChamberVector:
     return ChamberVector(g.spec, coords)
 
 
-def relative_position(x: GroupElement, y: GroupElement) -> ChamberVector:
-    """Cartan projection of y^-1 x, the chamber-valued distance of xK from yK."""
+def relative_position(x: GroupElement, y: GroupElement | None = None) -> ChamberVector:
+    """Cartan projection of y^-1 x, the chamber-valued distance of xK from yK
+    (from eK when y is None)."""
+    if y is None:
+        return cartan_projection(x)
     if x.spec != y.spec:
         raise ValueError("elements live in different groups")
     if x.spec.arithmetic == "float":
@@ -260,31 +263,27 @@ def relative_position(x: GroupElement, y: GroupElement) -> ChamberVector:
 def distance_riemannian(x: GroupElement, y: GroupElement | None = None) -> float:
     """Riemannian distance between xK and yK (trace-form norm of the
     relative Cartan projection)."""
-    h = relative_position(x, y) if y is not None else cartan_projection(x)
-    return h.norm
+    return relative_position(x, y).norm
 
 
 def distance_polyhedral(rs: RootSystemData, x: GroupElement,
                         y: GroupElement | None = None) -> float:
     """Polyhedral distance <rho/||rho||, (y^-1 x)^+>; its balls are sublevel
     sets of <rho, .> and reflect the volume growth at infinity."""
-    h = relative_position(x, y) if y is not None else cartan_projection(x)
-    return float(rs.rho @ h.coords) / rs.rho_norm
+    return float(rs.rho @ relative_position(x, y).coords) / rs.rho_norm
 
 
 def distance_mixed(rs: RootSystemData, s: float, x: GroupElement,
                    y: GroupElement | None = None) -> float:
     """One-parameter blend of the polyhedral and Riemannian distances."""
-    if s <= 0:
-        raise ValueError(f"mixing parameter must be positive, got {s}")
-    h = relative_position(x, y) if y is not None else cartan_projection(x)
+    h = relative_position(x, y)
     dp = float(rs.rho @ h.coords) / rs.rho_norm
-    dd = h.norm
-    return min(s, rs.rho_norm) * dp + max(s - rs.rho_norm, 0.0) * dd
+    return float(mixed_from_parts(rs.rho_norm, s, dp, h.norm))
 
 
-def mixed_from_parts(rho_norm: float, s: float, d_poly, d_riem):
-    """Mixed distance from precomputed polyhedral/Riemannian values."""
-    if s <= 0:
+def mixed_from_parts(rho_norm: float, s: float | None, d_poly, d_riem):
+    """Mixed distance from precomputed polyhedral/Riemannian values; the one
+    place that checks the mixing parameter s."""
+    if s is None or s <= 0:
         raise ValueError(f"mixing parameter must be positive, got {s}")
     return np.minimum(s, rho_norm) * d_poly + np.maximum(s - rho_norm, 0.0) * d_riem

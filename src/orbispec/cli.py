@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +26,9 @@ from .errors import ConfigError, NumericalError, ResourceLimitError, Unsupported
 from .exponents import (KIND_MIXED, KIND_POLYHEDRAL, KIND_RIEMANNIAN,
                         counting_curve, delta_second_bisection, exponent_triple,
                         level_partial_sums, poincare_partial_sum)
-from .liecore import GroupSpec, build_root_system
+from .liecore import ARITHMETIC_MODES, GroupSpec, build_root_system
 from .orbit import DEFAULT_MAX_ELEMENTS, GeneratorSet, enumerate_ball, trust_radius
-from .spectrum import (consistency_check, lambda0_characterization,
-                       lambda0_lower_polyhedral, lambda0_two_sided_bounds)
+from .spectrum import consistency_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -67,7 +66,7 @@ output files (all floats printed with 12 significant digits):
   green_series.csv          zeta, level, partial_sum, verdict
   heat_bounds.csv           case, t, s, s1, s2, eps, pseudo_dim, value
 
-exit codes: 0 success, 1 config error, 2 unsupported group,
+exit codes: 0 success, 1 config or usage error, 2 unsupported group,
             3 resource cap exceeded, 4 numerical failure
 """
 
@@ -87,7 +86,7 @@ class JobConfig:
     max_elements: int = DEFAULT_MAX_ELEMENTS
     mixed_s: float | None = None
     green_zetas: list[float] | None = None
-    heat_times: list[float] = field(default_factory=lambda: [0.5, 1.0, 2.0, 4.0, 8.0])
+    heat_times: tuple[float, ...] | list[float] = (0.5, 1.0, 2.0, 4.0, 8.0)
     volume_radii_small: list[float] | None = None
     volume_radii_large: list[float] | None = None
     include_torsion: bool = False
@@ -147,6 +146,8 @@ def load_config(path: str | Path, include_torsion: bool = False,
             raise UnsupportedGroupError(f"unsupported factor {f!r}")
         ns.append(f["n"])
     arithmetic = group.get("arithmetic", "exact-int")
+    if arithmetic not in ARITHMETIC_MODES:
+        raise ConfigError(f"unknown arithmetic {arithmetic!r}; choose from {ARITHMETIC_MODES}")
     spec = GroupSpec.product(ns, arithmetic)
 
     gens_raw = raw.get("generators", [])
@@ -162,7 +163,7 @@ def load_config(path: str | Path, include_torsion: bool = False,
             raise ConfigError(f"unknown analysis {a!r}; choose from {tuple(ANALYSES)}")
 
     max_word_length = raw.get("max_word_length", 0)
-    if not isinstance(max_word_length, int) or max_word_length < 0:
+    if type(max_word_length) is not int or max_word_length < 0:
         raise ConfigError("max_word_length must be a non-negative integer")
     if generators and max_word_length < 1:
         raise ConfigError("max_word_length must be >= 1 for orbit-dependent analyses")
@@ -183,8 +184,8 @@ def load_config(path: str | Path, include_torsion: bool = False,
 
     def _positive_list(key):
         val = raw.get(key)
-        if val is not None and not isinstance(val, list):
-            raise ConfigError(f"{key} must be a list of positive numbers")
+        if val is not None and (not isinstance(val, list) or not val):
+            raise ConfigError(f"{key} must be a non-empty list of positive numbers")
         return None if val is None else [_positive(f"{key} entry", v) for v in val]
 
     window_fraction = _positive("window_fraction", raw.get("window_fraction", 0.5))
@@ -203,7 +204,7 @@ def load_config(path: str | Path, include_torsion: bool = False,
         max_elements=int(max_elements),
         mixed_s=None if mixed_s is None else _positive("mixed_s", mixed_s),
         green_zetas=_positive_list("green_zetas"),
-        heat_times=_positive_list("heat_times") or [0.5, 1.0, 2.0, 4.0, 8.0],
+        heat_times=_positive_list("heat_times") or JobConfig.heat_times,
         volume_radii_small=_positive_list("volume_radii_small"),
         volume_radii_large=_positive_list("volume_radii_large"),
         include_torsion=include_torsion,
@@ -413,14 +414,7 @@ def run(config: JobConfig, out_dir: str | Path = ".") -> int:
     report["spectrum"] = {
         "lambda0_exact": spec_report.lambda0_exact,
         "lambda0_interval": list(spec_report.lambda0_interval),
-        "statements": {
-            "characterization": lambda0_characterization(
-                rs.rho_norm, triple.delta_second.value),
-            "two_sided_interval": list(lambda0_two_sided_bounds(
-                rs.rho_norm, rs.rho_min, triple.delta.value)),
-            "polyhedral_lower": lambda0_lower_polyhedral(
-                rs.rho_norm, triple.delta_prime.value),
-        },
+        "statements": spec_report.statements,
         "inputs": spec_report.inputs,
         "theorem_tags": list(spec_report.theorem_tags),
         "consistent": spec_report.consistent,
@@ -435,8 +429,14 @@ def run(config: JobConfig, out_dir: str | Path = ".") -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse exits 2, the code of an unsupported group
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbispec",
         description="Critical exponents of orbit growth and the bottom of the "
                     "L2 spectrum for discrete subgroups of SL(n,R) products.",

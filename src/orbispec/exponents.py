@@ -38,7 +38,8 @@ ZERO_DISTANCE = 1e-12
 
 @dataclass(frozen=True)
 class CountingCurve:
-    """Sampled orbital counting function for one distance kind."""
+    """Sampled orbital counting function for one distance kind (or, in
+    `exponent_triple`, a weighted count at the Riemannian radii)."""
 
     kind: str
     s: float | None
@@ -46,8 +47,6 @@ class CountingCurve:
     counts: np.ndarray
     completeness_radius: float
     complete: bool
-    base_x: object = None
-    base_y: object = None
 
 
 @dataclass(frozen=True)
@@ -106,15 +105,18 @@ class DistanceTable:
     rho_norm: float
 
     def of_kind(self, kind: str, s: float | None = None) -> np.ndarray:
-        if kind == KIND_RIEMANNIAN:
-            return self.d
-        if kind == KIND_POLYHEDRAL:
-            return self.dprime
-        if kind == KIND_MIXED:
-            if s is None or s <= 0:
-                raise ValueError("mixed kind needs a positive parameter s")
-            return mixed_from_parts(self.rho_norm, s, self.dprime, self.d)
-        raise ValueError(f"unknown distance kind {kind!r}")
+        return _of_kind(kind, s, self.rho_norm, self.dprime, self.d)
+
+
+def _of_kind(kind: str, s: float | None, rho_norm: float, dprime, d):
+    """The distance of one kind, from the polyhedral and Riemannian ones."""
+    if kind == KIND_RIEMANNIAN:
+        return d
+    if kind == KIND_POLYHEDRAL:
+        return dprime
+    if kind == KIND_MIXED:
+        return mixed_from_parts(rho_norm, s, dprime, d)
+    raise ValueError(f"unknown distance kind {kind!r}")
 
 
 def distance_table(ball: OrbitBall, rs: RootSystemData, x=None, y=None) -> DistanceTable:
@@ -139,23 +141,15 @@ def distance_table(ball: OrbitBall, rs: RootSystemData, x=None, y=None) -> Dista
 def completeness_radius(ball: OrbitBall, rs: RootSystemData, kind: str,
                         s: float | None = None, x=None, y=None) -> float:
     """Radius up to which counting in the given kind is heuristically
-    complete.  Elements beyond word length L satisfy d > trust_radius, hence
-    d_polyhedral > (rho_min/||rho||) * trust_radius, with base points
-    shifting the guarantee by d(x,e) + d(y,e)."""
+    complete: the kind's distance at the nearest (d', d) that an element
+    beyond word length L can have.  Such an element has d > t, the trust
+    radius less the base-point shift d(x,e) + d(y,e), hence
+    d_polyhedral > (rho_min/||rho||) * t."""
     t = trust_radius(ball)
     if math.isinf(t):
         return math.inf
     t = max(t - distance_table(ball, rs, x, y).shift, 0.0)
-    ratio = rs.rho_min / rs.rho_norm
-    if kind == KIND_RIEMANNIAN:
-        return t
-    if kind == KIND_POLYHEDRAL:
-        return ratio * t
-    if kind == KIND_MIXED:
-        if s is None or s <= 0:
-            raise ValueError("mixed kind needs a positive parameter s")
-        return (min(s, rs.rho_norm) * ratio + max(s - rs.rho_norm, 0.0)) * t
-    raise ValueError(f"unknown distance kind {kind!r}")
+    return float(_of_kind(kind, s, rs.rho_norm, rs.rho_min / rs.rho_norm * t, t))
 
 
 def _torsion_mask(ball: OrbitBall, include_torsion: bool) -> np.ndarray | None:
@@ -190,8 +184,7 @@ def counting_curve(ball: OrbitBall, rs: RootSystemData, kind: str,
             raise ValueError("radii must be sorted ascending")
     counts = np.searchsorted(np.sort(dist), radii, side="right")
     complete = bool(radii.size == 0 or radii[-1] <= comp)
-    return CountingCurve(kind, s, radii, counts.astype(np.int64), comp, complete,
-                         base_x=x, base_y=y)
+    return CountingCurve(kind, s, radii, counts.astype(np.int64), comp, complete)
 
 
 def _series_terms(ball, rs, kind, s, x, y) -> np.ndarray:
@@ -249,11 +242,14 @@ def estimate_exponent(curve: CountingCurve,
     lo = window_fraction * r_max
     sel = (curve.radii >= lo - 1e-12) & (curve.radii <= r_max + 1e-12)
     value, resid = _fit_window(curve.radii[sel], curve.counts[sel].astype(float))
-    in_range = True
-    if rho_norm is not None:
-        in_range = -EXPONENT_RANGE_SLACK <= value <= 2 * rho_norm + EXPONENT_RANGE_SLACK
     return ExponentEstimate(value, (float(lo), float(r_max)), resid,
-                            complete=curve.complete, in_range=in_range)
+                            complete=curve.complete,
+                            in_range=rho_norm is None or _in_range(value, rho_norm))
+
+
+def _in_range(value: float, rho_norm: float) -> bool:
+    """Whether an exponent lies in [0, 2||rho||] up to EXPONENT_RANGE_SLACK."""
+    return -EXPONENT_RANGE_SLACK <= value <= 2 * rho_norm + EXPONENT_RANGE_SLACK
 
 
 def exponent_triple(ball: OrbitBall, rs: RootSystemData, x=None, y=None,
@@ -270,7 +266,8 @@ def exponent_triple(ball: OrbitBall, rs: RootSystemData, x=None, y=None,
 
         M_R = sum_{d(gamma) <= R} exp(-||rho|| d_polyhedral(gamma)),
 
-    clipped into the bracket of the other two fits.
+    fitted like a counting curve at delta's radii and clipped into the
+    bracket of the other two fits.
     """
     if ball.exhausted:
         zero = ExponentEstimate(0.0, (0.0, 0.0), 0.0, complete=True)
@@ -292,18 +289,13 @@ def exponent_triple(ball: OrbitBall, rs: RootSystemData, x=None, y=None,
         if mask is not None:
             d, dprime = d[mask], dprime[mask]
         order = np.argsort(d, kind="stable")
-        cum = np.cumsum(np.exp(-rs.rho_norm * dprime[order]))
-        sums = cum[np.searchsorted(d[order], curve_d.radii, side="right") - 1]
-        r_max = float(curve_d.radii.max())
-        r_lo = window_fraction * r_max
-        sel = (curve_d.radii >= r_lo - 1e-12) & (sums > 0)
-        slope, resid = _fit_window(curve_d.radii[sel], sums[sel])
-        raw = rs.rho_norm + slope
+        cum = np.zeros(len(d) + 1)  # M_R is 0 below the nearest orbit point
+        np.cumsum(np.exp(-rs.rho_norm * dprime[order]), out=cum[1:])
+        sums = cum[np.searchsorted(d[order], curve_d.radii, side="right")]
+        fit = estimate_exponent(replace(curve_d, counts=sums), window_fraction)
         lo, hi = sorted((delta.value, delta_prime.value))
-        value = min(max(raw, lo), hi)
-        in_range = -EXPONENT_RANGE_SLACK <= value <= 2 * rs.rho_norm + EXPONENT_RANGE_SLACK
-        delta_second = ExponentEstimate(value, (float(r_lo), r_max), resid,
-                                        complete=curve_d.complete, in_range=in_range)
+        value = min(max(rs.rho_norm + fit.value, lo), hi)
+        delta_second = replace(fit, value=value, in_range=_in_range(value, rs.rho_norm))
     return ExponentTriple(delta, delta_second, delta_prime)
 
 

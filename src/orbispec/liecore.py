@@ -139,8 +139,17 @@ class RootSystemData:
     chamber_rays: tuple[np.ndarray, ...]
     rho: np.ndarray
     rho_norm: float
-    rho_min: float
     dim_x: int
+
+    @property
+    def rho_min(self) -> float:
+        """Minimum of <rho, H> over unit vectors H of the closed chamber.
+
+        A linear functional restricted to the unit sphere of a convex cone
+        attains its minimum on an extreme ray, so only the chamber rays are
+        inspected.  Equals ||rho|| in rank one.
+        """
+        return min(float(self.rho @ u) for u in self.chamber_rays)
 
 
 def _sl_positive_roots(n: int, dim: int, offset: int) -> list[np.ndarray]:
@@ -169,8 +178,6 @@ def build_root_system(spec: GroupSpec) -> RootSystemData:
     positive, simple, weights = [], [], []
     offset = 0
     for f in spec.factors:
-        if f.type != "sl":
-            raise UnsupportedGroupError(f"unsupported factor type {f.type!r}")
         block_pos = _sl_positive_roots(f.n, dim, offset)
         positive.extend(block_pos)
         for i in range(f.n - 1):
@@ -185,7 +192,6 @@ def build_root_system(spec: GroupSpec) -> RootSystemData:
     rho_norm = float(np.linalg.norm(rho))
     rays = tuple(_readonly(w / np.linalg.norm(w)) for w in weights)
     rank = len(simple)
-    rmin = min(float(rho @ u) for u in rays)
     return RootSystemData(
         spec=spec,
         rank=rank,
@@ -196,19 +202,14 @@ def build_root_system(spec: GroupSpec) -> RootSystemData:
         chamber_rays=rays,
         rho=_readonly(rho),
         rho_norm=rho_norm,
-        rho_min=rmin,
         dim_x=rank + len(positive),
     )
 
 
 def rho_min(rs: RootSystemData) -> float:
-    """Minimum of <rho, H> over unit vectors H of the closed chamber.
-
-    A linear functional restricted to the unit sphere of a convex cone
-    attains its minimum on an extreme ray, so only the chamber rays are
-    inspected.  Equals ||rho|| in rank one.
-    """
-    return min(float(rs.rho @ u) for u in rs.chamber_rays)
+    """Minimum of <rho, H> over unit vectors H of the closed chamber; see
+    `RootSystemData.rho_min`."""
+    return rs.rho_min
 
 
 def dominant_projection(spec: GroupSpec, coords) -> ChamberVector:

@@ -81,42 +81,42 @@ def _quantized_keys(rows: np.ndarray) -> np.ndarray:
 class GeneratorSet:
     """Symmetric, deduplicated generating set of a discrete subgroup.
 
+    Building one closes the given elements under inverses and drops repeats:
+    `elements` holds the generators, then their inverses, each at its first
+    occurrence.  The enumerator's two-level dedup relies on this symmetry.
     Discreteness and torsion-freeness are the caller's responsibility; the
     engine itself tolerates torsion and merely collapses repeated elements.
     """
 
     spec: GroupSpec
     elements: tuple[GroupElement, ...]
-    symmetric: bool = True
 
-    @classmethod
-    def from_elements(cls, gens, symmetric: bool = False) -> "GeneratorSet":
-        gens = list(gens)
-        if gens:
-            spec = gens[0].spec
-        else:
-            raise ValueError("use GeneratorSet.trivial(spec) for an empty generating set")
-        closed = list(gens)
-        if not symmetric:
-            closed += [g.inverse() for g in gens]
+    def __post_init__(self):
         seen, unique = set(), []
-        for g in closed:
-            if g.spec != spec:
+        for g in [*self.elements, *(g.inverse() for g in self.elements)]:
+            if g.spec != self.spec:
                 raise ValueError("generators live in different groups")
             if g.is_identity:
                 raise ValueError("generator equals the identity")
-            if spec.arithmetic == "float":
+            if self.spec.arithmetic == "float":
                 key = tuple(_quantized_keys(np.asarray(g.flat_entries(), dtype=float)[None])[0])
             else:
                 key = g.flat_entries()
             if key not in seen:
                 seen.add(key)
                 unique.append(g)
-        return cls(spec, tuple(unique), True)
+        object.__setattr__(self, "elements", tuple(unique))
+
+    @classmethod
+    def from_elements(cls, gens) -> "GeneratorSet":
+        gens = tuple(gens)
+        if not gens:
+            raise ValueError("use GeneratorSet.trivial(spec) for an empty generating set")
+        return cls(gens[0].spec, gens)
 
     @classmethod
     def trivial(cls, spec: GroupSpec) -> "GeneratorSet":
-        return cls(spec, (), True)
+        return cls(spec, ())
 
 
 class OrbitBall:
@@ -218,14 +218,11 @@ def enumerate_ball(gens: GeneratorSet, max_word_length: int,
     Deduplication is exact matrix equality in the exact modes and quantized
     (1e-9) key equality in float mode, found through 64-bit row hashes with
     full-row verification (see the module docstring).  Every element records
-    the minimal word length at which it was reached.  A non-symmetric set is
-    closed under inverses first: the two-level dedup needs symmetry.  Raises
+    the minimal word length at which it was reached.  Raises
     ResourceLimitError when the ball would exceed max_elements.
     """
     if max_word_length < 0:
         raise ValueError("max_word_length must be >= 0")
-    if not gens.symmetric and gens.elements:
-        gens = GeneratorSet.from_elements(gens.elements)
     spec = gens.spec
     if spec.arithmetic == "float":
         return _enumerate_rows(gens, max_word_length, max_elements, exact=False)
@@ -250,7 +247,7 @@ def _block_products(spec: GroupSpec, frontier: np.ndarray, gen_rows: np.ndarray)
             prod = np.einsum("fij,gjk->fgik", fb, gb)  # float bits depend on this order
         pieces.append(prod.reshape(nf * ng, n * n))
         off += n * n
-    return np.concatenate(pieces, axis=1)
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
 
 
 def _row_hashes(keys: np.ndarray) -> np.ndarray:
@@ -350,9 +347,13 @@ def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitB
             raise ResourceLimitError(
                 f"orbit ball exceeds {cap} elements at word length {w}"
             )
+        # drop the step's largest arrays once used: at the last level they
+        # would otherwise stay alive while OrbitBall stacks the levels
         rows = cand[first]
+        del cand
         order = _lex_order(rows) if exact else np.argsort(first)
         levels.append(rows[order])
+        del rows
         at = np.empty_like(order)
         at[order] = np.arange(len(order))
         index.append((hashes, at))

@@ -21,11 +21,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Combined spectral-bottom report with the inputs that produced it."""
+    """Combined spectral-bottom report with the inputs that produced it and
+    the three statements evaluated on them."""
 
     lambda0_exact: float | None
     lambda0_interval: tuple[float, float]
     inputs: dict
+    statements: dict
     theorem_tags: tuple[str, ...]
     consistent: bool
     notes: tuple[str, ...]
@@ -45,6 +47,12 @@ def clip_exponent(value: float, rho_norm: float, name: str = "exponent") -> floa
     return float(value)
 
 
+def _quadratic(rho_norm: float, exponent: float, offset: float) -> float:
+    """||rho||^2 - (exponent - offset)^2 once the exponent exceeds the
+    offset, ||rho||^2 up to it."""
+    return rho_norm**2 - max(exponent - offset, 0.0) ** 2
+
+
 def lambda0_characterization(rho_norm: float, delta_second: float) -> float:
     """Exact spectral bottom from the mixed exponent.
 
@@ -53,10 +61,7 @@ def lambda0_characterization(rho_norm: float, delta_second: float) -> float:
     coincides with the Riemannian one, recovering the classical rank-one
     formula.
     """
-    ds = clip_exponent(delta_second, rho_norm, "delta_second")
-    if ds <= rho_norm:
-        return rho_norm**2
-    return rho_norm**2 - (ds - rho_norm) ** 2
+    return _quadratic(rho_norm, clip_exponent(delta_second, rho_norm, "delta_second"), rho_norm)
 
 
 def lambda0_two_sided_bounds(rho_norm: float, rho_min: float, delta: float) -> tuple[float, float]:
@@ -69,17 +74,13 @@ def lambda0_two_sided_bounds(rho_norm: float, rho_min: float, delta: float) -> t
     if not 0 < rho_min <= rho_norm + 1e-12:
         raise ValueError(f"rho_min must lie in (0, ||rho||], got {rho_min}")
     d = clip_exponent(delta, rho_norm, "delta")
-    upper = rho_norm**2 if d <= rho_norm else rho_norm**2 - (d - rho_norm) ** 2
-    lower = rho_norm**2 if d <= rho_min else max(0.0, rho_norm**2 - (d - rho_min) ** 2)
-    return (float(lower), float(upper))
+    return (float(max(0.0, _quadratic(rho_norm, d, rho_min))),
+            float(_quadratic(rho_norm, d, rho_norm)))
 
 
 def lambda0_lower_polyhedral(rho_norm: float, delta_prime: float) -> float:
     """Improved lower bound from the polyhedral exponent."""
-    dp = clip_exponent(delta_prime, rho_norm, "delta_prime")
-    if dp <= rho_norm:
-        return rho_norm**2
-    return rho_norm**2 - (dp - rho_norm) ** 2
+    return _quadratic(rho_norm, clip_exponent(delta_prime, rho_norm, "delta_prime"), rho_norm)
 
 
 def consistency_check(rho_norm: float, rho_min: float, delta: float,
@@ -136,6 +137,11 @@ def consistency_check(rho_norm: float, rho_min: float, delta: float,
             "delta": float(delta),
             "delta_prime": float(delta_prime),
             "delta_second": float(delta_second),
+        },
+        statements={
+            "characterization": lam_exact,
+            "two_sided_interval": [lower2, upper2],
+            "polyhedral_lower": lower3,
         },
         theorem_tags=(
             "characterization-from-mixed-exponent",

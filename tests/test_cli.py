@@ -166,16 +166,29 @@ def test_bad_json_and_unknown_keys_exit_1(tmp_path, capsys):
     # too-shallow ball for the requested fits
     cfg = write_config(tmp_path, sanov_config(max_word_length=1))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    # values that are not positive numbers, or not positive integers
+    # values that are not positive numbers, or not positive integers; empty
+    # lists; an unknown arithmetic mode
     for bad in ({"mixed_s": -1}, {"mixed_s": "abc"}, {"green_zetas": [0.0]},
                 {"radii_step": "x"}, {"heat_times": [1.0, -2.0]},
                 {"volume_radii_large": ["7"]}, {"window_fraction": "x"},
                 {"max_elements": 0}, {"max_elements": 2.5}, {"analyses": [["orbit"]]},
-                {"analyses": 5}):
+                {"analyses": 5}, {"generators": [], "max_word_length": True},
+                {"heat_times": []}, {"volume_radii_small": []}, {"volume_radii_large": []},
+                {"group": {"factors": [{"type": "sl", "n": 2}], "arithmetic": "bogus"}}):
         capsys.readouterr()
         cfg = write_config(tmp_path, sanov_config(**bad))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1, bad
         assert capsys.readouterr().err.startswith("config error:"), bad
+
+
+@pytest.mark.parametrize("argv", [["--config", "job.json", "--no-such-flag"], ["--out", "o"]],
+                         ids=["unknown-flag", "missing-config"])
+def test_usage_errors_exit_1(argv, capsys):
+    """Exit 2 is reserved for an unsupported group."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_help_lists_every_analysis(capsys):

@@ -63,7 +63,9 @@ def test_non_symmetric_set_is_closed_under_inverses():
     group {I, g, g^2}, fully enumerated, with no element repeated."""
     spec = GroupSpec.sl(2)
     g = GroupElement(spec, (((0, -1), (1, -1)),))
-    ball = enumerate_ball(GeneratorSet(spec, (g,), symmetric=False), 4)
+    gens = GeneratorSet(spec, (g,))
+    assert len(gens.elements) == 2
+    ball = enumerate_ball(gens, 4)
     assert len(ball) == 3
     assert len(ball_key_set(ball)) == 3
     assert ball.growth_per_level == [1, 2]
@@ -255,22 +257,37 @@ def test_int_levels_match_exact_dict_walk(make_gens, L):
         assert ball.exhausted and len(ball) == 24
 
 
-def test_float_levels_keep_first_occurrence_order():
+def _float_rotation():
+    """Rotation by 1 radian in float SL(2), of infinite order in a compact
+    group: on a coarse quantum the keys of its powers recur across levels."""
+    spec = GroupSpec.sl(2, "float")
+    c, s = math.cos(1.0), math.sin(1.0)
+    return GeneratorSet.from_elements([GroupElement(spec, (((c, -s), (s, c)),))])
+
+
+def test_float_levels_keep_first_occurrence_order(monkeypatch):
     """Each float level holds the candidates whose key no earlier level
-    holds, in the order the candidates first occur."""
-    gens = _sym2_float_generators()
-    ball = enumerate_ball(gens, 5)
-    levels = _levels(ball)
-    gen_rows = np.array([g.flat_entries() for g in gens.elements], dtype=float)
-    seen = {tuple(orbit._quantized_keys(levels[0])[0].tolist())}
-    for prev, level in zip(levels[:-1], levels[1:]):
-        cand = orbit._block_products(ball.spec, prev, gen_rows)
-        keep = []
-        for i, key in enumerate(map(tuple, orbit._quantized_keys(cand).tolist())):
-            if key not in seen:
-                seen.add(key)
-                keep.append(i)
-        np.testing.assert_array_equal(level, cand[keep])
+    holds, in the order the candidates first occur.  On a 0.4 quantum the
+    rotation meets keys more than two levels old, which only the float
+    path's full-history check catches."""
+    for make_gens, L, quantum in ((_sym2_float_generators, 5, orbit._FLOAT_QUANTUM),
+                                  (_float_rotation, 12, 0.4)):
+        monkeypatch.setattr(orbit, "_FLOAT_QUANTUM", quantum)
+        gens = make_gens()
+        ball = enumerate_ball(gens, L)
+        levels = _levels(ball)
+        gen_rows = np.array([g.flat_entries() for g in gens.elements], dtype=float)
+        seen = {tuple(orbit._quantized_keys(levels[0])[0].tolist())}
+        for prev, level in zip(levels[:-1], levels[1:]):
+            cand = orbit._block_products(ball.spec, prev, gen_rows)
+            keep = []
+            for i, key in enumerate(map(tuple, orbit._quantized_keys(cand).tolist())):
+                if key not in seen:
+                    seen.add(key)
+                    keep.append(i)
+            np.testing.assert_array_equal(level, cand[keep])
+    assert ball.growth_per_level == [1, 2, 2, 1, 1]
+    assert ball.exhausted
 
 
 @pytest.mark.parametrize("bound", [3, 2**20, 2**40, 2**61])

@@ -16,7 +16,7 @@ from .exponents import (CountingCurve, ExponentEstimate, ExponentTriple,
                         estimate_exponent, exponent_triple,
                         level_partial_sums, poincare_partial_sum)
 from .liecore import (ChamberVector, Factor, GroupSpec, RootSystemData,
-                      build_root_system, dominant_projection, rho_min)
+                      build_root_system, dominant_projection)
 from .orbit import GeneratorSet, OrbitBall, enumerate_ball, trust_radius
 from .spectrum import (SpectrumReport, consistency_check,
                        lambda0_characterization, lambda0_lower_polyhedral,
@@ -39,5 +39,5 @@ __all__ = [
     "lambda0_characterization", "lambda0_lower_polyhedral",
     "lambda0_two_sided_bounds", "level_partial_sums", "log_singular_values",
     "poincare_partial_sum", "polyhedral_ball_volume", "relative_position",
-    "rho_min", "trust_radius",
+    "trust_radius",
 ]

@@ -24,6 +24,12 @@ from .orbit import OrbitBall
 GREEN_BRANCH_NORM = 0.5
 
 QUAD_EVAL_CAP = 10_000_000
+QUAD_EPSREL = 1e-7
+
+# thresholds of the verdict in green_series_diagnostic
+GREEN_STRONG_REL_TOL = 1e-3
+GREEN_TREND_TOL = 0.02
+GREEN_TREND_LEVELS = 5
 
 SMALL_RADII_DEFAULT = np.geomspace(0.05, 0.2, 10)
 LARGE_RADII_DEFAULT = np.linspace(10.0, 30.0, 21)
@@ -70,8 +76,7 @@ class _ChamberIntegrator:
     """Nested adaptive quadrature over the closed chamber in extreme-ray
     coordinates H = sum c_i u_i, c >= 0 (unit fundamental-weight rays)."""
 
-    def __init__(self, rs: RootSystemData, epsrel: float = 1e-7,
-                 max_evals: int = QUAD_EVAL_CAP):
+    def __init__(self, rs: RootSystemData):
         if rs.rank > 3:
             raise ValueError(f"quadrature supports rank <= 3, got rank {rs.rank}")
         self.rs = rs
@@ -82,15 +87,13 @@ class _ChamberIntegrator:
             for alpha in rs.positive_roots
         ])                                              # (nroots, ell)
         self.rho_coeffs = np.array([float(rs.rho @ u) for u in rs.chamber_rays])
-        self.epsrel = epsrel
-        self.max_evals = max_evals
         self._evals = 0
 
     def _density(self, c: tuple[float, ...]) -> float:
         self._evals += 1
-        if self._evals > self.max_evals:
+        if self._evals > QUAD_EVAL_CAP:
             raise ResourceLimitError(
-                f"quadrature exceeded {self.max_evals} density evaluations"
+                f"quadrature exceeded {QUAD_EVAL_CAP} density evaluations"
             )
         pairings = self.root_coeffs @ np.asarray(c)
         return float(np.prod(np.sinh(pairings)))
@@ -132,25 +135,25 @@ class _ChamberIntegrator:
         else:
             f = lambda c: self._nested(limit, prefix + (c,))
         # inner integrals run tighter so nesting errors do not compound
-        eps = self.epsrel * 0.01 ** (self.rs.rank - 1 - len(prefix))
+        eps = QUAD_EPSREL * 0.01 ** (self.rs.rank - 1 - len(prefix))
         val, _ = quad(f, 0.0, hi, epsrel=eps, limit=200)
         return val
 
 
-def polyhedral_ball_volume(rs: RootSystemData, r: float, epsrel: float = 1e-7) -> float:
+def polyhedral_ball_volume(rs: RootSystemData, r: float) -> float:
     """Volume (constant-1 normalization) of the polyhedral ball of radius r,
     i.e. the density integral over the chamber cut by <rho, H> <= ||rho|| r."""
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
-    return _ChamberIntegrator(rs, epsrel).polyhedral(r)
+    return _ChamberIntegrator(rs).polyhedral(r)
 
 
-def classical_ball_volume(rs: RootSystemData, r: float, epsrel: float = 1e-7) -> float:
+def classical_ball_volume(rs: RootSystemData, r: float) -> float:
     """Volume (constant-1 normalization) of the Riemannian ball of radius r,
     i.e. the density integral over the chamber cut by ||H|| <= r."""
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
-    return _ChamberIntegrator(rs, epsrel).classical(r)
+    return _ChamberIntegrator(rs).classical(r)
 
 
 def fit_ball_volume(rs: RootSystemData, which: str = "polyhedral",
@@ -212,15 +215,13 @@ def green_asymptotic(rs: RootSystemData, zeta: float, H) -> float:
 
 
 def green_series_diagnostic(ball: OrbitBall, rs: RootSystemData, zeta: float,
-                            x=None, y=None, strong_rel_tol: float = 1e-3,
-                            trend_tol: float = 0.02,
-                            trend_levels: int = 5) -> GreenSeriesDiagnostic:
+                            x=None, y=None) -> GreenSeriesDiagnostic:
     """Partial sums per word-length level of the periodized Green series.
 
     Terms follow the large-argument envelope; any orbit point at distance
     zero (the identity, or stabilizer torsion) is skipped.  The verdict is
-    'converging' when the last relative increment is below strong_rel_tol or
-    the recent level increments decay at a trend steeper than trend_tol,
+    'converging' when the last relative increment is below GREEN_STRONG_REL_TOL
+    or the recent level increments decay at a trend steeper than GREEN_TREND_TOL,
     'diverging' when they grow at that trend, and 'inconclusive' otherwise.
     """
     if zeta <= 0:
@@ -244,12 +245,12 @@ def green_series_diagnostic(ball: OrbitBall, rs: RootSystemData, zeta: float,
     if partial[-1] <= 0 or positive.sum() < 3:
         return GreenSeriesDiagnostic(zeta, partial, "converging", -math.inf)
     rel_last = increments[-1] / partial[-1]
-    k = min(trend_levels, int(positive.sum()))
+    k = min(GREEN_TREND_LEVELS, int(positive.sum()))
     recent = np.flatnonzero(positive)[-k:]
     slope = float(np.polyfit(recent.astype(float), np.log(increments[recent]), 1)[0])
-    if rel_last < strong_rel_tol or slope < -trend_tol:
+    if rel_last < GREEN_STRONG_REL_TOL or slope < -GREEN_TREND_TOL:
         verdict = "converging"
-    elif slope > trend_tol:
+    elif slope > GREEN_TREND_TOL:
         verdict = "diverging"
     else:
         verdict = "inconclusive"
@@ -260,9 +261,10 @@ def heat_bound(rs: RootSystemData, case: str, *, t: float, delta_second: float,
                s: float | None = None, s1: float | None = None,
                s2: float | None = None, eps: float | None = None,
                psecond: float | None = None, psecond_x: float | None = None,
-               psecond_y: float | None = None, distance: float = 0.0,
+               psecond_y: float | None = None,
                pseudo_dim: float | None = None) -> float:
-    """Evaluate one of the three heat-kernel bound expressions.
+    """Evaluate one of the three heat-kernel bound expressions on the
+    diagonal (distance zero, where each Gaussian factor exp(-d^2/...) is 1).
 
     The Poincare factors are supplied as (truncated) partial sums, so the
     result under-estimates the true bound and is reported as such.  Case
@@ -285,8 +287,7 @@ def heat_bound(rs: RootSystemData, case: str, *, t: float, delta_second: float,
                 f"case 'i' needs delta_second < s < ||rho||, got {delta_second}, {s}, {rho}"
             )
         D = pseudo_dim if pseudo_dim is not None else rs.rank + 2 * len(rs.positive_roots)
-        return (base * (1.0 + t) ** ((n - D) / 2.0) * math.exp(-rho**2 * t)
-                * math.exp(-(distance**2) / (4.0 * t)) * psecond)
+        return base * (1.0 + t) ** ((n - D) / 2.0) * math.exp(-rho**2 * t) * psecond
     if case == "ii":
         if s1 is None or s2 is None or psecond is None:
             raise ValueError("case 'ii' needs s1, s2 and psecond")
@@ -310,7 +311,5 @@ def heat_bound(rs: RootSystemData, case: str, *, t: float, delta_second: float,
         if eps <= 0:
             raise ValueError(f"case 'iii' needs eps > 0, got {eps}")
         rate = rho**2 - (delta_second - rho) ** 2 - 2.0 * eps
-        return (base * math.exp(-rate * t)
-                * math.exp(-(distance**2) / (4.0 * (1.0 + eps) * t))
-                * math.sqrt(psecond_x) * math.sqrt(psecond_y))
+        return base * math.exp(-rate * t) * math.sqrt(psecond_x) * math.sqrt(psecond_y)
     raise ValueError(f"unknown heat-bound case {case!r}")

@@ -27,15 +27,6 @@ MAX_FLOAT_ENTRY = 1e15
 
 _DET_FLOAT_TOL = 1e-9
 
-_DEFAULT_THREADS = 1
-_THREAD_CHUNK = 65536
-
-
-def set_default_threads(n: int) -> None:
-    """Cap worker threads for batched decompositions (>= 1)."""
-    global _DEFAULT_THREADS
-    _DEFAULT_THREADS = max(1, int(n))
-
 
 def _coerce_entry(x, arithmetic: str):
     if arithmetic == "exact-int":
@@ -212,29 +203,11 @@ def log_singular_values(stack: np.ndarray, det: float | None = None) -> np.ndarr
         q = (a * a + b * b + c * c + d * d) / (2.0 * det)
         h = 0.5 * np.arccosh(np.maximum(q, 1.0))
         return np.stack([h, -h], axis=-1)
-    if (stack.ndim == 3 and _DEFAULT_THREADS > 1
-            and len(stack) >= 2 * _THREAD_CHUNK):
-        sv = _chunked_svdvals(stack)
-    else:
-        sv = np.linalg.svd(stack, compute_uv=False)
+    sv = np.linalg.svd(stack, compute_uv=False)
     if np.any(sv[..., -1] <= 0):
         raise NumericalError("singular block")
     logs = np.log(sv)
     return logs - logs.mean(axis=-1, keepdims=True)
-
-
-def _chunked_svdvals(stack: np.ndarray) -> np.ndarray:
-    # chunk results land by index, so the merge is order-independent
-    from concurrent.futures import ThreadPoolExecutor
-
-    out = np.empty(stack.shape[:2], dtype=float)
-    chunks = range(0, len(stack), _THREAD_CHUNK)
-    def work(lo):
-        out[lo:lo + _THREAD_CHUNK] = np.linalg.svd(
-            stack[lo:lo + _THREAD_CHUNK], compute_uv=False)
-    with ThreadPoolExecutor(max_workers=_DEFAULT_THREADS) as pool:
-        list(pool.map(work, chunks))
-    return out
 
 
 def cartan_projection(g: GroupElement) -> ChamberVector:

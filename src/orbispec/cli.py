@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cartan
 from .asymptotics import (fit_ball_volume, green_series_diagnostic, heat_bound,
                           LARGE_RADII_DEFAULT, SMALL_RADII_DEFAULT)
 from .cartan import GroupElement, cartan_projection, distance_polyhedral, distance_riemannian
@@ -90,7 +89,6 @@ class JobConfig:
     volume_radii_small: list[float] | None = None
     volume_radii_large: list[float] | None = None
     include_torsion: bool = False
-    threads: int = 1
 
 
 _KNOWN_KEYS = {
@@ -120,7 +118,10 @@ def _positive(what: str, val) -> float:
 
 def load_config(path: str | Path, include_torsion: bool = False,
                 threads: int = 1) -> JobConfig:
-    """Parse and validate a JSON job config."""
+    """Parse and validate a JSON job config.
+
+    `threads` does nothing: `perfbench/job.py` passes `threads=1`, and the
+    next benchmark revision removes the keyword."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -208,7 +209,6 @@ def load_config(path: str | Path, include_torsion: bool = False,
         volume_radii_small=_positive_list("volume_radii_small"),
         volume_radii_large=_positive_list("volume_radii_large"),
         include_torsion=include_torsion,
-        threads=threads,
     )
 
 
@@ -357,7 +357,6 @@ def run(config: JobConfig, out_dir: str | Path = ".") -> int:
     """Execute the configured analyses and write report.json plus CSVs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cartan.set_default_threads(config.threads)
 
     rs = build_root_system(config.spec)
     report: dict = {
@@ -370,7 +369,6 @@ def run(config: JobConfig, out_dir: str | Path = ".") -> int:
             "radii_step": config.radii_step,
             "window_fraction": config.window_fraction,
             "include_torsion_in_counting": config.include_torsion,
-            "threads": config.threads,
         },
         "rho_norm": rs.rho_norm,
         "rho_min": rs.rho_min,
@@ -445,8 +443,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to the JSON job config")
     parser.add_argument("--out", default=".", help="output directory (default: .)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="cap on internal worker threads")
     parser.add_argument("--include-torsion-in-counting", action="store_true",
                         help="keep base-point stabilizer elements in counting "
                              "curves (default: excluded)")
@@ -454,8 +450,7 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config,
-                             include_torsion=args.include_torsion_in_counting,
-                             threads=args.threads)
+                             include_torsion=args.include_torsion_in_counting)
     except UnsupportedGroupError as exc:
         print(f"unsupported group: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED_GROUP

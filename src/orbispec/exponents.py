@@ -35,6 +35,9 @@ EXPONENT_RANGE_SLACK = 0.2
 
 ZERO_DISTANCE = 1e-12
 
+# slack in the ordering check delta <= delta'' <= delta'
+ORDER_TOL = 0.05
+
 
 @dataclass(frozen=True)
 class CountingCurve:
@@ -70,9 +73,9 @@ class ExponentTriple:
     def values(self) -> tuple[float, float, float]:
         return (self.delta.value, self.delta_second.value, self.delta_prime.value)
 
-    def ordered(self, tol: float = 0.05) -> bool:
+    def ordered(self) -> bool:
         d, ds, dp = self.values
-        return d <= ds + tol and ds <= dp + tol
+        return d <= ds + ORDER_TOL and ds <= dp + ORDER_TOL
 
 
 def relative_chamber_matrix(ball: OrbitBall, x=None, y=None) -> np.ndarray:
@@ -147,6 +150,7 @@ def completeness_radius(ball: OrbitBall, rs: RootSystemData, kind: str,
     d_polyhedral > (rho_min/||rho||) * t."""
     t = trust_radius(ball)
     if math.isinf(t):
+        _of_kind(kind, s, rs.rho_norm, 0.0, 0.0)  # raises on a bad kind or s
         return math.inf
     t = max(t - distance_table(ball, rs, x, y).shift, 0.0)
     return float(_of_kind(kind, s, rs.rho_norm, rs.rho_min / rs.rho_norm * t, t))

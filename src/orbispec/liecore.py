@@ -116,9 +116,6 @@ class ChamberVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
 
-    def block(self, i: int) -> np.ndarray:
-        return self.coords[self.spec.block_slices[i]]
-
 
 @dataclass(frozen=True)
 class RootSystemData:
@@ -134,7 +131,6 @@ class RootSystemData:
     rank: int
     ambient_dim: int
     positive_roots: tuple[np.ndarray, ...]
-    simple_roots: tuple[np.ndarray, ...]
     fundamental_weights: tuple[np.ndarray, ...]
     chamber_rays: tuple[np.ndarray, ...]
     rho: np.ndarray
@@ -175,41 +171,28 @@ def _sl_fundamental_weights(n: int, dim: int, offset: int) -> list[np.ndarray]:
 def build_root_system(spec: GroupSpec) -> RootSystemData:
     """Assemble the block-diagonal A-type root data for a product of SL(n)."""
     dim = spec.ambient_dim
-    positive, simple, weights = [], [], []
+    positive, weights = [], []
     offset = 0
     for f in spec.factors:
-        block_pos = _sl_positive_roots(f.n, dim, offset)
-        positive.extend(block_pos)
-        for i in range(f.n - 1):
-            v = np.zeros(dim)
-            v[offset + i] = 1.0
-            v[offset + i + 1] = -1.0
-            simple.append(v)
+        positive.extend(_sl_positive_roots(f.n, dim, offset))
         weights.extend(_sl_fundamental_weights(f.n, dim, offset))
         offset += f.n
 
     rho = 0.5 * np.sum(positive, axis=0)
     rho_norm = float(np.linalg.norm(rho))
     rays = tuple(_readonly(w / np.linalg.norm(w)) for w in weights)
-    rank = len(simple)
+    rank = len(weights)
     return RootSystemData(
         spec=spec,
         rank=rank,
         ambient_dim=dim,
         positive_roots=tuple(_readonly(a) for a in positive),
-        simple_roots=tuple(_readonly(a) for a in simple),
         fundamental_weights=tuple(_readonly(w) for w in weights),
         chamber_rays=rays,
         rho=_readonly(rho),
         rho_norm=rho_norm,
         dim_x=rank + len(positive),
     )
-
-
-def rho_min(rs: RootSystemData) -> float:
-    """Minimum of <rho, H> over unit vectors H of the closed chamber; see
-    `RootSystemData.rho_min`."""
-    return rs.rho_min
 
 
 def dominant_projection(spec: GroupSpec, coords) -> ChamberVector:

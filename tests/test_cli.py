@@ -181,10 +181,12 @@ def test_bad_json_and_unknown_keys_exit_1(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("config error:"), bad
 
 
-@pytest.mark.parametrize("argv", [["--config", "job.json", "--no-such-flag"], ["--out", "o"]],
-                         ids=["unknown-flag", "missing-config"])
+@pytest.mark.parametrize("argv", [["--config", "job.json", "--no-such-flag"], ["--out", "o"],
+                                  ["--config", "job.json", "--threads", "2"]],
+                         ids=["unknown-flag", "missing-config", "removed-threads-flag"])
 def test_usage_errors_exit_1(argv, capsys):
-    """Exit 2 is reserved for an unsupported group."""
+    """Exit 2 is reserved for an unsupported group.  orbispec runs
+    single-threaded, so --threads is no longer an option."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1

@@ -11,6 +11,8 @@ from orbispec import (GroupElement, GroupSpec, KIND_MIXED, KIND_POLYHEDRAL,
                       exponent_triple, level_partial_sums, poincare_partial_sum,
                       GeneratorSet)
 
+from orbispec.exponents import completeness_radius
+
 from conftest import cyclic_hyperbolic_generator, sanov_generators
 
 SQRT2 = math.sqrt(2.0)
@@ -204,6 +206,21 @@ def test_bisection_diagnostic_brackets(sanov_rs):
 def test_bisection_trivial_group(cyclic_rs):
     ball = enumerate_ball(GeneratorSet.trivial(GroupSpec.sl(2, "float")), 2)
     assert delta_second_bisection(ball, cyclic_rs) == 0.0
+
+
+@pytest.mark.parametrize("kind,s,match", [("bogus", None, "unknown distance kind"),
+                                          (KIND_MIXED, -1.0, "mixing parameter")])
+def test_completeness_radius_validates_on_exhausted_ball(sanov_rs, kind, s, match):
+    """An exhausted ball has infinite trust radius; a bad kind or s still
+    raises the ValueError that counting_curve raises."""
+    spec = GroupSpec.sl(2)
+    order3 = GroupElement(spec, (((0, -1), (1, -1)),))
+    ball = enumerate_ball(GeneratorSet.from_elements([order3]), 3)
+    assert ball.exhausted and ball.growth_per_level == [1, 2]
+    assert math.isinf(completeness_radius(ball, sanov_rs, KIND_MIXED, s=1.0))
+    for fn in (completeness_radius, counting_curve):
+        with pytest.raises(ValueError, match=match):
+            fn(ball, sanov_rs, kind, s)
 
 
 def test_torsion_exclusion_in_counting():

@@ -1,7 +1,9 @@
 """Golden outputs: small fixed CLI jobs must write the same bytes as before
 `cli.run` became a table of analyses.  Each case pins the sha256 of every file
 the job writes; the report.json digests are those of the earlier reports with
-`parameters.seed` removed, the one report key the table dropped.  Together
+`parameters.seed` removed, the one report key the table dropped, and then
+`parameters.threads` removed with the `--threads` option (each time
+re-serialized with indent=2, sort_keys=True and a trailing newline).  Together
 the cases run all eight analyses, base points (x, y), a torsion generator
 with and without --include-torsion-in-counting, float SL(3), and heat-bound
 cases i, ii and iii."""
@@ -73,7 +75,7 @@ DIGESTS = {
         "projections.csv":
             "017deb4115d1758ac8620c18e6f3881d7517201a3750efba36b941fc3e89e63c",
         "report.json":
-            "a0131c06fc65ebd66a688dc7bdbf6edc2c359afee8effc48687baa68a686f024",
+            "232bb3bed93134a5268696a8c9cd7e1347987b1b91e28e659125eeddce1d0e62",
         "volumes.csv":
             "b731f7cd08e4d5877866f4d11622a292701a9a7dcf3bb1bb2a2f4729b6df78c6",
     },
@@ -95,7 +97,7 @@ DIGESTS = {
         "projections.csv":
             "017deb4115d1758ac8620c18e6f3881d7517201a3750efba36b941fc3e89e63c",
         "report.json":
-            "a2a183c4fce99521fa579f4ceb4c91d33002d4433072a7f9ceb85dfbebd65790",
+            "3a84033ffc19ffe46427e8192332ae57f22ba04813e569fdd46e9a21f15e05f5",
     },
     "gamma3-heat-ii": {
         "counting_mixed.csv":
@@ -113,7 +115,7 @@ DIGESTS = {
         "partial_sums.csv":
             "5d213ad419407edb36fd8068bd0ecf6d13d46e2828f7b17b1e603b60d3b40b8f",
         "report.json":
-            "1c15635a32ec7d70ba634ca5ff7799b12e5720ed3c1df058a60c2b1906993fe3",
+            "f55fdf7c917a07a9019eb07cfb31b9eccf3f9dcc2a62af40cff6f16e33c37ee2",
     },
     "sl3-float": {
         "counting_mixed.csv":
@@ -133,7 +135,7 @@ DIGESTS = {
         "projections.csv":
             "54a6e6a86582fa9cc97e4bd9d98650dce2dec86cca8f5221c20c59000c67dca0",
         "report.json":
-            "64e99e6b1be257ee4624b540b1d94f427ef3fa14dc830e65175a2d6261114efa",
+            "57dd30e5c8e1bb1de68c0632d6c46b454dc3ee3211f203f70916d77b701d7945",
     },
     "torsion": {
         "counting_mixed.csv":
@@ -147,7 +149,7 @@ DIGESTS = {
         "partial_sums.csv":
             "d9ba6ef8fb7486f3e23b34cad73658e0b2664ba0e7d70f7694599339893668c5",
         "report.json":
-            "a5c6d74aa8085ce2ed0461b445986fed60b3f1be580e6d068312cc28a40a6995",
+            "a8e6265f19be3dca00519342e9970aae9122559d1de22d5e38889a9c98c5bd4f",
     },
     "torsion-included": {
         "counting_mixed.csv":
@@ -161,7 +163,7 @@ DIGESTS = {
         "partial_sums.csv":
             "d9ba6ef8fb7486f3e23b34cad73658e0b2664ba0e7d70f7694599339893668c5",
         "report.json":
-            "9291f331b61ca42e1be4303cf7416504792c01b558caed46cff46e8f6ebaa889",
+            "4e39ad311ab308e486652ad3d0bae49ca33781c5b58338009654c60b7b9511b7",
     },
 }
 
@@ -177,6 +179,7 @@ def test_outputs_match_golden_digests(tmp_path, name):
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert main(["--config", str(path), "--out", str(out), *flags]) == 0
-    assert "seed" not in json.loads((out / "report.json").read_text())["parameters"]
+    parameters = json.loads((out / "report.json").read_text())["parameters"]
+    assert "seed" not in parameters and "threads" not in parameters
     got = {p.name: sha256(p) for p in sorted(out.iterdir())}
     assert got == DIGESTS[name]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbispec import (ChamberVector, GroupSpec, UnsupportedGroupError,
-                      build_root_system, dominant_projection, rho_min)
+                      build_root_system, dominant_projection)
 from orbispec.liecore import longest_element_negation
 
 SQRT2 = np.sqrt(2.0)
@@ -61,7 +61,6 @@ def test_rho_recomputed_from_stored_roots(ns):
 ])
 def test_rho_min_values(ns, value):
     rs = build_root_system(GroupSpec.product(ns))
-    assert rho_min(rs) == pytest.approx(value, abs=1e-12)
     assert rs.rho_min == pytest.approx(value, abs=1e-12)
     assert 0 < rs.rho_min <= rs.rho_norm + 1e-15
 
@@ -84,7 +83,7 @@ def test_rho_min_grid_oracle(ns):
 
 def test_rho_min_rank_one_equals_norm():
     rs = build_root_system(GroupSpec.sl(2))
-    assert rho_min(rs) == pytest.approx(rs.rho_norm, abs=1e-15)
+    assert rs.rho_min == pytest.approx(rs.rho_norm, abs=1e-15)
 
 
 @pytest.mark.parametrize("ns", [(2,), (3,), (4,), (2, 2), (2, 3)])

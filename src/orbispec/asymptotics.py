@@ -166,27 +166,19 @@ def fit_ball_volume(rs: RootSystemData, which: str = "polyhedral",
     degree, which separates the polyhedral (rank - 1) and classical
     ((rank - 1)/2) ball families.
     """
-    if which == "polyhedral":
-        volume = lambda r: polyhedral_ball_volume(rs, r)
-    elif which == "classical":
-        volume = lambda r: classical_ball_volume(rs, r)
-    else:
+    volume = {"polyhedral": polyhedral_ball_volume, "classical": classical_ball_volume}.get(which)
+    if volume is None:
         raise ValueError(f"unknown volume family {which!r}")
     if regime not in ("small", "large"):
         raise ValueError(f"regime must be 'small' or 'large', got {regime!r}")
     if radii is None:
         radii = SMALL_RADII_DEFAULT if regime == "small" else LARGE_RADII_DEFAULT
     radii = np.asarray(radii, dtype=float)
-    logv = np.log([volume(r) for r in radii])
-    if regime == "small":
-        design = np.vstack([np.ones_like(radii), np.log(radii)]).T
-        coef, *_ = np.linalg.lstsq(design, logv, rcond=None)
-        rate, degree = 0.0, float(coef[1])
-    else:
-        design = np.vstack([np.ones_like(radii), radii, np.log(radii)]).T
-        coef, *_ = np.linalg.lstsq(design, logv, rcond=None)
-        rate, degree = float(coef[1]), float(coef[2])
-    return VolumeFit(radii, logv, rate, degree, regime)
+    logv = np.log([volume(rs, r) for r in radii])
+    small = regime == "small"
+    columns = [np.ones_like(radii)] + ([] if small else [radii]) + [np.log(radii)]
+    coef, *_ = np.linalg.lstsq(np.vstack(columns).T, logv, rcond=None)
+    return VolumeFit(radii, logv, 0.0 if small else float(coef[1]), float(coef[-1]), regime)
 
 
 def green_asymptotic(rs: RootSystemData, zeta: float, H) -> float:

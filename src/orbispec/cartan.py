@@ -68,22 +68,11 @@ def _det_exact(rows: tuple[tuple, ...]) -> Fraction:
     return det
 
 
-def _inverse_exact(rows: tuple[tuple, ...]) -> list[list[Fraction]]:
+def _adjugate(rows: tuple[tuple, ...]) -> list[list[Fraction]]:
+    """Adjugate from the signed minors: the inverse of a determinant-one block."""
     n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise NumericalError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [a * inv for a in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    minor = lambda i, j: [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
+    return [[(-1) ** (i + j) * _det_exact(minor(j, i)) for j in range(n)] for i in range(n)]
 
 
 def _mat_mul(a: tuple[tuple, ...], b: tuple[tuple, ...]) -> tuple[tuple, ...]:
@@ -127,13 +116,9 @@ class GroupElement:
 
     @classmethod
     def identity(cls, spec: GroupSpec, word_length: int | None = 0) -> "GroupElement":
-        blocks = []
-        for n in spec.sizes:
-            one = 1 if spec.arithmetic != "float" else 1.0
-            zero = 0 if spec.arithmetic != "float" else 0.0
-            blocks.append(tuple(tuple(one if i == j else zero for j in range(n))
-                                for i in range(n)))
-        return cls(spec, tuple(blocks), word_length)
+        cast = float if spec.arithmetic == "float" else int
+        return cls(spec, tuple(tuple(tuple(cast(i == j) for j in range(n)) for i in range(n))
+                               for n in spec.sizes), word_length)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if self.spec != other.spec:
@@ -142,21 +127,13 @@ class GroupElement:
         return GroupElement(self.spec, blocks)
 
     def inverse(self) -> "GroupElement":
-        mode = self.spec.arithmetic
-        blocks = []
-        for rows in self.blocks:
-            if mode == "float":
-                inv = np.linalg.inv(np.asarray(rows, dtype=float))
-                blocks.append(tuple(tuple(float(x) for x in row) for row in inv))
-            else:
-                inv = _inverse_exact(rows)
-                if mode == "exact-int":
-                    blocks.append(tuple(
-                        tuple(int(x) for x in row) for row in inv
-                    ))
-                else:
-                    blocks.append(tuple(tuple(x for x in row) for row in inv))
-        return GroupElement(self.spec, tuple(blocks))
+        if self.spec.arithmetic == "float":
+            blocks = [np.linalg.inv(b).tolist() for b in self.float_blocks()]
+        else:
+            whole = self.spec.arithmetic == "exact-int"
+            blocks = [[[int(x) if whole else x for x in row] for row in _adjugate(rows)]
+                      for rows in self.blocks]
+        return GroupElement(self.spec, tuple(tuple(map(tuple, b)) for b in blocks))
 
     def float_blocks(self) -> list[np.ndarray]:
         return [np.asarray([[float(x) for x in row] for row in rows])
@@ -167,13 +144,14 @@ class GroupElement:
 
     @property
     def is_identity(self) -> bool:
-        for n, rows in zip(self.spec.sizes, self.blocks):
-            for i in range(n):
-                for j in range(n):
-                    want = 1 if i == j else 0
-                    if rows[i][j] != want:
-                        return False
-        return True
+        return all(x == (i == j) for rows in self.blocks
+                   for i, row in enumerate(rows) for j, x in enumerate(row))
+
+
+def known_det(spec: GroupSpec) -> float | None:
+    """|det| for `log_singular_values` to assume on blocks of `spec`: 1 for
+    exact data, which has determinant 1, and None (computed) for floats."""
+    return None if spec.arithmetic == "float" else 1.0
 
 
 def log_singular_values(stack: np.ndarray, det: float | None = None) -> np.ndarray:
@@ -182,8 +160,8 @@ def log_singular_values(stack: np.ndarray, det: float | None = None) -> np.ndarr
 
     For 2x2 matrices the Frobenius norm q and determinant give the exact
     closed form arccosh(q / (2|det|)) / 2, avoiding millions of LAPACK calls
-    in orbit-scale batches.  Callers knowing |det| (1 for exact entries) pass
-    it as `det`, since ad - bc in float64 cancels once entries pass ~1e8.
+    in orbit-scale batches.  Callers pass a known |det| as `det` (see
+    `known_det`), since ad - bc in float64 cancels once entries pass ~1e8.
     """
     stack = np.asarray(stack, dtype=float)
     if not np.all(np.isfinite(stack)):
@@ -212,7 +190,7 @@ def log_singular_values(stack: np.ndarray, det: float | None = None) -> np.ndarr
 
 def cartan_projection(g: GroupElement) -> ChamberVector:
     """Chamber component of g in the K exp(a+) K decomposition."""
-    coords = np.concatenate([log_singular_values(block[None])[0]
+    coords = np.concatenate([log_singular_values(block[None], det=known_det(g.spec))[0]
                              for block in g.float_blocks()])
     return ChamberVector(g.spec, coords)
 

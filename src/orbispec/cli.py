@@ -22,9 +22,10 @@ from .asymptotics import (fit_ball_volume, green_series_diagnostic, heat_bound,
                           LARGE_RADII_DEFAULT, SMALL_RADII_DEFAULT)
 from .cartan import GroupElement, cartan_projection, distance_polyhedral, distance_riemannian
 from .errors import ConfigError, NumericalError, ResourceLimitError, UnsupportedGroupError
-from .exponents import (KIND_MIXED, KIND_POLYHEDRAL, KIND_RIEMANNIAN,
-                        counting_curve, delta_second_bisection, exponent_triple,
-                        level_partial_sums, poincare_partial_sum)
+from .exponents import (DEFAULT_RADII_STEP, DEFAULT_WINDOW_FRACTION, KIND_MIXED,
+                        KIND_POLYHEDRAL, KIND_RIEMANNIAN, counting_curve,
+                        delta_second_bisection, exponent_triple, level_partial_sums,
+                        poincare_partial_sum)
 from .liecore import ARITHMETIC_MODES, GroupSpec, build_root_system
 from .orbit import DEFAULT_MAX_ELEMENTS, GeneratorSet, enumerate_ball, trust_radius
 from .spectrum import consistency_check
@@ -78,8 +79,8 @@ class JobConfig:
     generators: list[GroupElement]
     max_word_length: int
     analyses: tuple[str, ...]
-    radii_step: float = 0.25
-    window_fraction: float = 0.5
+    radii_step: float = DEFAULT_RADII_STEP
+    window_fraction: float = DEFAULT_WINDOW_FRACTION
     base_x: GroupElement | None = None
     base_y: GroupElement | None = None
     max_elements: int = DEFAULT_MAX_ELEMENTS
@@ -189,7 +190,8 @@ def load_config(path: str | Path, include_torsion: bool = False,
             raise ConfigError(f"{key} must be a non-empty list of positive numbers")
         return None if val is None else [_positive(f"{key} entry", v) for v in val]
 
-    window_fraction = _positive("window_fraction", raw.get("window_fraction", 0.5))
+    window_fraction = _positive("window_fraction",
+                                raw.get("window_fraction", JobConfig.window_fraction))
     if window_fraction > 1:
         raise ConfigError("window_fraction must lie in (0, 1]")
     mixed_s = raw.get("mixed_s")
@@ -198,7 +200,7 @@ def load_config(path: str | Path, include_torsion: bool = False,
         generators=generators,
         max_word_length=max_word_length,
         analyses=tuple(analyses),
-        radii_step=_positive("radii_step", raw.get("radii_step", 0.25)),
+        radii_step=_positive("radii_step", raw.get("radii_step", JobConfig.radii_step)),
         window_fraction=window_fraction,
         base_x=base_x,
         base_y=base_y,
@@ -407,17 +409,9 @@ def run(config: JobConfig, out_dir: str | Path = ".") -> int:
         "ordered": triple.ordered(),
         "mixed_bisection_diagnostic": delta_second_bisection(ball, rs),
     }
-    spec_report = consistency_check(rs.rho_norm, rs.rho_min, triple.delta.value,
-                                    triple.delta_prime.value, triple.delta_second.value)
-    report["spectrum"] = {
-        "lambda0_exact": spec_report.lambda0_exact,
-        "lambda0_interval": list(spec_report.lambda0_interval),
-        "statements": spec_report.statements,
-        "inputs": spec_report.inputs,
-        "theorem_tags": list(spec_report.theorem_tags),
-        "consistent": spec_report.consistent,
-        "notes": list(spec_report.notes),
-    }
+    report["spectrum"] = asdict(consistency_check(
+        rs.rho_norm, rs.rho_min, triple.delta.value, triple.delta_prime.value,
+        triple.delta_second.value))
 
     for name, analysis in ANALYSES.items():
         if name in config.analyses:
@@ -449,17 +443,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = load_config(args.config,
-                             include_torsion=args.include_torsion_in_counting)
-    except UnsupportedGroupError as exc:
-        print(f"unsupported group: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED_GROUP
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        return run(config, args.out)
+        return run(load_config(args.config, include_torsion=args.include_torsion_in_counting),
+                   args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

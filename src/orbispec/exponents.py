@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cartan import log_singular_values, mixed_from_parts
+from .cartan import cartan_projection, known_det, log_singular_values, mixed_from_parts
+from .errors import ResourceLimitError
 from .liecore import RootSystemData
 from .orbit import OrbitBall, trust_radius
 
@@ -30,6 +31,9 @@ DEFAULT_RADII_STEP = 0.25
 DEFAULT_WINDOW_FRACTION = 0.5
 MIN_WINDOW_POINTS = 6
 
+# cap on the radii a counting curve samples, checked before allocating them
+MAX_RADII = 1_000_000
+
 # slack applied on top of the 2*||rho|| range bound when flagging estimates
 EXPONENT_RANGE_SLACK = 0.2
 
@@ -37,6 +41,10 @@ ZERO_DISTANCE = 1e-12
 
 # slack in the ordering check delta <= delta'' <= delta'
 ORDER_TOL = 0.05
+
+# delta_second_bisection: relative tail increment counted as convergent, halvings
+BISECTION_REL_TOL = 1e-3
+BISECTION_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -84,15 +92,12 @@ def relative_chamber_matrix(ball: OrbitBall, x=None, y=None) -> np.ndarray:
     if x is None and y is None:
         return ball.chamber_matrix()
     pieces = []
-    xb = x.float_blocks() if x is not None else None
-    yb = y.float_blocks() if y is not None else None
-    for k, stack in enumerate(ball.block_stacks()):
-        m = stack
-        if xb is not None:
-            m = np.einsum("ij,njk->nik", np.linalg.inv(xb[k]), m)
-        if yb is not None:
-            m = np.einsum("nij,jk->nik", m, yb[k])
-        pieces.append(log_singular_values(m))
+    for k, m in enumerate(ball.block_stacks()):
+        if x is not None:
+            m = np.einsum("ij,njk->nik", np.linalg.inv(x.float_blocks()[k]), m)
+        if y is not None:
+            m = np.einsum("nij,jk->nik", m, y.float_blocks()[k])
+        pieces.append(log_singular_values(m, det=known_det(ball.spec)))
     return np.concatenate(pieces, axis=1)
 
 
@@ -130,11 +135,7 @@ def distance_table(ball: OrbitBall, rs: RootSystemData, x=None, y=None) -> Dista
         chamber = relative_chamber_matrix(ball, x, y)
         d = ball.distances() if x is None and y is None else np.linalg.norm(chamber, axis=1)
         dprime = chamber @ rs.rho / rs.rho_norm
-        shift = 0.0
-        for g in (x, y):
-            if g is not None:
-                h = np.concatenate([log_singular_values(b[None])[0] for b in g.float_blocks()])
-                shift += float(np.linalg.norm(h))
+        shift = sum((cartan_projection(g).norm for g in (x, y) if g is not None), 0.0)
         for a in (chamber, d, dprime):
             a.flags.writeable = False
         table = ball.tables[(x, y)] = DistanceTable(chamber, d, dprime, shift, rs.rho_norm)
@@ -179,6 +180,9 @@ def counting_curve(ball: OrbitBall, rs: RootSystemData, kind: str,
     comp = completeness_radius(ball, rs, kind, s, x, y)
     if radii is None:
         top = comp if math.isfinite(comp) else float(dist.max(initial=0.0)) + radii_step
+        if top / radii_step > MAX_RADII:
+            raise ResourceLimitError(f"counting to radius {top:.6g} in steps of "
+                                     f"{radii_step:g} needs over {MAX_RADII} radii")
         radii = np.arange(radii_step, top + 1e-12, radii_step)
         if radii.size == 0:
             radii = np.array([radii_step])
@@ -303,13 +307,13 @@ def exponent_triple(ball: OrbitBall, rs: RootSystemData, x=None, y=None,
     return ExponentTriple(delta, delta_second, delta_prime)
 
 
-def delta_second_bisection(ball: OrbitBall, rs: RootSystemData, x=None, y=None,
-                           rel_tol: float = 1e-3, iterations: int = 50) -> float:
+def delta_second_bisection(ball: OrbitBall, rs: RootSystemData) -> float:
     """Series-convergence bisection for the mixed exponent (diagnostic).
 
     Declares the mixed partial sum convergent at s when the relative tail
-    increments of the last two word-length levels fall below rel_tol, and
-    returns the infimum of apparent convergence.  At truncated range this
+    increments of the last two word-length levels fall below
+    BISECTION_REL_TOL, and returns the infimum of apparent convergence after
+    BISECTION_STEPS halvings of the bracket.  At truncated range this
     systematically overshoots near the critical parameter, so callers should
     prefer the slope-based estimate and clip this value to its bracket.
     """
@@ -317,17 +321,17 @@ def delta_second_bisection(ball: OrbitBall, rs: RootSystemData, x=None, y=None,
         return 0.0
 
     def apparently_convergent(s: float) -> bool:
-        sums = level_partial_sums(ball, rs, KIND_MIXED, s, x, y)
+        sums = level_partial_sums(ball, rs, KIND_MIXED, s)
         if len(sums) < 3:
             return True
         inc = np.diff(sums)
         rel = inc[-2:] / sums[-2:].clip(min=np.finfo(float).tiny)
-        return bool(np.all(rel < rel_tol))
+        return bool(np.all(rel < BISECTION_REL_TOL))
 
     lo, hi = 1e-9, 2 * rs.rho_norm + 1.0
     if not apparently_convergent(hi):
         return hi
-    for _ in range(iterations):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if apparently_convergent(mid):
             hi = mid

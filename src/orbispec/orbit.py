@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import GroupElement, log_singular_values, MAX_FLOAT_ENTRY
+from .cartan import GroupElement, known_det, log_singular_values, MAX_FLOAT_ENTRY
 from .errors import NumericalError, ResourceLimitError
 from .liecore import GroupSpec
 
@@ -185,10 +185,8 @@ class OrbitBall:
     def chamber_matrix(self) -> np.ndarray:
         """Cartan projections of all elements, as an (N, ambient_dim) array."""
         if self._chamber is None:
-            # exact blocks have determinant 1, which ad - bc in float64 can lose
-            det = None if self._mode == "float" else 1.0
-            self._chamber = np.concatenate(
-                [log_singular_values(s, det=det) for s in self.block_stacks()], axis=1)
+            self._chamber = np.concatenate([log_singular_values(s, det=known_det(self.spec))
+                                            for s in self.block_stacks()], axis=1)
         return self._chamber
 
     def distances(self) -> np.ndarray:

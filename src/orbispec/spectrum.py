@@ -16,8 +16,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -53,6 +51,16 @@ def _quadratic(rho_norm: float, exponent: float, offset: float) -> float:
     return rho_norm**2 - max(exponent - offset, 0.0) ** 2
 
 
+def _check_rho_min(rho_norm: float, rho_min: float) -> None:
+    if not 0 < rho_min <= rho_norm + 1e-12:
+        raise ValueError(f"rho_min must lie in (0, ||rho||], got {rho_min}")
+
+
+def _two_sided(rho_norm: float, rho_min: float, delta: float) -> tuple[float, float]:
+    return (float(max(0.0, _quadratic(rho_norm, delta, rho_min))),
+            float(_quadratic(rho_norm, delta, rho_norm)))
+
+
 def lambda0_characterization(rho_norm: float, delta_second: float) -> float:
     """Exact spectral bottom from the mixed exponent.
 
@@ -71,11 +79,8 @@ def lambda0_two_sided_bounds(rho_norm: float, rho_min: float, delta: float) -> t
     rho_min, upper bound ||rho||^2 - (delta - ||rho||)^2 once delta exceeds
     ||rho||; the four-case interval follows.
     """
-    if not 0 < rho_min <= rho_norm + 1e-12:
-        raise ValueError(f"rho_min must lie in (0, ||rho||], got {rho_min}")
-    d = clip_exponent(delta, rho_norm, "delta")
-    return (float(max(0.0, _quadratic(rho_norm, d, rho_min))),
-            float(_quadratic(rho_norm, d, rho_norm)))
+    _check_rho_min(rho_norm, rho_min)
+    return _two_sided(rho_norm, rho_min, clip_exponent(delta, rho_norm, "delta"))
 
 
 def lambda0_lower_polyhedral(rho_norm: float, delta_prime: float) -> float:
@@ -94,24 +99,28 @@ def consistency_check(rho_norm: float, rho_min: float, delta: float,
     delta_prime far exceeds delta), hence intersection rather than nesting.
     Estimate noise of est_tol per exponent is propagated exactly through the
     monotone closed forms by loosening each bound at a shifted exponent.
+    Each estimate is clipped once, so an out-of-range one warns once.
     """
+    _check_rho_min(rho_norm, rho_min)
     notes = []
-    lam_exact = lambda0_characterization(rho_norm, delta_second)
-    lower2, upper2 = lambda0_two_sided_bounds(rho_norm, rho_min, delta)
-    lower3 = lambda0_lower_polyhedral(rho_norm, delta_prime)
-
+    d = clip_exponent(delta, rho_norm, "delta")
+    dp = clip_exponent(delta_prime, rho_norm, "delta_prime")
+    ds = clip_exponent(delta_second, rho_norm, "delta_second")
+    lam_exact = _quadratic(rho_norm, ds, rho_norm)
+    lower2, upper2 = _two_sided(rho_norm, rho_min, d)
+    lower3 = _quadratic(rho_norm, dp, rho_norm)
     tight_lo = max(lower2, lower3)
-    tight_hi = min(upper2, rho_norm**2)
 
-    # every exponent is an estimate; loosen each formula at a shifted input
-    # (all are non-increasing in their exponent, so shifting is exact)
-    loose_lo = max(
-        lambda0_two_sided_bounds(rho_norm, rho_min, min(delta + est_tol, 2 * rho_norm))[0],
-        lambda0_lower_polyhedral(rho_norm, min(delta_prime + est_tol, 2 * rho_norm)),
-    )
-    loose_hi = lambda0_two_sided_bounds(rho_norm, rho_min, max(delta - est_tol, 0.0))[1]
-    lam_lo = lambda0_characterization(rho_norm, min(delta_second + est_tol, 2 * rho_norm))
-    lam_hi = lambda0_characterization(rho_norm, max(delta_second - est_tol, 0.0))
+    # every exponent is an estimate; loosen each formula at the raw estimate
+    # +- est_tol, back in range (all are non-increasing, so this is exact)
+    def shifted(value, sign):
+        return min(max(value + sign * est_tol, 0.0), 2 * rho_norm)
+
+    loose_lo = max(_two_sided(rho_norm, rho_min, shifted(delta, 1))[0],
+                   _quadratic(rho_norm, shifted(delta_prime, 1), rho_norm))
+    loose_hi = _two_sided(rho_norm, rho_min, shifted(delta, -1))[1]
+    lam_lo = _quadratic(rho_norm, shifted(delta_second, 1), rho_norm)
+    lam_hi = _quadratic(rho_norm, shifted(delta_second, -1), rho_norm)
 
     consistent = lam_hi >= loose_lo - 1e-12 and lam_lo <= loose_hi + 1e-12
     if not consistent:
@@ -121,10 +130,10 @@ def consistency_check(rho_norm: float, rho_min: float, delta: float,
         )
 
     if consistent:
-        interval = (min(tight_lo, lam_exact), max(tight_hi, lam_exact))
+        interval = (min(tight_lo, lam_exact), max(upper2, lam_exact))
         exact: float | None = lam_exact
     else:
-        interval = (tight_lo, max(tight_hi, tight_lo))
+        interval = (tight_lo, max(upper2, tight_lo))
         exact = None
         notes.append("exact value withheld; bounds interval reported alone")
 
@@ -151,10 +160,3 @@ def consistency_check(rho_norm: float, rho_min: float, delta: float,
         consistent=consistent,
         notes=tuple(notes),
     )
-
-
-def lambda0_profile(rho_norm: float, samples: int = 512) -> np.ndarray:
-    """Dense sampling of the characterization over [0, 2*||rho||]; useful
-    for monotonicity and continuity checks."""
-    grid = np.linspace(0.0, 2.0 * rho_norm, samples)
-    return np.array([lambda0_characterization(rho_norm, t) for t in grid])

@@ -40,6 +40,17 @@ def test_projection_symmetric_integer_matrix():
                                oracle_log_sv(g.float_blocks()[0]), atol=1e-10)
 
 
+def test_projection_of_large_exact_element():
+    """[[3,8],[1,3]]^11 has entries near 3.7e8, where ad - bc in float64
+    cancels; an exact element is projected with determinant 1."""
+    g = h = GroupElement(GroupSpec.sl(2), (((3, 8), (1, 3)),))
+    for _ in range(10):
+        h = h @ g
+    want = math.log(np.linalg.svd(h.float_blocks()[0], compute_uv=False)[0])
+    assert want == pytest.approx(19.85457554, abs=1e-8)
+    assert cartan_projection(h).coords[0] == pytest.approx(want, rel=1e-12)
+
+
 def test_projection_matches_svd_oracle_on_random_words():
     rng = np.random.default_rng(11)
     words = random_sl3_words(rng, 200, length=6)

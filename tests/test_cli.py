@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from orbispec import exponents
 from orbispec.cli import ANALYSES, main
 
 SQRT2 = 2.0 ** 0.5
@@ -144,6 +145,26 @@ def test_resource_cap_exits_3(tmp_path):
     for cap in (50, 50.0):  # JSON may spell an integer as a float
         cfg = write_config(tmp_path, sanov_config(max_elements=cap))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_radii_cap_exits_3(tmp_path, monkeypatch, capsys):
+    # a small cap stands in for a radii_step so fine that the radii would not
+    # fit in memory; such a config must never run without the cap
+    monkeypatch.setattr(exponents, "MAX_RADII", 10)
+    cfg = write_config(tmp_path, sanov_config(radii_step=0.1))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "radii" in capsys.readouterr().err
+
+
+def test_cyclic_ball_with_base_point_exits_0(tmp_path):
+    # x^-1 gamma reaches entries near 1e9, where ad - bc in float64 cancels
+    cfg = write_config(tmp_path, {
+        "group": {"factors": [{"type": "sl", "n": 2}]},
+        "generators": [[[[3, 8], [1, 3]]]],
+        "max_word_length": 12,
+        "base_points": {"x": [[[2, 1], [1, 1]]]},
+    })
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_numerical_overflow_exits_4(tmp_path):

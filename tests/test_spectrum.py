@@ -1,6 +1,7 @@
 """Spectral-bottom formulas against plug-in oracles and admissible grids."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from orbispec import (consistency_check, lambda0_characterization,
                       lambda0_lower_polyhedral, lambda0_two_sided_bounds)
-from orbispec.spectrum import lambda0_profile
 
 SQRT2 = math.sqrt(2.0)
 
@@ -109,7 +109,8 @@ def test_bounds_match_oracle(rho, rmin_frac, dfrac):
 
 def test_characterization_continuous_monotone():
     rho = SQRT2
-    vals = lambda0_profile(rho, samples=2001)
+    vals = np.array([lambda0_characterization(rho, t)
+                     for t in np.linspace(0.0, 2.0 * rho, 2001)])
     assert np.all(np.diff(vals) <= 1e-12)          # non-increasing
     assert abs(vals.max() - rho * rho) < 1e-12     # range top
     assert abs(vals.min()) < 1e-12                 # lattice endpoint
@@ -154,6 +155,30 @@ def test_consistency_flags_violations():
     assert not rep.consistent
     assert rep.lambda0_exact is None
     assert rep.notes
+
+
+def test_consistency_statements_equal_public_formulas():
+    rng = np.random.default_rng(7)
+    tuples = admissible_tuples(rng, 200) + [
+        (1.0, 0.8, -0.3, -0.1, -0.02), (1.0, 0.8, 2.4, 2.01, 2.6),
+        (1 / SQRT2, 1 / SQRT2, 2.341, 2.341, 2.341), (SQRT2, 1.0, -0.04, 3.0, 2.9),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for rho, rmin, d, dp, ds in tuples:
+            got = consistency_check(rho, rmin, d, dp, ds).statements
+            assert got["characterization"] == lambda0_characterization(rho, ds)
+            assert tuple(got["two_sided_interval"]) == lambda0_two_sided_bounds(rho, rmin, d)
+            assert got["polyhedral_lower"] == lambda0_lower_polyhedral(rho, dp)
+
+
+def test_consistency_clips_each_exponent_once():
+    rho = 1 / SQRT2  # 2 ||rho|| = 1.414
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        consistency_check(rho, rho, 2.341, 2.341, 2.341)
+    assert [str(w.message).split()[0] for w in caught] == ["delta", "delta_prime",
+                                                           "delta_second"]
 
 
 def test_characterization_inside_intersection_on_grid():

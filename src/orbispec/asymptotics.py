@@ -11,11 +11,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ResourceLimitError
 # relative_chamber_matrix stays bound here for code that patches it by module
-from .exponents import ZERO_DISTANCE, distance_table, relative_chamber_matrix  # noqa: F401
+from .exponents import (ZERO_DISTANCE, DistanceTable, distance_table,  # noqa: F401
+                        relative_chamber_matrix)
 from .liecore import ChamberVector, RootSystemData
 from .orbit import OrbitBall
 
@@ -126,6 +126,10 @@ class _ChamberIntegrator:
         return self._nested(limit, ())
 
     def _nested(self, limit, prefix):
+        # scipy is imported here, by the quadrature alone, so importing the
+        # package and every other analysis never loads it
+        from scipy.integrate import quad
+
         hi = limit(prefix)
         if hi <= 0:
             return 0.0
@@ -206,6 +210,31 @@ def green_asymptotic(rs: RootSystemData, zeta: float, H) -> float:
     return prefactor * norm**power * math.exp(-float(rs.rho @ h) - zeta * norm)
 
 
+def _green_factors(table: DistanceTable, rs: RootSystemData) -> tuple[np.ndarray, np.ndarray]:
+    """The zeta-free factors of the Green envelope terms over a distance
+    table, built on first use and kept with the table: the weight
+    prefactor * d**power, zero for a skipped term at distance zero, and the
+    exponent -||rho|| d'.  A term is weight * exp(-||rho|| d' - zeta d), the
+    envelope's own operations on the same operands, and a zero weight adds
+    exactly nothing to its level's sum."""
+    factors = table.derived.get("green")
+    if factors is None:
+        keep = table.d > ZERO_DISTANCE
+        keep = slice(None) if keep.all() else keep  # a view, not a copy, when all are kept
+        d, chamber = table.d[keep], table.chamber[keep]
+        prefactor = np.ones_like(d)
+        for alpha in rs.positive_roots:
+            prefactor *= 1.0 + chamber @ alpha
+        power = -(rs.rank - 1) / 2.0 - len(rs.positive_roots)
+        weight = np.zeros_like(table.d)
+        weight[keep] = prefactor * d**power
+        log_base = -rs.rho_norm * table.dprime
+        for a in (weight, log_base):
+            a.flags.writeable = False
+        factors = table.derived["green"] = (weight, log_base)
+    return factors
+
+
 def green_series_diagnostic(ball: OrbitBall, rs: RootSystemData, zeta: float,
                             x=None, y=None) -> GreenSeriesDiagnostic:
     """Partial sums per word-length level of the periodized Green series.
@@ -219,18 +248,14 @@ def green_series_diagnostic(ball: OrbitBall, rs: RootSystemData, zeta: float,
     if zeta <= 0:
         raise ValueError(f"zeta must be positive, got {zeta}")
     table = distance_table(ball, rs, x, y)
-    keep = table.d > ZERO_DISTANCE
-    keep = slice(None) if keep.all() else keep  # a view, not a copy, when all are kept
-    d, dprime, chamber = table.d[keep], table.dprime[keep], table.chamber[keep]
-    prefactor = np.ones_like(d)
-    for alpha in rs.positive_roots:
-        prefactor *= 1.0 + chamber @ alpha
-    power = -(rs.rank - 1) / 2.0 - len(rs.positive_roots)
-    terms = prefactor * d**power * np.exp(-rs.rho_norm * dprime - zeta * d)
-
-    n_levels = len(ball.growth_per_level)
-    increments = np.bincount(ball.word_lengths[keep], weights=terms,
-                             minlength=n_levels)
+    weight, log_base = _green_factors(table, rs)
+    # weight * exp(log_base - zeta d), in one scratch array
+    terms = zeta * table.d
+    np.subtract(log_base, terms, out=terms)
+    np.exp(terms, out=terms)
+    terms *= weight
+    increments = np.bincount(ball.word_lengths, weights=terms,
+                             minlength=len(ball.growth_per_level))
     partial = np.cumsum(increments)
 
     positive = increments > 0

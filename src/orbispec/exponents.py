@@ -13,7 +13,7 @@ stable at truncated range where tail-convergence heuristics do not).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -104,13 +104,16 @@ def relative_chamber_matrix(ball: OrbitBall, x=None, y=None) -> np.ndarray:
 @dataclass(frozen=True)
 class DistanceTable:
     """Read-only chamber matrix of x^-1 gamma y over a ball, with each
-    element's distances d and d' and the trust-radius shift d(x,e) + d(y,e)."""
+    element's distances d and d' and the trust-radius shift d(x,e) + d(y,e).
+    `derived` holds what other layers compute once from the table, such as
+    the zeta-free factors of the Green series."""
 
     chamber: np.ndarray
     d: np.ndarray
     dprime: np.ndarray
     shift: float
     rho_norm: float
+    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def of_kind(self, kind: str, s: float | None = None) -> np.ndarray:
         return _of_kind(kind, s, self.rho_norm, self.dprime, self.d)

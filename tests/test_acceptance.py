@@ -214,7 +214,7 @@ def test_criterion_7_green_dichotomy(congruence_ball_14):
               f"diverging for zeta <= crossing - 0.1 ({below})"),
              (all(v == "converging" for v in above),
               f"converging for zeta >= crossing + 0.1 ({above})")],
-            build_time + (time.monotonic() - t0), 180.0)
+            build_time + (time.monotonic() - t0), 40.0)
 
 
 def test_criterion_8_formula_suite():

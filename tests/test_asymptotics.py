@@ -10,6 +10,7 @@ from orbispec import (GroupSpec, build_root_system, cartan_density,
                       classical_ball_volume, enumerate_ball, fit_ball_volume,
                       green_asymptotic, green_series_diagnostic, heat_bound,
                       polyhedral_ball_volume)
+from orbispec import exponents
 
 from conftest import sanov_generators
 
@@ -175,6 +176,60 @@ def test_green_terms_bracketed_by_poincare_terms():
     lower = np.exp(-(rs.rho_norm + zeta + eps) * d)
     assert np.all(green <= upper * (1 + 1e-12))
     assert np.all(green >= lower * (1 - 1e-12))
+
+
+def _inline_green_sums(ball, rs, zeta, x=None):
+    """Partial sums of the Green envelope terms, each written out as the
+    envelope formula reads, over the elements at nonzero distance."""
+    table = exponents.distance_table(ball, rs, x)
+    keep = table.d > exponents.ZERO_DISTANCE
+    keep = slice(None) if keep.all() else keep
+    d, dprime, chamber = table.d[keep], table.dprime[keep], table.chamber[keep]
+    prefactor = np.ones_like(d)
+    for alpha in rs.positive_roots:
+        prefactor *= 1.0 + chamber @ alpha
+    power = -(rs.rank - 1) / 2.0 - len(rs.positive_roots)
+    terms = prefactor * d**power * np.exp(-rs.rho_norm * dprime - zeta * d)
+    return np.cumsum(np.bincount(ball.word_lengths[keep], weights=terms,
+                                 minlength=len(ball.growth_per_level)))
+
+
+def test_green_sums_bit_identical_to_inline_envelope(monkeypatch):
+    """The zeta-free factors computed once per distance table give the
+    inline sums bit for bit: on the Sanov ball without a base point (the
+    identity is skipped), with base point x (nothing skipped, and the cache
+    of the first table is not reused), and on a ball with torsion, whose
+    skipped elements sit at word lengths 0, 1 and 2.  A second sweep over a
+    ball builds no new distance table."""
+    from orbispec import GeneratorSet, GroupElement
+    spec = GroupSpec.sl(2)
+    rs = build_root_system(spec)
+    x = GroupElement(spec, (((2, 1), (1, 1)),))
+    torsion = GeneratorSet.from_elements([GroupElement(spec, (((0, -1), (1, 0)),)),
+                                          GroupElement(spec, (((1, 1), (0, 1)),))])
+    sanov = enumerate_ball(sanov_generators(spec), 8)
+    cases = [(sanov, None, [0]), (sanov, x, []),
+             (enumerate_ball(torsion, 8), None, [0, 1, 1, 2])]
+    zetas = (0.3, 1.0 / SQRT2, 1.0, 2.5)
+    for ball, base, skipped_levels in cases:
+        table = exponents.distance_table(ball, rs, base)
+        skipped = table.d <= exponents.ZERO_DISTANCE
+        assert sorted(ball.word_lengths[skipped]) == skipped_levels
+        for zeta in zetas:
+            got = green_series_diagnostic(ball, rs, zeta, x=base).partial_sums
+            assert np.array_equal(got, _inline_green_sums(ball, rs, zeta, base)), zeta
+    assert not np.array_equal(green_series_diagnostic(sanov, rs, 1.0).partial_sums,
+                              green_series_diagnostic(sanov, rs, 1.0, x=x).partial_sums)
+
+    builds = []
+    build = exponents.relative_chamber_matrix
+    monkeypatch.setattr(exponents, "relative_chamber_matrix",
+                        lambda *a: builds.append(a) or build(*a))
+    for ball, base, _ in cases:
+        for zeta in zetas:
+            green_series_diagnostic(ball, rs, zeta, x=base)
+    assert builds == []
+    assert len(sanov.tables) == 2
 
 
 def test_heat_bound_case_i_trivial(rs2):

@@ -1,10 +1,14 @@
 """End-to-end CLI runs: exit codes, report contents, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import orbispec
 from orbispec import exponents
 from orbispec.cli import ANALYSES, main
 
@@ -250,3 +254,46 @@ def test_base_points_accepted(tmp_path):
     assert main(["--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["exponents"]["delta"]["value"] > 0
+
+
+# Imports orbispec, runs one step and prints whether scipy got loaded.
+SCIPY_PROBE = """
+import sys
+import orbispec
+from orbispec import cli
+step = sys.argv[1]
+if step == "help":
+    try:
+        cli.main(["--help"])
+    except SystemExit:
+        pass
+elif step == "run":
+    assert cli.main(["--config", sys.argv[2], "--out", sys.argv[3]]) == 0
+print("scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("step,analyses,loads_scipy", [
+    ("import", None, False),
+    ("help", None, False),
+    ("run", [a for a in ANALYSES if a != "volume"], False),
+    ("run", list(ANALYSES), True),
+], ids=["import", "help", "every-analysis-but-volume", "with-volume"])
+def test_scipy_loaded_only_for_volume_quadrature(tmp_path, step, analyses, loads_scipy):
+    """scipy costs about 0.3 s and 50 MB to import, and only the
+    ball-volume quadrature uses it, so nothing else may load it.  Each case
+    runs in a fresh interpreter, where sys.modules starts empty."""
+    argv = [sys.executable, "-c", SCIPY_PROBE, step]
+    out = tmp_path / "out"
+    if analyses is not None:
+        cfg = write_config(tmp_path, sanov_config(
+            analyses=analyses, volume_radii_large=[6.0, 7.0, 8.0, 9.0, 10.0]))
+        argv += [str(cfg), str(out)]
+    src = str(Path(orbispec.__file__).resolve().parents[1])
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loads_scipy)
+    if analyses is not None:
+        assert (out / "report.json").exists()
+        assert (out / "volumes.csv").exists() == ("volume" in analyses)

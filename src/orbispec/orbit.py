@@ -271,38 +271,56 @@ def _fresh_rows(keys: np.ndarray, known, known_keys) -> tuple[np.ndarray, np.nda
     h = h[order]
     head = np.r_[True, h[1:] != h[:-1]]
     repeat = np.flatnonzero(~head)
-    clash = not np.array_equal(keys[order[repeat]], keys[order[repeat - 1]])
+    clash = not np.array_equal(np.take(keys, order[repeat], axis=0),
+                               np.take(keys, order[repeat - 1], axis=0))
     groups = np.flatnonzero(head)
     first, h = np.minimum.reduceat(order, groups), h[groups]
     fresh = np.ones(len(first), dtype=bool)
     for sorted_h, fetch in known:
         at = np.minimum(np.searchsorted(sorted_h, h), len(sorted_h) - 1)
         hit = sorted_h[at] == h
-        clash |= not np.array_equal(keys[first[hit]], fetch(at[hit]))
+        clash |= not np.array_equal(np.take(keys, first[hit], axis=0), fetch(at[hit]))
         fresh &= ~hit
     if not clash:
         return first[fresh], h[fresh]
     ref = known_keys()
     _, first = np.unique(np.vstack([ref, keys]), axis=0, return_index=True)
     first = first[first >= len(ref)] - len(ref)
-    h = _row_hashes(keys[first])
+    h = _row_hashes(np.take(keys, first, axis=0))
     order = np.argsort(h)
     return first[order], h[order]
 
 
 def _lex_order(rows: np.ndarray) -> np.ndarray:
-    """Permutation putting distinct int64 rows in lexicographic order, sorting
-    runs of columns packed into uint64 mixed-radix keys (one key: one argsort)."""
+    """Permutation putting distinct int64 rows in lexicographic order.
+
+    Runs of columns are packed into uint64 mixed-radix keys.  One argsort of
+    the leading key orders the rows; only the positions that tie on it are
+    then reordered by the remaining keys, with the leading key (constant on a
+    tie run, rising from run to run) as np.lexsort's last, primary key.  The
+    rows are distinct, so the order is unique."""
     lo, m = int(rows.min()), rows.shape[1]
     span = int(rows.max()) - lo + 1
     width = max([w for w in range(1, m + 1) if span ** w <= 2 ** 64], default=1)
-    keys = []
-    for j in range(0, m, width):
-        key = np.zeros(len(rows), dtype=np.uint64)
-        for col in rows[:, j:j + width].T:
+
+    def packed(cols):
+        key = np.zeros(len(cols), dtype=np.uint64)
+        for col in cols.T:
             key = key * np.uint64(span) + (col - lo).astype(np.uint64)
-        keys.append(key)
-    return np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+        return key
+
+    lead = packed(rows[:, :width])
+    order = np.argsort(lead)
+    if width >= m:
+        return order
+    lead = lead[order]
+    tie = lead[1:] == lead[:-1]
+    at = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
+    sub = order[at]
+    tail = np.take(rows, sub, axis=0)
+    keys = [packed(tail[:, j:j + width]) for j in range(width, m, width)]
+    order[at] = sub[np.lexsort(keys[::-1] + [lead[at]])]
+    return order
 
 
 def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitBall:
@@ -333,7 +351,7 @@ def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitB
         cand = _block_products(spec, frontier, gen_rows)
         # float rounding noise does not respect word length: check every level
         known = range(max(len(levels) - 2, 0) if exact else 0, len(levels))
-        fetch = [(index[k][0], lambda i, k=k: keys_of(levels[k][index[k][1][i]]))
+        fetch = [(index[k][0], lambda i, k=k: keys_of(np.take(levels[k], index[k][1][i], axis=0)))
                  for k in known]
         first, hashes = _fresh_rows(keys_of(cand), fetch,
                                     lambda: keys_of(np.vstack([levels[k] for k in known])))
@@ -347,10 +365,10 @@ def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitB
             )
         # drop the step's largest arrays once used: at the last level they
         # would otherwise stay alive while OrbitBall stacks the levels
-        rows = cand[first]
+        rows = np.take(cand, first, axis=0)
         del cand
         order = _lex_order(rows) if exact else np.argsort(first)
-        levels.append(rows[order])
+        levels.append(np.take(rows, order, axis=0))
         del rows
         at = np.empty_like(order)
         at[order] = np.arange(len(order))

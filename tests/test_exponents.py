@@ -238,6 +238,29 @@ def test_torsion_exclusion_in_counting():
     assert with_t.counts[1] - no_t.counts[1] == with_t.counts[0] - 1
 
 
+def test_torsion_mask_computed_once_per_ball(monkeypatch):
+    """The torsion mask is kept with the ball's base-point-free table: later
+    counting curves, at base points too, reuse it without recomputing."""
+    from orbispec import exponents
+    spec = GroupSpec.sl(2)
+    rs = build_root_system(spec)
+    rot = GroupElement(spec, (((0, 1), (-1, 0)),))
+    shear = GroupElement(spec, (((1, 2), (0, 1)),))
+    x = GroupElement(spec, (((2, 1), (1, 1)),))
+    ball = enumerate_ball(GeneratorSet.from_elements([rot, shear]), 4)
+    radii = np.array([0.0, 1.0, 4.0])
+    first = counting_curve(ball, rs, KIND_RIEMANNIAN, radii=radii, include_torsion=False)
+    mask = exponents._torsion_mask(ball, rs, False)
+    assert mask is not None and not mask.flags.writeable
+    # a recomputed mask would now drop every element but the identity
+    monkeypatch.setattr(exponents, "ZERO_DISTANCE", math.inf)
+    again = counting_curve(ball, rs, KIND_RIEMANNIAN, radii=radii, include_torsion=False)
+    np.testing.assert_array_equal(again.counts, first.counts)
+    assert first.counts[-1] > 1
+    counting_curve(ball, rs, KIND_POLYHEDRAL, x=x, radii=radii, include_torsion=False)
+    assert exponents._torsion_mask(ball, rs, False) is mask
+
+
 def _based_ball_and_points(depth):
     spec = GroupSpec.sl(2)
     x = GroupElement(spec, (((2, 1), (1, 1)),))
@@ -286,3 +309,44 @@ def test_one_chamber_rebuild_per_base_point_pair(sanov_rs, monkeypatch):
         poincare_partial_sum(ball, sanov_rs, KIND_POLYHEDRAL, 1.0, px, py)
         green_series_diagnostic(ball, sanov_rs, 0.5, x=px, y=py)
     assert calls == [(x, y), (None, None), (x, None)]
+
+
+def test_relative_chamber_matrix_matches_einsum_bytes(sanov_rs, monkeypatch):
+    """x^-1 gamma y is formed bit for bit as np.einsum forms it, on a Sanov
+    ball at x, y and both, and on a float stack full of signed zeros, where
+    a sum of products that did not start at +0.0 would keep -0.0."""
+    from orbispec import exponents
+    from orbispec.cartan import log_singular_values
+
+    def reference(stack, bx, by):
+        if bx is not None:
+            stack = np.einsum("ij,njk->nik", np.linalg.inv(bx.float_blocks()[0]), stack)
+        if by is not None:
+            stack = np.einsum("nij,jk->nik", stack, by.float_blocks()[0])
+        return stack
+
+    seen = []
+
+    def recorded(stack, det=None):
+        seen.append(stack)
+        return log_singular_values(stack, det=det)
+
+    monkeypatch.setattr(exponents, "log_singular_values", recorded)
+    ball, x, y = _based_ball_and_points(8)
+    for px, py in ((x, None), (None, y), (x, y)):
+        seen.clear()
+        got = exponents.relative_chamber_matrix(ball, px, py)
+        want = reference(ball.block_stacks()[0], px, py)
+        assert seen[0].tobytes() == want.tobytes()
+        assert got.tobytes() == log_singular_values(want, det=1.0).tobytes()
+
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((4000, 2, 2))
+    stack[rng.random(stack.shape) < 0.4] = 0.0
+    stack[rng.random(stack.shape) < 0.4] = -0.0
+    shear = GroupElement(GroupSpec.sl(2), (((1, 1), (0, 1)),))
+    monkeypatch.setattr(ball, "block_stacks", lambda: [stack])
+    for px, py in ((shear, None), (shear, shear)):
+        seen.clear()
+        exponents.relative_chamber_matrix(ball, px, py)
+        assert seen[0].tobytes() == reference(stack, px, py).tobytes()

@@ -234,8 +234,20 @@ def _levels(ball):
     return [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
+def _conjugated_sanov():
+    """The Sanov pair conjugated by [[13,5],[5,2]]: from word length 7 on, a
+    level's entries span more than 2**16 values, so its rows need two packed
+    sort keys."""
+    spec = GroupSpec.sl(2)
+    c = np.array([[13, 5], [5, 2]])
+    c_inv = np.array([[2, -5], [-5, 13]])
+    return GeneratorSet.from_elements(
+        [GroupElement(spec, (tuple(map(tuple, (c @ np.array(m) @ c_inv).tolist())),))
+         for m in ([[1, 2], [0, 1]], [[1, 0], [2, 1]])])
+
+
 INT_CASES = [(sanov_generators, 8), (_elementary_sl3, 4), (_product_generators, 7),
-             (_cube_rotations, 10)]
+             (_cube_rotations, 10), (_conjugated_sanov, 8)]
 
 
 @pytest.mark.parametrize("make_gens, L", INT_CASES)
@@ -255,6 +267,8 @@ def test_int_levels_match_exact_dict_walk(make_gens, L):
         assert (lead > 0).all()
     if make_gens is _cube_rotations:
         assert ball.exhausted and len(ball) == 24
+    if make_gens is _conjugated_sanov:
+        assert np.ptp(got) >= 2**16
 
 
 def _float_rotation():
@@ -290,12 +304,18 @@ def test_float_levels_keep_first_occurrence_order(monkeypatch):
     assert ball.exhausted
 
 
-@pytest.mark.parametrize("bound", [3, 2**20, 2**40, 2**61])
+@pytest.mark.parametrize("bound", [3, 2**20, 2**40, 2**61,
+                                   pytest.param((3, 2**40), id="lead3-last2**40")])
 def test_lex_order_matches_python_tuple_sort(bound):
     """Packed sort keys (one key, several, or one column each) order rows
-    exactly as Python orders their tuples."""
+    exactly as Python orders their tuples.  Small leading columns with a last
+    column up to 2**40 give one key per column and long runs of rows that tie
+    on the leading key, which only the remaining keys can order."""
+    lead, last = bound if isinstance(bound, tuple) else (bound, bound)
     rng = np.random.default_rng(7)
-    rows = np.unique(rng.integers(-bound, bound, size=(500, 4)), axis=0)
+    rows = np.column_stack([rng.integers(-lead, lead, size=(500, 3)),
+                            rng.integers(-last, last, size=500)])
+    rows = np.unique(rows, axis=0)
     rows = rows[rng.permutation(len(rows))]
     expect = sorted(range(len(rows)), key=lambda i: tuple(rows[i].tolist()))
     np.testing.assert_array_equal(orbit._lex_order(rows), expect)

@@ -14,10 +14,11 @@ from .exponents import (CountingCurve, ExponentEstimate, ExponentTriple,
                         KIND_MIXED, KIND_POLYHEDRAL, KIND_RIEMANNIAN,
                         counting_curve, delta_second_bisection,
                         estimate_exponent, exponent_triple,
-                        level_partial_sums, poincare_partial_sum)
+                        level_partial_sums, poincare_partial_sum,
+                        trust_radius)
 from .liecore import (ChamberVector, Factor, GroupSpec, RootSystemData,
                       build_root_system, dominant_projection)
-from .orbit import GeneratorSet, OrbitBall, enumerate_ball, trust_radius
+from .orbit import GeneratorSet, OrbitBall, enumerate_ball
 from .spectrum import (SpectrumReport, consistency_check,
                        lambda0_characterization, lambda0_lower_polyhedral,
                        lambda0_two_sided_bounds)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-# relative_chamber_matrix stays bound here for code that patches it by module
+# relative_chamber_matrix stays bound here, unused, because perfbench/spans.py
+# wraps it by module name to count distance-table builds
 from .exponents import (ZERO_DISTANCE, DistanceTable, distance_table,  # noqa: F401
                         relative_chamber_matrix)
 from .liecore import ChamberVector, RootSystemData

@@ -20,14 +20,14 @@ import numpy as np
 
 from .asymptotics import (fit_ball_volume, green_series_diagnostic, heat_bound,
                           LARGE_RADII_DEFAULT, SMALL_RADII_DEFAULT)
-from .cartan import GroupElement, cartan_projection, distance_polyhedral, distance_riemannian
+from .cartan import GroupElement, cartan_projection
 from .errors import ConfigError, NumericalError, ResourceLimitError, UnsupportedGroupError
 from .exponents import (DEFAULT_RADII_STEP, DEFAULT_WINDOW_FRACTION, KIND_MIXED,
                         KIND_POLYHEDRAL, KIND_RIEMANNIAN, counting_curve,
                         delta_second_bisection, exponent_triple, level_partial_sums,
-                        poincare_partial_sum)
+                        poincare_partial_sum, trust_radius)
 from .liecore import ARITHMETIC_MODES, GroupSpec, build_root_system
-from .orbit import DEFAULT_MAX_ELEMENTS, GeneratorSet, enumerate_ball, trust_radius
+from .orbit import DEFAULT_MAX_ELEMENTS, GeneratorSet, enumerate_ball
 from .spectrum import consistency_check
 
 EXIT_OK = 0
@@ -241,8 +241,7 @@ def _project(config, rs, ball, triple, out) -> None:
     rows = []
     for i, g in enumerate(gens):
         h = cartan_projection(g)
-        rows.append([i, *h.coords.tolist(),
-                     distance_riemannian(g), distance_polyhedral(rs, g)])
+        rows.append([i, *h.coords.tolist(), h.norm, float(rs.rho @ h.coords) / rs.rho_norm])
     header = ["generator_index"] + [f"coordinate_{k}" for k in range(rs.ambient_dim)]
     header += ["d_riemannian", "d_polyhedral"]
     _write_csv(out / "projections.csv", header, rows)
@@ -389,7 +388,7 @@ def run(config: JobConfig, out_dir: str | Path = ".") -> int:
         "size": len(ball),
         "levels": ball.growth_per_level,
         "exhausted": ball.exhausted,
-        "trust_radius": _json_safe(trust_radius(ball)),
+        "trust_radius": _json_safe(trust_radius(ball, rs)),
     }
 
     try:

@@ -20,7 +20,7 @@ import numpy as np
 from .cartan import cartan_projection, known_det, log_singular_values, mixed_from_parts
 from .errors import ResourceLimitError
 from .liecore import RootSystemData
-from .orbit import OrbitBall, trust_radius
+from .orbit import OrbitBall
 
 KIND_RIEMANNIAN = "riemannian"
 KIND_POLYHEDRAL = "polyhedral"
@@ -89,8 +89,6 @@ class ExponentTriple:
 def relative_chamber_matrix(ball: OrbitBall, x=None, y=None) -> np.ndarray:
     """Cartan projections of x^-1 gamma y over the ball (equivalently of
     y^-1 gamma^-1 x up to -w0, under which both distances are invariant)."""
-    if x is None and y is None:
-        return ball.chamber_matrix()
     pieces = []
     for k, m in enumerate(ball.block_stacks()):
         if x is not None:
@@ -138,16 +136,32 @@ def _of_kind(kind: str, s: float | None, rho_norm: float, dprime, d):
 def distance_table(ball: OrbitBall, rs: RootSystemData, x=None, y=None) -> DistanceTable:
     """The distance table of the ball based at (x, y), built on first use and
     kept in `ball.tables` for the ball's lifetime."""
+    if rs.spec.sizes != ball.spec.sizes:
+        raise ValueError(f"root system of blocks {rs.spec.sizes} does not fit a ball "
+                         f"of blocks {ball.spec.sizes}")
     table = ball.tables.get((x, y))
     if table is None:
         chamber = relative_chamber_matrix(ball, x, y)
-        d = ball.distances() if x is None and y is None else np.linalg.norm(chamber, axis=1)
+        d = np.linalg.norm(chamber, axis=1)
         dprime = chamber @ rs.rho / rs.rho_norm
         shift = sum((cartan_projection(g).norm for g in (x, y) if g is not None), 0.0)
         for a in (chamber, d, dprime):
             a.flags.writeable = False
         table = ball.tables[(x, y)] = DistanceTable(chamber, d, dprime, shift, rs.rho_norm)
     return table
+
+
+def trust_radius(ball: OrbitBall, rs: RootSystemData) -> float:
+    """Largest radius at which metric counting over the ball is heuristically
+    complete: the minimum frontier distance (infinite for a fully enumerated
+    group).  Elements of longer word length may in principle lie closer, so
+    downstream fits treat this as a diagnostic, not a guarantee."""
+    if ball.max_word_length < 1:
+        raise ValueError("empty frontier: enumerate with max_word_length >= 1")
+    if ball.exhausted:
+        return math.inf
+    # a ball that is not exhausted ends with its level at max_word_length
+    return float(distance_table(ball, rs).d[-ball.growth_per_level[-1]:].min())
 
 
 def completeness_radius(ball: OrbitBall, rs: RootSystemData, kind: str,
@@ -157,7 +171,7 @@ def completeness_radius(ball: OrbitBall, rs: RootSystemData, kind: str,
     beyond word length L can have.  Such an element has d > t, the trust
     radius less the base-point shift d(x,e) + d(y,e), hence
     d_polyhedral > (rho_min/||rho||) * t."""
-    t = trust_radius(ball)
+    t = trust_radius(ball, rs)
     if math.isinf(t):
         _of_kind(kind, s, rs.rho_norm, 0.0, 0.0)  # raises on a bad kind or s
         return math.inf
@@ -173,13 +187,13 @@ def _torsion_mask(ball: OrbitBall, rs: RootSystemData,
     kept with its base-point-free distance table."""
     if include_torsion:
         return None
-    derived = distance_table(ball, rs).derived
-    if "torsion" not in derived:
-        drop = (ball.distances() < ZERO_DISTANCE) & (ball.word_lengths > 0)
+    table = distance_table(ball, rs)
+    if "torsion" not in table.derived:
+        drop = (table.d < ZERO_DISTANCE) & (ball.word_lengths > 0)
         keep = ~drop
         keep.flags.writeable = False
-        derived["torsion"] = keep if drop.any() else None
-    return derived["torsion"]
+        table.derived["torsion"] = keep if drop.any() else None
+    return table.derived["torsion"]
 
 
 def counting_curve(ball: OrbitBall, rs: RootSystemData, kind: str,

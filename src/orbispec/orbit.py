@@ -18,12 +18,13 @@ flat tuples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import GroupElement, known_det, log_singular_values, MAX_FLOAT_ENTRY
+# log_singular_values stays bound here, unused, because perfbench/spans.py
+# wraps it by module name to count Cartan projections
+from .cartan import GroupElement, log_singular_values, MAX_FLOAT_ENTRY  # noqa: F401
 from .errors import NumericalError, ResourceLimitError
 from .liecore import GroupSpec
 
@@ -122,40 +123,27 @@ class GeneratorSet:
 class OrbitBall:
     """Deduplicated orbit ball up to a word length, with per-level counts.
 
-    Storage is one of: an (N, m) int64 entry matrix, an (N, m) float64
-    matrix, or a list of exact flat tuples (rationals / oversized integers).
-    Cartan data and each base-point pair's distance table are cached lazily.
+    The entries are one (N, m) array: int64, float64, or dtype=object for
+    rationals and oversized integers.  The ball holds no Cartan data; the
+    distance table of each base-point pair is cached in `tables`.
     """
 
-    def __init__(self, spec: GroupSpec, max_word_length: int, levels, mode: str,
-                 exhausted: bool):
+    def __init__(self, spec: GroupSpec, max_word_length: int, levels, exhausted: bool):
         self.spec = spec
         self.max_word_length = max_word_length
         self.growth_per_level = [len(lvl) for lvl in levels]
         self.exhausted = exhausted
-        self._mode = mode
-        if mode == "int":
-            self._entries = np.vstack(levels).astype(np.int64, copy=False)
-        elif mode == "float":
-            self._entries = np.vstack(levels).astype(float, copy=False)
-        else:
-            self._entries = [t for lvl in levels for t in lvl]
+        self._entries = np.vstack(levels)
         self.word_lengths = np.repeat(
             np.arange(len(levels), dtype=np.int32), self.growth_per_level
         )
-        self._chamber = None
-        self._distances = None
         self.tables: dict = {}
 
     def __len__(self) -> int:
         return int(self.word_lengths.size)
 
     def element(self, i: int) -> GroupElement:
-        if self._mode == "obj":
-            flat = self._entries[i]
-        else:
-            row = self._entries[i]
-            flat = tuple(row.tolist()) if self._mode == "int" else tuple(float(x) for x in row)
+        flat = tuple(self._entries[i].tolist())
         return _element_from_flat(self.spec, flat, int(self.word_lengths[i]))
 
     def iter_elements(self):
@@ -165,12 +153,8 @@ class OrbitBall:
     def float_entry_matrix(self) -> np.ndarray:
         """Float64 image of the entries.  Exact balls convert on every call
         rather than keep a second (N, m) copy for the ball's lifetime."""
-        if self._mode == "float":
-            return self._entries
-        if self._mode == "int":
-            return self._entries.astype(float)
         try:
-            return np.array([[float(x) for x in t] for t in self._entries], dtype=float)
+            return self._entries.astype(float, copy=False)
         except OverflowError as exc:
             raise NumericalError("entries too large for a float image") from exc
 
@@ -181,32 +165,6 @@ class OrbitBall:
             out.append(mat[:, off:off + n * n].reshape(-1, n, n))
             off += n * n
         return out
-
-    def chamber_matrix(self) -> np.ndarray:
-        """Cartan projections of all elements, as an (N, ambient_dim) array."""
-        if self._chamber is None:
-            self._chamber = np.concatenate([log_singular_values(s, det=known_det(self.spec))
-                                            for s in self.block_stacks()], axis=1)
-        return self._chamber
-
-    def distances(self) -> np.ndarray:
-        """Riemannian distances d(gamma K, eK) for all elements."""
-        if self._distances is None:
-            self._distances = np.linalg.norm(self.chamber_matrix(), axis=1)
-        return self._distances
-
-
-def trust_radius(ball: OrbitBall) -> float:
-    """Largest radius at which metric counting over the ball is heuristically
-    complete: the minimum frontier distance (infinite for a fully enumerated
-    group).  Elements of longer word length may in principle lie closer, so
-    downstream fits treat this as a diagnostic, not a guarantee."""
-    if ball.max_word_length < 1:
-        raise ValueError("empty frontier: enumerate with max_word_length >= 1")
-    if ball.exhausted:
-        return math.inf
-    mask = ball.word_lengths == ball.max_word_length
-    return float(ball.distances()[mask].min())
 
 
 def enumerate_ball(gens: GeneratorSet, max_word_length: int,
@@ -375,7 +333,7 @@ def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitB
         index.append((hashes, at))
         if exact and len(index) > 2:
             index[-3] = None
-    return OrbitBall(spec, L, levels, "int" if exact else "float", exhausted)
+    return OrbitBall(spec, L, levels, exhausted)
 
 
 def _enumerate_generic(gens: GeneratorSet, L: int, cap: int,
@@ -408,4 +366,4 @@ def _enumerate_generic(gens: GeneratorSet, L: int, cap: int,
             exhausted = True
             break
         levels.append(new)
-    return OrbitBall(spec, L, levels, "obj", exhausted)
+    return OrbitBall(spec, L, [np.array(lvl, dtype=object) for lvl in levels], exhausted)

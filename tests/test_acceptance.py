@@ -18,6 +18,8 @@ from orbispec import (GeneratorSet, GroupElement, GroupSpec, build_root_system,
                       lambda0_two_sided_bounds, log_singular_values,
                       polyhedral_ball_volume, trust_radius)
 
+from orbispec.exponents import distance_table
+
 from conftest import random_sl3_words, sanov_generators
 
 SQRT2 = math.sqrt(2.0)
@@ -45,7 +47,8 @@ def sl3_samples():
 def congruence_ball_14():
     t0 = time.monotonic()
     ball = enumerate_ball(sanov_generators(), 14)
-    ball.distances()  # charge the Cartan pass to the build as well
+    # charge the Cartan pass to the build as well
+    distance_table(ball, build_root_system(ball.spec))
     return ball, time.monotonic() - t0
 
 
@@ -126,8 +129,8 @@ def test_criterion_4_polynomial_growth_endpoint():
     triple = exponent_triple(ball, rs)
     lam = lambda0_characterization(rs.rho_norm, triple.delta_second.value)
     # closed form N_R = 2 floor(R/sqrt(2)) + 1 against the enumerated counts
-    d = np.sort(ball.distances())
-    radii = np.arange(0.25, trust_radius(ball), 0.25)
+    d = np.sort(distance_table(ball, rs).d)
+    radii = np.arange(0.25, trust_radius(ball, rs), 0.25)
     counts = np.searchsorted(d, radii, side="right")
     closed = 2 * np.floor(radii / SQRT2) + 1
     _report(4, "cyclic diagonal subgroup: zero exponent, full spectral bottom",

@@ -164,7 +164,7 @@ def test_green_terms_bracketed_by_poincare_terms():
     spec = GroupSpec.sl(2)
     rs = build_root_system(spec)
     ball = enumerate_ball(sanov_generators(spec), 8)
-    h = ball.chamber_matrix()
+    h = exponents.relative_chamber_matrix(ball)
     d = np.linalg.norm(h, axis=1)
     keep = d >= 1.0
     d = d[keep]

@@ -11,7 +11,7 @@ from orbispec import (GroupElement, GroupSpec, KIND_MIXED, KIND_POLYHEDRAL,
                       exponent_triple, level_partial_sums, poincare_partial_sum,
                       GeneratorSet)
 
-from orbispec.exponents import completeness_radius
+from orbispec.exponents import completeness_radius, distance_table, relative_chamber_matrix
 
 from conftest import cyclic_hyperbolic_generator, sanov_generators
 
@@ -103,7 +103,6 @@ def test_summation_by_parts_bracket(sanov_rs):
     e^{-sR} = sum_gamma e^{-s ceil(d')} brackets the partial Poincare sum
     within [e^-s, e^s]."""
     ball = enumerate_ball(sanov_generators(), 8)
-    from orbispec.exponents import relative_chamber_matrix
     dprime = relative_chamber_matrix(ball) @ sanov_rs.rho / sanov_rs.rho_norm
     for s in (0.5, 1.0, 2.0):
         series = np.exp(-s * np.ceil(dprime)).sum()
@@ -271,7 +270,6 @@ def _based_ball_and_points(depth):
 def test_distance_table_matches_per_element_oracles(sanov_rs):
     """Each table entry is d(x, gamma y) and its polyhedral counterpart."""
     from orbispec.cartan import distance_polyhedral, distance_riemannian
-    from orbispec.exponents import distance_table
     ball, x, y = _based_ball_and_points(5)
     table = distance_table(ball, sanov_rs, x, y)
     assert table.d.shape == table.dprime.shape == (len(ball),)
@@ -282,9 +280,43 @@ def test_distance_table_matches_per_element_oracles(sanov_rs):
     assert table.shift == pytest.approx(distance_riemannian(x) + distance_riemannian(y),
                                         abs=1e-12)
     assert distance_table(ball, sanov_rs, x, y) is table
-    assert distance_table(ball, sanov_rs).d is ball.distances()
     with pytest.raises(ValueError):
         table.d[0] = 0.0
+
+
+def _product_ball():
+    spec = GroupSpec.product((2, 2))
+    a = GroupElement(spec, (((1, 2), (0, 1)), ((1, 0), (2, 1))))
+    b = GroupElement(spec, (((1, 0), (2, 1)), ((3, 2), (4, 3))))
+    return enumerate_ball(GeneratorSet.from_elements([a, b]), 5)
+
+
+def test_distance_table_rejects_root_system_of_another_group():
+    """SL(4) has the ambient dimension of SL(2) x SL(2) but other roots."""
+    ball = _product_ball()
+    with pytest.raises(ValueError, match="root system"):
+        poincare_partial_sum(ball, build_root_system(GroupSpec.sl(4)), KIND_POLYHEDRAL, 1.0)
+    assert ball.tables == {}
+    rs = build_root_system(ball.spec)
+    total = poincare_partial_sum(ball, rs, KIND_POLYHEDRAL, 1.0)
+    with pytest.raises(ValueError, match="root system"):
+        poincare_partial_sum(ball, build_root_system(GroupSpec.sl(4)), KIND_POLYHEDRAL, 1.0)
+    # root data depends on the blocks alone, not on the arithmetic mode
+    float_rs = build_root_system(GroupSpec.product((2, 2), "float"))
+    assert distance_table(ball, float_rs) is distance_table(ball, rs)
+
+
+def test_distance_table_cache_stays_clean_for_the_right_root_system():
+    """A refused call leaves nothing behind: the right root system then gets
+    the sum a fresh ball gives."""
+    ball = _product_ball()
+    rs = build_root_system(ball.spec)
+    with pytest.raises(ValueError):
+        distance_table(ball, build_root_system(GroupSpec.sl(4)))
+    assert poincare_partial_sum(ball, rs, KIND_POLYHEDRAL, 1.0) == \
+        poincare_partial_sum(_product_ball(), rs, KIND_POLYHEDRAL, 1.0)
+    dprime = relative_chamber_matrix(ball) @ rs.rho / rs.rho_norm
+    np.testing.assert_array_equal(distance_table(ball, rs).dprime, dprime)
 
 
 def test_one_chamber_rebuild_per_base_point_pair(sanov_rs, monkeypatch):

@@ -1,12 +1,15 @@
 """Orbit-ball enumeration: dedup exactness, closure, and trust radius."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from orbispec import (GeneratorSet, GroupElement, GroupSpec, NumericalError,
-                      ResourceLimitError, enumerate_ball, orbit, trust_radius)
+                      ResourceLimitError, build_root_system, enumerate_ball, orbit,
+                      trust_radius)
+from orbispec.exponents import distance_table, relative_chamber_matrix
 
 from conftest import cyclic_hyperbolic_generator, sanov_generators
 
@@ -23,7 +26,8 @@ def test_cyclic_ball_counts_and_trust():
     ball = enumerate_ball(cyclic_hyperbolic_generator(), 3)
     assert len(ball) == 7
     assert ball.growth_per_level == [1, 2, 2, 2]
-    assert trust_radius(ball) == pytest.approx(3 * SQRT2, abs=1e-9)
+    rs = build_root_system(ball.spec)
+    assert trust_radius(ball, rs) == pytest.approx(3 * SQRT2, abs=1e-9)
     assert ball.word_lengths[0] == 0
 
 
@@ -101,16 +105,18 @@ def test_ball_closed_under_stored_word_length():
 
 def test_cyclic_counting_matches_closed_form():
     ball = enumerate_ball(cyclic_hyperbolic_generator(), 12)
-    t = trust_radius(ball)
-    d = np.sort(ball.distances())
+    rs = build_root_system(ball.spec)
+    t = trust_radius(ball, rs)
+    d = np.sort(distance_table(ball, rs).d)
     for r in np.arange(0.25, t, 0.25):
         n_r = int(np.searchsorted(d, r, side="right"))
         assert n_r == 2 * math.floor(r / SQRT2) + 1
 
 
 def test_trust_radius_monotone_in_depth():
-    t6 = trust_radius(enumerate_ball(sanov_generators(), 6))
-    t7 = trust_radius(enumerate_ball(sanov_generators(), 7))
+    rs = build_root_system(GroupSpec.sl(2))
+    t6 = trust_radius(enumerate_ball(sanov_generators(), 6), rs)
+    t7 = trust_radius(enumerate_ball(sanov_generators(), 7), rs)
     assert t7 >= t6
     assert t6 > 0
 
@@ -119,14 +125,14 @@ def test_trust_radius_rejects_depth_zero():
     ball = enumerate_ball(sanov_generators(), 0)
     assert len(ball) == 1
     with pytest.raises(ValueError, match="frontier"):
-        trust_radius(ball)
+        trust_radius(ball, build_root_system(ball.spec))
 
 
 def test_trust_radius_infinite_when_exhausted():
     spec = GroupSpec.sl(2)
     a = GroupElement(spec, (((0, 1), (-1, 0)),))
     ball = enumerate_ball(GeneratorSet.from_elements([a]), 10)
-    assert math.isinf(trust_radius(ball))
+    assert math.isinf(trust_radius(ball, build_root_system(spec)))
 
 
 def test_memory_cap():
@@ -162,7 +168,7 @@ def test_bigint_fallback_matches_direct_multiplication():
     assert max(abs(x) for x in cur.flat_entries()) > 2**63
     # distances on such entries are rejected by the SVD conditioning guard
     with pytest.raises(NumericalError):
-        ball.distances()
+        distance_table(ball, build_root_system(spec))
 
 
 def test_float_quantized_dedup_collapses_close_generators():
@@ -180,9 +186,10 @@ def test_product_spec_ball():
     a = GroupElement(spec, (((1, 2), (0, 1)), ((1, 0), (0, 1))))
     ball = enumerate_ball(GeneratorSet.from_elements([a]), 3)
     assert ball.growth_per_level == [1, 2, 2, 2]
-    assert ball.chamber_matrix().shape == (7, 4)
+    chamber = relative_chamber_matrix(ball)
+    assert chamber.shape == (7, 4)
     # second factor stays at the identity: zero chamber block
-    np.testing.assert_allclose(ball.chamber_matrix()[:, 2:], 0.0, atol=1e-12)
+    np.testing.assert_allclose(chamber[:, 2:], 0.0, atol=1e-12)
 
 
 def test_empty_generating_set_gives_trivial_ball():
@@ -346,20 +353,59 @@ def test_exact_determinant_survives_large_entries():
     ball = enumerate_ball(GeneratorSet.from_elements([g]), 12)
     expect = [0.5 * math.acosh(sum(x * x for x in e.flat_entries()) / 2)
               for e in ball.iter_elements()]
-    np.testing.assert_allclose(ball.chamber_matrix()[:, 0], expect, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(relative_chamber_matrix(ball)[:, 0], expect, rtol=1e-15,
+                               atol=0)
 
 
 def test_chamber_matrix_keeps_no_float_copy_of_an_int_ball():
-    """An int ball converts its entries to float64 only while it projects
-    them: afterwards it holds the chamber matrix and no float copy."""
+    """An int ball converts its entries to float64 only while they are
+    projected: afterwards the chamber matrix is alive and no float copy."""
     import tracemalloc
     ball = enumerate_ball(sanov_generators(), 8)
     entries = sum(n * n for n in ball.spec.sizes)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        ball.chamber_matrix()
+        chamber = relative_chamber_matrix(ball)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    assert chamber.shape == (len(ball), 2)
     assert held < len(ball) * entries * 8
+
+
+def _rational_generators():
+    spec = GroupSpec.sl(2, "exact-rational")
+    a = GroupElement(spec, (((2, 0), (0, Fraction(1, 2))),))
+    b = GroupElement(spec, (((1, Fraction(1, 3)), (0, 1)),))
+    return GeneratorSet.from_elements([a, b])
+
+
+def test_rational_ball_elements_are_exact_products():
+    """Object storage hands back the exact Fraction products of the words."""
+    gens = _rational_generators()
+    ball = enumerate_ball(gens, 3)
+    frontier = [GroupElement.identity(gens.spec)]
+    words = {frontier[0].flat_entries(): 0}
+    for w in range(1, 4):
+        frontier = [g @ h for g in frontier for h in gens.elements]
+        for g in frontier:
+            words.setdefault(g.flat_entries(), w)
+    assert len(ball) == len(words)
+    for g in ball.iter_elements():
+        assert all(type(x) is Fraction for x in g.flat_entries())
+        assert words[g.flat_entries()] == g.word_length
+
+
+def test_rational_ball_float_image_converts_each_entry():
+    ball = enumerate_ball(_rational_generators(), 3)
+    expect = np.array([[float(x) for x in g.flat_entries()] for g in ball.iter_elements()])
+    assert ball.float_entry_matrix().tobytes() == expect.tobytes()
+
+
+def test_oversized_int_ball_has_no_float_image():
+    g = GroupElement(GroupSpec.sl(2), (((10**200, 1), (10**200 - 1, 1)),))
+    ball = enumerate_ball(GeneratorSet.from_elements([g]), 2)
+    assert ball.element(len(ball) - 1).word_length == 2
+    with pytest.raises(NumericalError, match="entries too large for a float image"):
+        ball.float_entry_matrix()

@@ -255,8 +255,7 @@ def green_series_diagnostic(ball: OrbitBall, rs: RootSystemData, zeta: float,
     np.subtract(log_base, terms, out=terms)
     np.exp(terms, out=terms)
     terms *= weight
-    increments = np.bincount(ball.word_lengths, weights=terms,
-                             minlength=len(ball.growth_per_level))
+    increments = ball.level_sums(terms)
     partial = np.cumsum(increments)
 
     positive = increments > 0

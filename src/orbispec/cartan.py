@@ -237,4 +237,7 @@ def mixed_from_parts(rho_norm: float, s: float | None, d_poly, d_riem):
     place that checks the mixing parameter s."""
     if s is None or s <= 0:
         raise ValueError(f"mixing parameter must be positive, got {s}")
-    return np.minimum(s, rho_norm) * d_poly + np.maximum(s - rho_norm, 0.0) * d_riem
+    # one fresh buffer for the result, which callers may overwrite
+    mixed = np.multiply(d_poly, np.minimum(s, rho_norm))
+    mixed += np.maximum(s - rho_norm, 0.0) * d_riem
+    return mixed

@@ -201,14 +201,18 @@ def counting_curve(ball: OrbitBall, rs: RootSystemData, kind: str,
                    radii: np.ndarray | None = None,
                    radii_step: float = DEFAULT_RADII_STEP,
                    include_torsion: bool = True) -> CountingCurve:
-    """Exact counts N_R = |{gamma : dist(xK, gamma yK) <= R}| over the ball."""
+    """Exact counts N_R = |{gamma : dist(xK, gamma yK) <= R}| over the ball.
+
+    Only the elements within the largest radius are sorted: on a ball far
+    past its trust radius that is a small share of it."""
     dist = distance_table(ball, rs, x, y).of_kind(kind, s)
     mask = _torsion_mask(ball, rs, include_torsion)
-    if mask is not None:
-        dist = dist[mask]
     comp = completeness_radius(ball, rs, kind, s, x, y)
     if radii is None:
-        top = comp if math.isfinite(comp) else float(dist.max(initial=0.0)) + radii_step
+        top = comp
+        if math.isinf(comp):  # a finite group: count past its farthest kept element
+            kept = True if mask is None else mask
+            top = float(np.max(dist, where=kept, initial=0.0)) + radii_step
         if top / radii_step > MAX_RADII:
             raise ResourceLimitError(f"counting to radius {top:.6g} in steps of "
                                      f"{radii_step:g} needs over {MAX_RADII} radii")
@@ -217,18 +221,33 @@ def counting_curve(ball: OrbitBall, rs: RootSystemData, kind: str,
             radii = np.array([radii_step])
     else:
         radii = np.asarray(radii, dtype=float)
+        if not np.all(np.isfinite(radii)):
+            raise ValueError("radii must be finite")
         if np.any(np.diff(radii) < 0):
             raise ValueError("radii must be sorted ascending")
-    counts = np.searchsorted(np.sort(dist), radii, side="right")
+    counts = np.searchsorted(np.sort(dist[_within(dist, radii, mask)]), radii, side="right")
     complete = bool(radii.size == 0 or radii[-1] <= comp)
     return CountingCurve(kind, s, radii, counts.astype(np.int64), comp, complete)
 
 
+def _within(dist: np.ndarray, radii: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """Mask of the kept elements (all, or those of the torsion mask) whose
+    distance is at most the largest radius: the only ones a count reads."""
+    keep = dist <= (radii[-1] if radii.size else -math.inf)
+    if mask is not None:
+        keep &= mask
+    return keep
+
+
 def _series_terms(ball, rs, kind, s, x, y) -> np.ndarray:
+    """exp(-s dist), or exp(-dist) for the mixed kind, in one fresh array."""
     if s <= 0:
         raise ValueError(f"series parameter must be positive, got {s}")
     rate = 1.0 if kind == KIND_MIXED else s
-    return np.exp(-rate * distance_table(ball, rs, x, y).of_kind(kind, s))
+    dist = distance_table(ball, rs, x, y).of_kind(kind, s)
+    # the mixed distance is already a fresh array; the others are the table's
+    terms = np.multiply(-rate, dist, out=dist if kind == KIND_MIXED else None)
+    return np.exp(terms, out=terms)
 
 
 def poincare_partial_sum(ball: OrbitBall, rs: RootSystemData, kind: str,
@@ -244,11 +263,9 @@ def poincare_partial_sum(ball: OrbitBall, rs: RootSystemData, kind: str,
 
 def level_partial_sums(ball: OrbitBall, rs: RootSystemData, kind: str,
                        s: float, x=None, y=None) -> np.ndarray:
-    """Cumulative partial sums of the Poincare series by word-length level."""
-    terms = _series_terms(ball, rs, kind, s, x, y)
-    per_level = np.bincount(ball.word_lengths, weights=terms,
-                            minlength=len(ball.growth_per_level))
-    return np.cumsum(per_level)
+    """Cumulative partial sums of the Poincare series by word-length level,
+    each level summed in element order by `OrbitBall.level_sums`."""
+    return np.cumsum(ball.level_sums(_series_terms(ball, rs, kind, s, x, y)))
 
 
 def _fit_window(r: np.ndarray, values: np.ndarray) -> tuple[float, float]:
@@ -304,7 +321,8 @@ def exponent_triple(ball: OrbitBall, rs: RootSystemData, x=None, y=None,
         M_R = sum_{d(gamma) <= R} exp(-||rho|| d_polyhedral(gamma)),
 
     fitted like a counting curve at delta's radii and clipped into the
-    bracket of the other two fits.
+    bracket of the other two fits.  Counts and sums read only the elements
+    within the last radius, whose sort is cheap on a large ball.
     """
     if ball.exhausted:
         zero = ExponentEstimate(0.0, (0.0, 0.0), 0.0, complete=True)
@@ -320,11 +338,11 @@ def exponent_triple(ball: OrbitBall, rs: RootSystemData, x=None, y=None,
     if delta_prime.value <= rs.rho_norm:
         delta_second = replace(delta_prime)
     else:
+        # the stable order of the elements within the last radius is the
+        # prefix of the whole ball's, so each sum is the whole ball's cumsum
         table = distance_table(ball, rs, x, y)
-        d, dprime = table.d, table.dprime
-        mask = _torsion_mask(ball, rs, include_torsion)
-        if mask is not None:
-            d, dprime = d[mask], dprime[mask]
+        keep = _within(table.d, curve_d.radii, _torsion_mask(ball, rs, include_torsion))
+        d, dprime = table.d[keep], table.dprime[keep]
         order = np.argsort(d, kind="stable")
         cum = np.zeros(len(d) + 1)  # M_R is 0 below the nearest orbit point
         np.cumsum(np.exp(-rs.rho_norm * dprime[order]), out=cum[1:])

@@ -150,6 +150,20 @@ class OrbitBall:
         for i in range(len(self)):
             yield self.element(i)
 
+    def level_sums(self, terms: np.ndarray) -> np.ndarray:
+        """Sum of one term per element over each word-length level,
+        overwriting `terms`.  Each level is a contiguous slice added in
+        element order from 0.0, bit for bit as np.bincount adds it, without
+        bincount's intp copy of the word lengths."""
+        sums = np.zeros(len(self.growth_per_level))
+        start = 0
+        for k, n in enumerate(self.growth_per_level):
+            if n:
+                seg = terms[start:start + n]
+                sums[k] += np.cumsum(seg, out=seg)[-1]
+            start += n
+        return sums
+
     def float_entry_matrix(self) -> np.ndarray:
         """Float64 image of the entries.  Exact balls convert on every call
         rather than keep a second (N, m) copy for the ball's lifetime."""

@@ -1,0 +1,107 @@
+"""Orbit counts pinned to an arithmetic count that uses no group words.
+
+An element g of SL(2,R) with singular values e^h, e^-h sits at Riemannian
+distance d = sqrt(2) h, and its squared Frobenius norm is 2 cosh(2h).  So
+N(R) over an arithmetic group is the number of its integer matrices with
+q = a^2 + b^2 + c^2 + d^2 <= 2 cosh(sqrt(2) R), which the oracle counts by
+solving ad - bc = 1 with the extended gcd for each coprime column (a, c)
+and walking the line of solutions while q stays in bound.  The Sanov group
+<[[1,2],[0,1]], [[1,0],[2,1]]> is exactly the set with b, c even and
+a = d = 1 mod 4.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from orbispec import (GeneratorSet, GroupElement, GroupSpec, KIND_RIEMANNIAN,
+                      build_root_system, counting_curve, enumerate_ball)
+from orbispec.exponents import trust_radius
+
+from conftest import sanov_generators
+
+
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with a u + b v = g = gcd(a, b) >= 0."""
+    if b == 0:
+        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
+    g, u, v = _ext_gcd(b, a % b)
+    return g, v, u - (a // b) * v
+
+
+def oracle_counts(radii, keep) -> np.ndarray:
+    """N(R) at each radius over the det-1 integer matrices (a, b, c, d) for
+    which keep(a, b, c, d) holds, in exact integer arithmetic."""
+    bounds = 2.0 * np.cosh(math.sqrt(2.0) * np.asarray(radii, dtype=float))
+    bound = float(bounds.max())
+    m = math.isqrt(int(bound))
+    norms = []
+    for a in range(-m, m + 1):
+        for c in range(-m, m + 1):
+            n = a * a + c * c
+            g, u, v = _ext_gcd(a, c)
+            if n > bound or g != 1:
+                continue
+            b0, d0 = -v, u  # a u + c v = 1, so a d0 - b0 c = 1
+            # the solutions are (b0 + k a, d0 + k c); q is convex in k with
+            # its integer minimum at the nearest integer to its vertex
+            k0 = (-2 * (a * b0 + c * d0) + n) // (2 * n)
+            for k, step in ((k0, 1), (k0 - 1, -1)):
+                while (q := n + (b0 + k * a) ** 2 + (d0 + k * c) ** 2) <= bound:
+                    if keep(a, b0 + k * a, c, d0 + k * c):
+                        norms.append(q)
+                    k += step
+    return np.searchsorted(np.sort(np.array(norms)), bounds, side="right")
+
+
+def _sanov(a, b, c, d):
+    return b % 2 == 0 and c % 2 == 0 and a % 4 == 1 and d % 4 == 1
+
+
+def _pin_below_trust_radius(ball, keep):
+    """Counts at every 0.25 step from 0 up to the trust radius equal the
+    oracle's; the step at 0 holds the elements at distance exactly zero."""
+    rs = build_root_system(ball.spec)
+    radii = np.arange(0.0, trust_radius(ball, rs), 0.25)
+    curve = counting_curve(ball, rs, KIND_RIEMANNIAN, radii=radii)
+    np.testing.assert_array_equal(curve.counts, oracle_counts(radii, keep))
+    return radii, curve.counts
+
+
+def test_oracle_counts_of_the_sanov_group():
+    got = oracle_counts(np.arange(1.0, 4.51, 0.5), _sanov)
+    np.testing.assert_array_equal(got, [1, 5, 5, 17, 33, 65, 133, 277])
+
+
+@pytest.mark.parametrize("depth", [8, 10, 12])
+def test_sanov_counts_match_the_oracle(depth):
+    ball = enumerate_ball(sanov_generators(), depth)
+    radii, _ = _pin_below_trust_radius(ball, _sanov)
+    assert radii[-1] >= 3.75
+    if depth == 12:  # its trust radius 4.4969 stops just short of 4.5
+        curve = counting_curve(ball, build_root_system(ball.spec), KIND_RIEMANNIAN,
+                               radii=np.arange(1.0, 4.51, 0.5))
+        np.testing.assert_array_equal(curve.counts, [1, 5, 5, 17, 33, 65, 133, 277])
+
+
+@pytest.mark.parametrize("depth", [8, 10, 12])
+def test_product_with_a_point_counts_match_the_oracle(depth):
+    """The SL(2)^2 group of acceptance criterion 5, the Sanov generators
+    times the identity, has the Sanov group's distances."""
+    spec = GroupSpec.product((2, 2))
+    eye = ((1, 0), (0, 1))
+    gens = GeneratorSet.from_elements([GroupElement(spec, (((1, 2), (0, 1)), eye)),
+                                       GroupElement(spec, (((1, 0), (2, 1)), eye))])
+    _pin_below_trust_radius(enumerate_ball(gens, depth), _sanov)
+
+
+def test_modular_group_counts_match_the_oracle():
+    """SL(2,Z) from S and T, counted where its word-length ball is complete;
+    +-I and +-S sit at distance zero."""
+    spec = GroupSpec.sl(2)
+    s = GroupElement(spec, (((0, -1), (1, 0)),))
+    t = GroupElement(spec, (((1, 1), (0, 1)),))
+    radii, counts = _pin_below_trust_radius(
+        enumerate_ball(GeneratorSet.from_elements([s, t]), 12), lambda *g: True)
+    assert radii[-1] >= 3.0 and counts[0] == 4

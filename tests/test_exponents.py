@@ -1,6 +1,7 @@
 """Counting curves, partial Poincare sums, and exponent fits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from orbispec import (GroupElement, GroupSpec, KIND_MIXED, KIND_POLYHEDRAL,
                       exponent_triple, level_partial_sums, poincare_partial_sum,
                       GeneratorSet)
 
-from orbispec.exponents import completeness_radius, distance_table, relative_chamber_matrix
+from orbispec.exponents import (KINDS, ZERO_DISTANCE, completeness_radius, distance_table,
+                                relative_chamber_matrix)
 
 from conftest import cyclic_hyperbolic_generator, sanov_generators
 
@@ -46,6 +48,15 @@ def test_counting_rejects_unsorted_radii(sanov_rs):
     ball = enumerate_ball(sanov_generators(), 2)
     with pytest.raises(ValueError, match="sorted"):
         counting_curve(ball, sanov_rs, KIND_RIEMANNIAN, radii=np.array([2.0, 1.0]))
+
+
+@pytest.mark.parametrize("radii", [[0.5, np.nan], [np.nan], [0.5, np.inf], [-np.inf, 0.5]])
+def test_counting_rejects_non_finite_radii(sanov_rs, radii):
+    """A NaN radius passes the sortedness check, and counting only within
+    the last radius would read no element at all."""
+    ball = enumerate_ball(sanov_generators(), 2)
+    with pytest.raises(ValueError, match="finite"):
+        counting_curve(ball, sanov_rs, KIND_RIEMANNIAN, radii=np.array(radii))
 
 
 def test_counting_monotone_and_complete_flag(sanov_rs):
@@ -382,3 +393,127 @@ def test_relative_chamber_matrix_matches_einsum_bytes(sanov_rs, monkeypatch):
         seen.clear()
         exponents.relative_chamber_matrix(ball, px, py)
         assert seen[0].tobytes() == reference(stack, px, py).tobytes()
+
+
+def _torsion_sanov_ball(depth):
+    """Gamma(2): the Sanov generators and -I, which sits at distance zero."""
+    spec = GroupSpec.sl(2)
+    minus = GroupElement(spec, (((-1, 0), (0, -1)),))
+    return enumerate_ball(GeneratorSet.from_elements(sanov_generators(spec).elements
+                                                     + (minus,)), depth)
+
+
+def _fit_case(case):
+    """(ball, x, include_torsion) of a named test case."""
+    if case == "sanov_at_x":
+        ball, x, _ = _based_ball_and_points(8)
+        return ball, x, True
+    if case == "product":
+        return _product_ball(), None, True
+    return _torsion_sanov_ball(8), None, False
+
+
+def _kept(ball, rs, include_torsion):
+    """The counted elements: all, or all but the non-identity ones at
+    distance zero."""
+    if include_torsion:
+        return np.ones(len(ball), dtype=bool)
+    return ~((distance_table(ball, rs).d < ZERO_DISTANCE) & (ball.word_lengths > 0))
+
+
+@pytest.mark.parametrize("case", ["sanov_at_x", "product", "torsion"])
+def test_counting_curve_equals_a_sort_of_the_whole_ball(case):
+    """Counting within the last radius gives the counts of a sort of every
+    kept element, at default radii, radii ending on an element's distance or
+    past the farthest element, and no radii."""
+    ball, x, include_torsion = _fit_case(case)
+    rs = build_root_system(ball.spec)
+    kept = _kept(ball, rs, include_torsion)
+    for kind, s in ((KIND_RIEMANNIAN, None), (KIND_POLYHEDRAL, None),
+                    (KIND_MIXED, 1.3 * rs.rho_norm)):
+        dist = np.sort(distance_table(ball, rs, x).of_kind(kind, s)[kept])
+        for radii in (None, np.linspace(0.0, dist[dist.size // 2], 9),
+                      np.linspace(0.0, dist[-1] + 1.0, 13), np.array([])):
+            curve = counting_curve(ball, rs, kind, s, x=x, radii=radii,
+                                   include_torsion=include_torsion)
+            assert curve.counts.dtype == np.int64
+            np.testing.assert_array_equal(
+                curve.counts, np.searchsorted(dist, curve.radii, side="right"))
+
+
+@pytest.mark.parametrize("case", ["sanov_at_x", "torsion"])
+def test_mixed_fit_equals_a_stable_sort_of_the_whole_ball(case):
+    """The weighted mixed count summed within the last radius is bit for
+    bit the cumsum over a stable argsort of every kept element."""
+    ball, x, include_torsion = _fit_case(case)
+    rs = build_root_system(ball.spec)
+    triple = exponent_triple(ball, rs, x=x, radii_step=0.1, include_torsion=include_torsion)
+    assert triple.delta_prime.value > rs.rho_norm  # the weighted count ran
+
+    curve_d = counting_curve(ball, rs, KIND_RIEMANNIAN, x=x, radii_step=0.1,
+                             include_torsion=include_torsion)
+    kept = _kept(ball, rs, include_torsion)
+    table = distance_table(ball, rs, x)
+    d, dprime = table.d[kept], table.dprime[kept]
+    order = np.argsort(d, kind="stable")
+    cum = np.zeros(len(d) + 1)
+    np.cumsum(np.exp(-rs.rho_norm * dprime[order]), out=cum[1:])
+    fit = estimate_exponent(replace(curve_d, counts=cum[np.searchsorted(
+        d[order], curve_d.radii, side="right")]))
+    lo, hi = sorted((triple.delta.value, triple.delta_prime.value))
+    got = triple.delta_second
+    assert got.value == min(max(rs.rho_norm + fit.value, lo), hi)
+    assert (got.window, got.residual, got.complete) == (fit.window, fit.residual, fit.complete)
+
+
+@pytest.mark.parametrize("case", ["sanov_at_x", "product", "torsion"])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("scale", [0.5, 1.0, 1.5])
+def test_level_partial_sums_equal_bincount_sums(case, kind, scale):
+    """Level sums of exp(-s dist), with the mixed distance blended as
+    min(s, ||rho||) d' + max(s - ||rho||, 0) d, match np.bincount's bit for
+    bit, for s below, at and above ||rho||."""
+    ball, x, _ = _fit_case(case)
+    rs = build_root_system(ball.spec)
+    table = distance_table(ball, rs, x)
+    s = scale * rs.rho_norm
+    if kind == KIND_MIXED:
+        rate, dist = 1.0, (np.minimum(s, rs.rho_norm) * table.dprime
+                           + np.maximum(s - rs.rho_norm, 0.0) * table.d)
+    else:
+        rate, dist = s, table.of_kind(kind)
+    want = np.cumsum(np.bincount(ball.word_lengths, weights=np.exp(-rate * dist),
+                                 minlength=len(ball.growth_per_level)))
+    assert np.array_equal(level_partial_sums(ball, rs, kind, s, x), want)
+
+
+@pytest.mark.parametrize("case", ["sanov_at_x", "product"])
+def test_green_partial_sums_equal_bincount_sums(case):
+    from orbispec import asymptotics, green_series_diagnostic
+    ball, x, _ = _fit_case(case)
+    rs = build_root_system(ball.spec)
+    table = distance_table(ball, rs, x)
+    for zeta in (0.25, 1.0):
+        got = green_series_diagnostic(ball, rs, zeta, x=x).partial_sums
+        weight, log_base = asymptotics._green_factors(table, rs)
+        terms = np.exp(log_base - zeta * table.d) * weight
+        want = np.cumsum(np.bincount(ball.word_lengths, weights=terms,
+                                     minlength=len(ball.growth_per_level)))
+        assert np.array_equal(got, want)
+
+
+def test_exponent_fit_allocates_under_two_bytes_per_element(sanov_rs):
+    """Past the distance table, a fit on the 118k-element L=10 ball sorts
+    and sums only the few hundred elements inside its fit radius; a sort of
+    the whole ball allocates 32 bytes per element."""
+    import tracemalloc
+    ball = enumerate_ball(sanov_generators(), 10)
+    distance_table(ball, sanov_rs)
+    tracemalloc.start()
+    try:
+        triple = exponent_triple(ball, sanov_rs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert triple.delta_prime.value > sanov_rs.rho_norm  # the weighted count ran
+    assert peak < 2 * len(ball)

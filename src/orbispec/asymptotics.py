@@ -194,8 +194,8 @@ def green_asymptotic(rs: RootSystemData, zeta: float, H) -> float:
     exp(-<rho, H> - zeta ||H||); below it the flat singularity
     ||H||^-(n-2), or log(1/||H||) when n = 2.
     """
-    if zeta <= 0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
+    if not 0 < zeta < math.inf:
+        raise ValueError(f"zeta must be finite and positive, got {zeta}")
     h = _coords(rs, H)
     norm = float(np.linalg.norm(h))
     if norm <= 0:
@@ -246,8 +246,8 @@ def green_series_diagnostic(ball: OrbitBall, rs: RootSystemData, zeta: float,
     or the recent level increments decay at a trend steeper than GREEN_TREND_TOL,
     'diverging' when they grow at that trend, and 'inconclusive' otherwise.
     """
-    if zeta <= 0:
-        raise ValueError(f"zeta must be positive, got {zeta}")
+    if not 0 < zeta < math.inf:
+        raise ValueError(f"zeta must be finite and positive, got {zeta}")
     table = distance_table(ball, rs, x, y)
     weight, log_base = _green_factors(table, rs)
     # weight * exp(log_base - zeta d), in one scratch array

@@ -13,7 +13,7 @@ which interpolates between the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 
@@ -90,7 +90,7 @@ class GroupElement:
 
     spec: GroupSpec
     blocks: tuple[tuple[tuple, ...], ...]
-    word_length: int | None = None
+    word_length: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.blocks) != len(self.spec.factors):
@@ -235,8 +235,8 @@ def distance_mixed(rs: RootSystemData, s: float, x: GroupElement,
 def mixed_from_parts(rho_norm: float, s: float | None, d_poly, d_riem):
     """Mixed distance from precomputed polyhedral/Riemannian values; the one
     place that checks the mixing parameter s."""
-    if s is None or s <= 0:
-        raise ValueError(f"mixing parameter must be positive, got {s}")
+    if s is None or not 0 < s < np.inf:
+        raise ValueError(f"mixing parameter must be finite and positive, got {s}")
     # one fresh buffer for the result, which callers may overwrite
     mixed = np.multiply(d_poly, np.minimum(s, rho_norm))
     mixed += np.maximum(s - rho_norm, 0.0) * d_riem

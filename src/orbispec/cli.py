@@ -73,30 +73,23 @@ exit codes: 0 success, 1 config or usage error, 2 unsupported group,
 
 @dataclass
 class JobConfig:
-    """Validated batch-job description."""
+    """Validated batch-job description, every field set by `load_config`."""
 
     spec: GroupSpec
     generators: list[GroupElement]
     max_word_length: int
     analyses: tuple[str, ...]
-    radii_step: float = DEFAULT_RADII_STEP
-    window_fraction: float = DEFAULT_WINDOW_FRACTION
-    base_x: GroupElement | None = None
-    base_y: GroupElement | None = None
-    max_elements: int = DEFAULT_MAX_ELEMENTS
-    mixed_s: float | None = None
-    green_zetas: list[float] | None = None
-    heat_times: tuple[float, ...] | list[float] = (0.5, 1.0, 2.0, 4.0, 8.0)
-    volume_radii_small: list[float] | None = None
-    volume_radii_large: list[float] | None = None
+    radii_step: float
+    window_fraction: float
+    base_x: GroupElement | None
+    base_y: GroupElement | None
+    max_elements: int
+    mixed_s: float | None
+    green_zetas: list[float] | None
+    heat_times: tuple[float, ...] | list[float]
+    volume_radii_small: tuple[float, ...] | list[float]
+    volume_radii_large: tuple[float, ...] | list[float]
     include_torsion: bool = False
-
-
-_KNOWN_KEYS = {
-    "group", "generators", "max_word_length", "analyses", "radii_step",
-    "window_fraction", "base_points", "max_elements", "mixed_s",
-    "green_zetas", "heat_times", "volume_radii_small", "volume_radii_large",
-}
 
 
 def _parse_element(spec: GroupSpec, blocks, what: str) -> GroupElement:
@@ -110,19 +103,59 @@ def _parse_element(spec: GroupSpec, blocks, what: str) -> GroupElement:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _positive(what: str, val) -> float:
+def _positive(what: str, val, spec=None) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)) \
             or not 0 < val <= sys.float_info.max:
         raise ConfigError(f"{what} must be a positive number, got {val!r}")
     return float(val)
 
 
+def _fraction(what: str, val, spec=None) -> float:
+    if _positive(what, val) > 1:
+        raise ConfigError(f"{what} must lie in (0, 1]")
+    return float(val)
+
+
+def _whole(what: str, val, spec=None) -> int:
+    if not _positive(what, val).is_integer():
+        raise ConfigError(f"{what} must be a positive integer, got {val!r}")
+    return int(val)
+
+
+def _positive_list(what: str, val, spec=None) -> list[float]:
+    if not isinstance(val, list) or not val:
+        raise ConfigError(f"{what} must be a non-empty list of positive numbers")
+    return [_positive(f"{what} entry", v) for v in val]
+
+
+def _base_points(what: str, val, spec: GroupSpec) -> tuple:
+    if not isinstance(val, dict) or set(val) - {"x", "y"}:
+        raise ConfigError(f"{what} must be an object with keys x and/or y")
+    return tuple(_parse_element(spec, val[k], f"base point {k}") if k in val else None
+                 for k in ("x", "y"))
+
+
+# Every optional config key: its parser, called as parse(key, value, spec),
+# which rejects JSON null, and the value the key takes when left out.
+_OPTIONAL_KEYS = {
+    "radii_step": (_positive, DEFAULT_RADII_STEP),
+    "window_fraction": (_fraction, DEFAULT_WINDOW_FRACTION),
+    "base_points": (_base_points, (None, None)),
+    "max_elements": (_whole, DEFAULT_MAX_ELEMENTS),
+    "mixed_s": (_positive, None),
+    "green_zetas": (_positive_list, None),
+    "heat_times": (_positive_list, (0.5, 1.0, 2.0, 4.0, 8.0)),
+    "volume_radii_small": (_positive_list, tuple(SMALL_RADII_DEFAULT.tolist())),
+    "volume_radii_large": (_positive_list, tuple(LARGE_RADII_DEFAULT.tolist())),
+}
+
+
 def load_config(path: str | Path, include_torsion: bool = False,
                 threads: int = 1) -> JobConfig:
-    """Parse and validate a JSON job config.
-
-    `threads` does nothing: `perfbench/job.py` passes `threads=1`, and the
-    next benchmark revision removes the keyword."""
+    """Parse and validate a JSON job config.  `_OPTIONAL_KEYS` gives the
+    optional keys, their parsing and defaults; null for one of them is an
+    error.  `threads` does nothing: `perfbench/job.py` passes `threads=1`,
+    and the next benchmark revision removes the keyword."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -131,7 +164,7 @@ def load_config(path: str | Path, include_torsion: bool = False,
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - {"group", "generators", "max_word_length", "analyses", *_OPTIONAL_KEYS}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
@@ -170,48 +203,12 @@ def load_config(path: str | Path, include_torsion: bool = False,
     if generators and max_word_length < 1:
         raise ConfigError("max_word_length must be >= 1 for orbit-dependent analyses")
 
-    max_elements = _positive("max_elements", raw.get("max_elements", DEFAULT_MAX_ELEMENTS))
-    if not max_elements.is_integer():
-        raise ConfigError(f"max_elements must be a positive integer, got {max_elements!r}")
-
-    base_x = base_y = None
-    base = raw.get("base_points")
-    if base is not None:
-        if not isinstance(base, dict) or set(base) - {"x", "y"}:
-            raise ConfigError("base_points must be an object with keys x and/or y")
-        if "x" in base:
-            base_x = _parse_element(spec, base["x"], "base point x")
-        if "y" in base:
-            base_y = _parse_element(spec, base["y"], "base point y")
-
-    def _positive_list(key):
-        val = raw.get(key)
-        if val is not None and (not isinstance(val, list) or not val):
-            raise ConfigError(f"{key} must be a non-empty list of positive numbers")
-        return None if val is None else [_positive(f"{key} entry", v) for v in val]
-
-    window_fraction = _positive("window_fraction",
-                                raw.get("window_fraction", JobConfig.window_fraction))
-    if window_fraction > 1:
-        raise ConfigError("window_fraction must lie in (0, 1]")
-    mixed_s = raw.get("mixed_s")
-    return JobConfig(
-        spec=spec,
-        generators=generators,
-        max_word_length=max_word_length,
-        analyses=tuple(analyses),
-        radii_step=_positive("radii_step", raw.get("radii_step", JobConfig.radii_step)),
-        window_fraction=window_fraction,
-        base_x=base_x,
-        base_y=base_y,
-        max_elements=int(max_elements),
-        mixed_s=None if mixed_s is None else _positive("mixed_s", mixed_s),
-        green_zetas=_positive_list("green_zetas"),
-        heat_times=_positive_list("heat_times") or JobConfig.heat_times,
-        volume_radii_small=_positive_list("volume_radii_small"),
-        volume_radii_large=_positive_list("volume_radii_large"),
-        include_torsion=include_torsion,
-    )
+    options = {key: parse(key, raw[key], spec) if key in raw else default
+               for key, (parse, default) in _OPTIONAL_KEYS.items()}
+    base_x, base_y = options.pop("base_points")
+    return JobConfig(spec=spec, generators=generators, max_word_length=max_word_length,
+                     analyses=tuple(analyses), base_x=base_x, base_y=base_y,
+                     include_torsion=include_torsion, **options)
 
 
 def _fmt(x) -> str:
@@ -275,11 +272,10 @@ def _partial_sums(config, rs, ball, triple, out) -> None:
 def _volume(config, rs, ball, triple, out) -> dict:
     if rs.rank > 3:
         raise NumericalError("volume quadrature supports rank <= 3")
-    small = config.volume_radii_small or SMALL_RADII_DEFAULT.tolist()
-    large = config.volume_radii_large or LARGE_RADII_DEFAULT.tolist()
     rows, fits = [], {}
     for family in ("polyhedral", "classical"):
-        for regime, radii in (("small", small), ("large", large)):
+        for regime, radii in (("small", config.volume_radii_small),
+                              ("large", config.volume_radii_large)):
             fit = fit_ball_volume(rs, family, regime, np.asarray(radii))
             fits[f"{family}_{regime}"] = {
                 "exponential_rate": fit.fitted_exponential_rate,

@@ -89,10 +89,11 @@ class ExponentTriple:
 def relative_chamber_matrix(ball: OrbitBall, x=None, y=None) -> np.ndarray:
     """Cartan projections of x^-1 gamma y over the ball (equivalently of
     y^-1 gamma^-1 x up to -w0, under which both distances are invariant)."""
+    x_inv = None if x is None else x.inverse().float_blocks()  # exact for exact data
     pieces = []
     for k, m in enumerate(ball.block_stacks()):
-        if x is not None:
-            a = np.linalg.inv(x.float_blocks()[k])
+        if x_inv is not None:
+            a = x_inv[k]
             # np.einsum("ij,njk->nik", a, m) bit for bit, in a third of its
             # time: each entry adds its products over j = 0, 1, ... to +0.0,
             # so products that are all -0.0 sum to +0.0 as in einsum
@@ -189,7 +190,8 @@ def _torsion_mask(ball: OrbitBall, rs: RootSystemData,
         return None
     table = distance_table(ball, rs)
     if "torsion" not in table.derived:
-        drop = (table.d < ZERO_DISTANCE) & (ball.word_lengths > 0)
+        drop = table.d < ZERO_DISTANCE
+        drop[0] = False  # row 0 is the identity
         keep = ~drop
         keep.flags.writeable = False
         table.derived["torsion"] = keep if drop.any() else None
@@ -205,6 +207,8 @@ def counting_curve(ball: OrbitBall, rs: RootSystemData, kind: str,
 
     Only the elements within the largest radius are sorted: on a ball far
     past its trust radius that is a small share of it."""
+    if not 0 < radii_step < math.inf:
+        raise ValueError(f"radii_step must be finite and positive, got {radii_step}")
     dist = distance_table(ball, rs, x, y).of_kind(kind, s)
     mask = _torsion_mask(ball, rs, include_torsion)
     comp = completeness_radius(ball, rs, kind, s, x, y)
@@ -241,8 +245,8 @@ def _within(dist: np.ndarray, radii: np.ndarray, mask: np.ndarray | None) -> np.
 
 def _series_terms(ball, rs, kind, s, x, y) -> np.ndarray:
     """exp(-s dist), or exp(-dist) for the mixed kind, in one fresh array."""
-    if s <= 0:
-        raise ValueError(f"series parameter must be positive, got {s}")
+    if not 0 < s < math.inf:
+        raise ValueError(f"series parameter must be finite and positive, got {s}")
     rate = 1.0 if kind == KIND_MIXED else s
     dist = distance_table(ball, rs, x, y).of_kind(kind, s)
     # the mixed distance is already a fresh array; the others are the table's

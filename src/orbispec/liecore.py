@@ -69,11 +69,14 @@ class GroupSpec:
 
     @property
     def block_slices(self) -> tuple[slice, ...]:
-        out, off = [], 0
-        for n in self.sizes:
-            out.append(slice(off, off + n))
-            off += n
-        return tuple(out)
+        ends = itertools.accumulate(self.sizes)
+        return tuple(slice(end - n, end) for n, end in zip(self.sizes, ends))
+
+    @property
+    def entry_slices(self) -> tuple[slice, ...]:
+        """Block k of a flat entry row: a run of n_k * n_k entries, row-major."""
+        ends = itertools.accumulate(n * n for n in self.sizes)
+        return tuple(slice(end - n * n, end) for n, end in zip(self.sizes, ends))
 
     @property
     def entry_count(self) -> int:

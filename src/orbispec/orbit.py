@@ -38,27 +38,19 @@ _FLOAT_QUANTUM = 1e-9
 
 def _flat_mul_factory(spec: GroupSpec):
     """Multiplier for block-diagonal matrices stored as flat entry tuples."""
-    index_pairs = []
-    off = 0
-    for n in spec.sizes:
-        for i in range(n):
-            for j in range(n):
-                index_pairs.append(tuple((off + i * n + k, off + k * n + j)
-                                         for k in range(n)))
-        off += n * n
+    index_pairs = [tuple((sl.start + i * n + k, sl.start + k * n + j) for k in range(n))
+                   for n, sl in zip(spec.sizes, spec.entry_slices)
+                   for i in range(n) for j in range(n)]
+
     def mul(a, b):
         return tuple(sum(a[p] * b[q] for p, q in pairs) for pairs in index_pairs)
     return mul
 
 
 def _element_from_flat(spec: GroupSpec, flat, word_length=None) -> GroupElement:
-    blocks = []
-    off = 0
-    for n in spec.sizes:
-        rows = tuple(tuple(flat[off + i * n + j] for j in range(n)) for i in range(n))
-        blocks.append(rows)
-        off += n * n
-    return GroupElement(spec, tuple(blocks), word_length)
+    blocks = tuple(tuple(flat[sl][i * n:(i + 1) * n] for i in range(n))
+                   for n, sl in zip(spec.sizes, spec.entry_slices))
+    return GroupElement(spec, blocks, word_length)
 
 
 def _quantized_keys(rows: np.ndarray) -> np.ndarray:
@@ -124,8 +116,10 @@ class OrbitBall:
     """Deduplicated orbit ball up to a word length, with per-level counts.
 
     The entries are one (N, m) array: int64, float64, or dtype=object for
-    rationals and oversized integers.  The ball holds no Cartan data; the
-    distance table of each base-point pair is cached in `tables`.
+    rationals and oversized integers, stored level by level from the
+    identity in row 0.  `growth_per_level` is the one record of the levels:
+    the ball keeps no per-element word lengths.  The ball holds no Cartan
+    data; the distance table of each base-point pair is cached in `tables`.
     """
 
     def __init__(self, spec: GroupSpec, max_word_length: int, levels, exhausted: bool):
@@ -134,17 +128,15 @@ class OrbitBall:
         self.growth_per_level = [len(lvl) for lvl in levels]
         self.exhausted = exhausted
         self._entries = np.vstack(levels)
-        self.word_lengths = np.repeat(
-            np.arange(len(levels), dtype=np.int32), self.growth_per_level
-        )
         self.tables: dict = {}
 
     def __len__(self) -> int:
-        return int(self.word_lengths.size)
+        return len(self._entries)
 
     def element(self, i: int) -> GroupElement:
-        flat = tuple(self._entries[i].tolist())
-        return _element_from_flat(self.spec, flat, int(self.word_lengths[i]))
+        i = range(len(self))[i]  # a negative index counts from the end
+        level = np.searchsorted(np.cumsum(self.growth_per_level), i, side="right")
+        return _element_from_flat(self.spec, self._entries[i].tolist(), int(level))
 
     def iter_elements(self):
         for i in range(len(self)):
@@ -174,11 +166,8 @@ class OrbitBall:
 
     def block_stacks(self) -> list[np.ndarray]:
         mat = self.float_entry_matrix()
-        out, off = [], 0
-        for n in self.spec.sizes:
-            out.append(mat[:, off:off + n * n].reshape(-1, n, n))
-            off += n * n
-        return out
+        return [mat[:, sl].reshape(-1, n, n)
+                for n, sl in zip(self.spec.sizes, self.spec.entry_slices)]
 
 
 def enumerate_ball(gens: GeneratorSet, max_word_length: int,
@@ -207,16 +196,15 @@ def enumerate_ball(gens: GeneratorSet, max_word_length: int,
 def _block_products(spec: GroupSpec, frontier: np.ndarray, gen_rows: np.ndarray) -> np.ndarray:
     """All frontier x generator products as flat rows, frontier-major."""
     nf, ng = len(frontier), len(gen_rows)
-    pieces, off = [], 0
-    for n in spec.sizes:
-        fb = frontier[:, off:off + n * n].reshape(nf, n, n)
-        gb = gen_rows[:, off:off + n * n].reshape(ng, n, n)
+    pieces = []
+    for n, sl in zip(spec.sizes, spec.entry_slices):
+        fb = frontier[:, sl].reshape(nf, n, n)
+        gb = gen_rows[:, sl].reshape(ng, n, n)
         if frontier.dtype == np.int64:
             prod = np.matmul(fb[:, None], gb)  # exact, and much faster than einsum on ints
         else:
             prod = np.einsum("fij,gjk->fgik", fb, gb)  # float bits depend on this order
         pieces.append(prod.reshape(nf * ng, n * n))
-        off += n * n
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
 
 

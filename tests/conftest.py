@@ -46,6 +46,11 @@ def cyclic_hyperbolic_generator():
     return GeneratorSet.from_elements([GroupElement(spec, (((e, 0.0), (0.0, 1.0 / e)),))])
 
 
+def word_lengths(ball) -> np.ndarray:
+    """The word length of each element of a ball, built from its level sizes."""
+    return np.repeat(np.arange(len(ball.growth_per_level)), ball.growth_per_level)
+
+
 @pytest.fixture(scope="session")
 def sanov_ball_8():
     return enumerate_ball(sanov_generators(), 8)

@@ -211,6 +211,18 @@ def test_element_validation_and_arithmetic():
     assert (q @ q.inverse()).is_identity
 
 
+def test_equality_ignores_word_length():
+    """Two elements with one matrix are equal and hash alike, whatever word
+    length an orbit ball recorded for either."""
+    spec = GroupSpec.sl(2)
+    identity = GroupElement.identity(spec)
+    assert identity.word_length == 0
+    assert identity == GroupElement(spec, (((1, 0), (0, 1)),))
+    g = GroupElement(spec, (((1, 2), (0, 1)),), word_length=1)
+    h = GroupElement(spec, (((1, 2), (0, 1)),))
+    assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+
+
 def test_relative_position_mismatched_specs():
     with pytest.raises(ValueError):
         relative_position(GroupElement.identity(GroupSpec.sl(2)),

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import orbispec
-from orbispec import exponents
+from orbispec import cli, exponents
 from orbispec.cli import ANALYSES, main
 
 SQRT2 = 2.0 ** 0.5
@@ -192,14 +192,15 @@ def test_bad_json_and_unknown_keys_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path, sanov_config(max_word_length=1))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     # values that are not positive numbers, or not positive integers; empty
-    # lists; an unknown arithmetic mode
+    # lists; an unknown arithmetic mode; null for any optional key
     for bad in ({"mixed_s": -1}, {"mixed_s": "abc"}, {"green_zetas": [0.0]},
                 {"radii_step": "x"}, {"heat_times": [1.0, -2.0]},
                 {"volume_radii_large": ["7"]}, {"window_fraction": "x"},
                 {"max_elements": 0}, {"max_elements": 2.5}, {"analyses": [["orbit"]]},
                 {"analyses": 5}, {"generators": [], "max_word_length": True},
                 {"heat_times": []}, {"volume_radii_small": []}, {"volume_radii_large": []},
-                {"group": {"factors": [{"type": "sl", "n": 2}], "arithmetic": "bogus"}}):
+                {"group": {"factors": [{"type": "sl", "n": 2}], "arithmetic": "bogus"}},
+                *({key: None} for key in cli._OPTIONAL_KEYS)):
         capsys.readouterr()
         cfg = write_config(tmp_path, sanov_config(**bad))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1, bad
@@ -222,6 +223,15 @@ def test_help_lists_every_analysis(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     assert " ".join(ANALYSES) in capsys.readouterr().out
+
+
+def test_help_names_every_config_key(capsys):
+    """A key added to the config table without help text fails here."""
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    for key in ["group", "generators", "max_word_length", "analyses", *cli._OPTIONAL_KEYS]:
+        assert key in out, key
 
 
 def test_torsion_flag_changes_counting(tmp_path):

@@ -9,13 +9,13 @@ import pytest
 from orbispec import (GroupElement, GroupSpec, KIND_MIXED, KIND_POLYHEDRAL,
                       KIND_RIEMANNIAN, build_root_system, counting_curve,
                       delta_second_bisection, enumerate_ball, estimate_exponent,
-                      exponent_triple, level_partial_sums, poincare_partial_sum,
-                      GeneratorSet)
+                      exponent_triple, green_series_diagnostic, level_partial_sums,
+                      poincare_partial_sum, GeneratorSet)
 
 from orbispec.exponents import (KINDS, ZERO_DISTANCE, completeness_radius, distance_table,
                                 relative_chamber_matrix)
 
-from conftest import cyclic_hyperbolic_generator, sanov_generators
+from conftest import cyclic_hyperbolic_generator, sanov_generators, word_lengths
 
 SQRT2 = math.sqrt(2.0)
 
@@ -354,6 +354,75 @@ def test_one_chamber_rebuild_per_base_point_pair(sanov_rs, monkeypatch):
     assert calls == [(x, y), (None, None), (x, None)]
 
 
+def test_base_point_is_inverted_exactly(sanov_rs):
+    """x = M^6 has entries near 5.5e4: the float LU inverse of x is off in
+    the last digits and moved d by 1.9e-7 over <M>; the exact inverse of an
+    integer x gives each element's own distance."""
+    from orbispec.cartan import distance_riemannian
+    spec = GroupSpec.sl(2)
+    m = GroupElement(spec, (((3, 8), (1, 3)),))
+    ball = enumerate_ball(GeneratorSet.from_elements([m]), 12)
+    x = GroupElement(spec, (((19601, 55440), (6930, 19601)),))
+    assert x == m @ m @ m @ m @ m @ m
+    want = [distance_riemannian(g, x) for g in ball.iter_elements()]
+    np.testing.assert_allclose(distance_table(ball, sanov_rs, x).d, want, rtol=0, atol=1e-12)
+
+
+def test_one_table_for_an_element_and_its_parsed_copy(sanov_rs):
+    """A ball element carries its word length and a matrix parsed from a
+    config does not; both name one base point and share one table."""
+    ball = enumerate_ball(sanov_generators(), 4)
+    element = ball.element(5)
+    parsed = GroupElement(ball.spec, element.blocks)
+    assert (element.word_length, parsed.word_length) == (2, None)
+    distance_table(ball, sanov_rs, element)
+    assert distance_table(ball, sanov_rs, parsed) is distance_table(ball, sanov_rs, element)
+    assert len(ball.tables) == 1
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.25, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda ball, rs, v: counting_curve(ball, rs, KIND_RIEMANNIAN, radii_step=v),
+    lambda ball, rs, v: poincare_partial_sum(ball, rs, KIND_POLYHEDRAL, v),
+    lambda ball, rs, v: level_partial_sums(ball, rs, KIND_MIXED, v),
+    lambda ball, rs, v: green_series_diagnostic(ball, rs, v),
+], ids=["counting_curve", "poincare_partial_sum", "level_partial_sums",
+        "green_series_diagnostic"])
+def test_series_and_radii_parameters_must_be_finite_and_positive(sanov_rs, call, bad):
+    """A zero, negative, NaN or infinite radii_step, s or zeta is refused
+    rather than giving a ZeroDivisionError, an empty curve or NaN sums."""
+    ball = enumerate_ball(sanov_generators(), 3)
+    with pytest.raises(ValueError, match="finite and positive"):
+        call(ball, sanov_rs, bad)
+
+
+@pytest.mark.parametrize("include_torsion, count", [(True, 4), (False, 1)])
+def test_default_radii_of_a_finite_group(sanov_rs, include_torsion, count):
+    """<S> has order 4 and every element fixes the base point: the default
+    radii stop one step past the farthest kept element, at distance 0."""
+    s = GroupElement(GroupSpec.sl(2), (((0, -1), (1, 0)),))
+    ball = enumerate_ball(GeneratorSet.from_elements([s]), 3)
+    assert ball.exhausted
+    curve = counting_curve(ball, sanov_rs, KIND_RIEMANNIAN, include_torsion=include_torsion)
+    np.testing.assert_array_equal(curve.radii, [0.25])
+    np.testing.assert_array_equal(curve.counts, [count])
+    assert curve.complete
+
+
+def test_default_radii_at_completeness_radius_zero(sanov_rs):
+    """A base point farther out than the trust radius leaves no complete
+    radius: the curve holds one radius with no count, and no fit can run."""
+    ball = enumerate_ball(sanov_generators(), 4)
+    x = GroupElement(GroupSpec.sl(2), (((89, 55), (144, 89)),))
+    curve = counting_curve(ball, sanov_rs, KIND_RIEMANNIAN, x=x)
+    assert curve.completeness_radius == 0.0
+    np.testing.assert_array_equal(curve.radii, [0.25])
+    np.testing.assert_array_equal(curve.counts, [0])
+    assert not curve.complete
+    with pytest.raises(ValueError, match="need at least 6 samples"):
+        exponent_triple(ball, sanov_rs, x=x)
+
+
 def test_relative_chamber_matrix_matches_einsum_bytes(sanov_rs, monkeypatch):
     """x^-1 gamma y is formed bit for bit as np.einsum forms it, on a Sanov
     ball at x, y and both, and on a float stack full of signed zeros, where
@@ -363,7 +432,7 @@ def test_relative_chamber_matrix_matches_einsum_bytes(sanov_rs, monkeypatch):
 
     def reference(stack, bx, by):
         if bx is not None:
-            stack = np.einsum("ij,njk->nik", np.linalg.inv(bx.float_blocks()[0]), stack)
+            stack = np.einsum("ij,njk->nik", bx.inverse().float_blocks()[0], stack)
         if by is not None:
             stack = np.einsum("nij,jk->nik", stack, by.float_blocks()[0])
         return stack
@@ -418,7 +487,7 @@ def _kept(ball, rs, include_torsion):
     distance zero."""
     if include_torsion:
         return np.ones(len(ball), dtype=bool)
-    return ~((distance_table(ball, rs).d < ZERO_DISTANCE) & (ball.word_lengths > 0))
+    return ~((distance_table(ball, rs).d < ZERO_DISTANCE) & (word_lengths(ball) > 0))
 
 
 @pytest.mark.parametrize("case", ["sanov_at_x", "product", "torsion"])
@@ -482,7 +551,7 @@ def test_level_partial_sums_equal_bincount_sums(case, kind, scale):
                            + np.maximum(s - rs.rho_norm, 0.0) * table.d)
     else:
         rate, dist = s, table.of_kind(kind)
-    want = np.cumsum(np.bincount(ball.word_lengths, weights=np.exp(-rate * dist),
+    want = np.cumsum(np.bincount(word_lengths(ball), weights=np.exp(-rate * dist),
                                  minlength=len(ball.growth_per_level)))
     assert np.array_equal(level_partial_sums(ball, rs, kind, s, x), want)
 
@@ -497,7 +566,7 @@ def test_green_partial_sums_equal_bincount_sums(case):
         got = green_series_diagnostic(ball, rs, zeta, x=x).partial_sums
         weight, log_base = asymptotics._green_factors(table, rs)
         terms = np.exp(log_base - zeta * table.d) * weight
-        want = np.cumsum(np.bincount(ball.word_lengths, weights=terms,
+        want = np.cumsum(np.bincount(word_lengths(ball), weights=terms,
                                      minlength=len(ball.growth_per_level)))
         assert np.array_equal(got, want)
 

@@ -144,4 +144,5 @@ def test_group_spec_validation():
     spec = GroupSpec.product((2, 3))
     assert spec.ambient_dim == 5
     assert spec.block_slices == (slice(0, 2), slice(2, 5))
+    assert spec.entry_slices == (slice(0, 4), slice(4, 13))
     assert spec.entry_count == 13

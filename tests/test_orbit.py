@@ -28,7 +28,7 @@ def test_cyclic_ball_counts_and_trust():
     assert ball.growth_per_level == [1, 2, 2, 2]
     rs = build_root_system(ball.spec)
     assert trust_radius(ball, rs) == pytest.approx(3 * SQRT2, abs=1e-9)
-    assert ball.word_lengths[0] == 0
+    assert ball.element(0).word_length == 0
 
 
 def test_free_group_counts_sanov():
@@ -409,3 +409,30 @@ def test_oversized_int_ball_has_no_float_image():
     assert ball.element(len(ball) - 1).word_length == 2
     with pytest.raises(NumericalError, match="entries too large for a float image"):
         ball.float_entry_matrix()
+
+
+def test_int64_ball_continues_on_big_ints(monkeypatch):
+    """<[[3,8],[1,3]]> outgrows int64 partway to word length 30: the int64
+    levels seed one generic walk on exact integers, which gives the levels
+    of a generic walk from scratch."""
+    gens = GeneratorSet.from_elements([GroupElement(GroupSpec.sl(2), (((3, 8), (1, 3)),))])
+    generic, seeded = orbit._enumerate_generic, []
+
+    def spy(*args, seed_levels=None):
+        seeded.append(seed_levels is not None)
+        return generic(*args, seed_levels=seed_levels)
+
+    monkeypatch.setattr(orbit, "_enumerate_generic", spy)
+    ball = enumerate_ball(gens, 30)
+    assert seeded == [True]
+    assert ball._entries.dtype == object
+    assert ball.growth_per_level == [1] + [2] * 30
+    fresh = generic(gens, 30, 10**6)
+    assert ball_key_set(ball) == ball_key_set(fresh)
+    words = {g.flat_entries(): g.word_length for g in fresh.iter_elements()}
+    assert all(words[g.flat_entries()] == g.word_length for g in ball.iter_elements())
+
+
+def test_generic_walk_enforces_element_cap():
+    with pytest.raises(ResourceLimitError, match="exceeds 20 elements at word length 3"):
+        enumerate_ball(_rational_generators(), 4, max_elements=20)

@@ -73,92 +73,76 @@ def cartan_density(rs: RootSystemData, H) -> float:
     return val
 
 
-class _ChamberIntegrator:
-    """Nested adaptive quadrature over the closed chamber in extreme-ray
-    coordinates H = sum c_i u_i, c >= 0 (unit fundamental-weight rays)."""
+def _chamber_integral(rs: RootSystemData, r: float, upper) -> float:
+    """Nested adaptive quadrature of the Cartan density over the closed
+    chamber in extreme-ray coordinates H = sum c_i u_i, c >= 0 (unit
+    fundamental-weight rays), cut at radius r.  upper(prefix) bounds the
+    next coordinate given the outer ones, outermost first."""
+    if not 0 < r < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {r}")
+    if rs.rank > 3:
+        raise ValueError(f"quadrature supports rank <= 3, got rank {rs.rank}")
+    # scipy is imported here, by the quadrature alone, so importing the
+    # package and every other analysis never loads it
+    from scipy.integrate import nquad
 
-    def __init__(self, rs: RootSystemData):
-        if rs.rank > 3:
-            raise ValueError(f"quadrature supports rank <= 3, got rank {rs.rank}")
-        self.rs = rs
-        self.rays = np.vstack(rs.chamber_rays)          # (ell, dim)
-        self.gram = self.rays @ self.rays.T             # (ell, ell)
-        self.root_coeffs = np.array([
-            [float(alpha @ u) for u in rs.chamber_rays]
-            for alpha in rs.positive_roots
-        ])                                              # (nroots, ell)
-        self.rho_coeffs = np.array([float(rs.rho @ u) for u in rs.chamber_rays])
-        self._evals = 0
+    root_coeffs = np.array([
+        [float(alpha @ u) for u in rs.chamber_rays]
+        for alpha in rs.positive_roots
+    ])                                                  # (nroots, ell)
+    evals = 0
 
-    def _density(self, c: tuple[float, ...]) -> float:
-        self._evals += 1
-        if self._evals > QUAD_EVAL_CAP:
+    # nquad passes the coordinates innermost first; both functions reverse
+    # them, so the sums run in the same order as the nesting
+    def density(*c) -> float:
+        nonlocal evals
+        evals += 1
+        if evals > QUAD_EVAL_CAP:
             raise ResourceLimitError(
                 f"quadrature exceeded {QUAD_EVAL_CAP} density evaluations"
             )
-        pairings = self.root_coeffs @ np.asarray(c)
-        return float(np.prod(np.sinh(pairings)))
+        return float(np.prod(np.sinh(root_coeffs @ np.asarray(c[::-1]))))
 
-    def polyhedral(self, r: float) -> float:
-        """Integral of the density over {<rho, H> <= ||rho|| r}."""
-        budget = self.rs.rho_norm * r
+    def limits(*outer) -> tuple[float, float]:
+        return 0.0, max(0.0, upper(outer[::-1]))
 
-        def limit(prefix):
-            used = float(self.rho_coeffs[: len(prefix)] @ np.asarray(prefix)) if prefix else 0.0
-            return (budget - used) / self.rho_coeffs[len(prefix)]
-
-        return self._nested(limit, ())
-
-    def classical(self, r: float) -> float:
-        """Integral of the density over {||H|| <= r}."""
-        r2 = r * r
-
-        def limit(prefix):
-            k = len(prefix)
-            p = np.asarray(prefix)
-            a = self.gram[k, k]
-            b = 2.0 * float(self.gram[:k, k] @ p) if k else 0.0
-            c0 = float(p @ self.gram[:k, :k] @ p) - r2 if k else -r2
-            disc = b * b - 4.0 * a * c0
-            if disc <= 0:
-                return 0.0
-            return (-b + math.sqrt(disc)) / (2.0 * a)
-
-        return self._nested(limit, ())
-
-    def _nested(self, limit, prefix):
-        # scipy is imported here, by the quadrature alone, so importing the
-        # package and every other analysis never loads it
-        from scipy.integrate import quad
-
-        hi = limit(prefix)
-        if hi <= 0:
-            return 0.0
-        last = len(prefix) == self.rs.rank - 1
-        if last:
-            f = lambda c: self._density(prefix + (c,))
-        else:
-            f = lambda c: self._nested(limit, prefix + (c,))
-        # inner integrals run tighter so nesting errors do not compound
-        eps = QUAD_EPSREL * 0.01 ** (self.rs.rank - 1 - len(prefix))
-        val, _ = quad(f, 0.0, hi, epsrel=eps, limit=200)
-        return val
+    # inner integrals run tighter so nesting errors do not compound
+    opts = [{"epsrel": QUAD_EPSREL * 0.01**i, "limit": 200} for i in range(rs.rank)]
+    return nquad(density, [limits] * rs.rank, opts=opts)[0]
 
 
 def polyhedral_ball_volume(rs: RootSystemData, r: float) -> float:
     """Volume (constant-1 normalization) of the polyhedral ball of radius r,
     i.e. the density integral over the chamber cut by <rho, H> <= ||rho|| r."""
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
-    return _ChamberIntegrator(rs).polyhedral(r)
+    budget = rs.rho_norm * r
+    rho_coeffs = np.array([float(rs.rho @ u) for u in rs.chamber_rays])
+
+    def upper(prefix):
+        used = float(rho_coeffs[: len(prefix)] @ np.asarray(prefix)) if prefix else 0.0
+        return (budget - used) / rho_coeffs[len(prefix)]
+
+    return _chamber_integral(rs, r, upper)
 
 
 def classical_ball_volume(rs: RootSystemData, r: float) -> float:
     """Volume (constant-1 normalization) of the Riemannian ball of radius r,
     i.e. the density integral over the chamber cut by ||H|| <= r."""
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
-    return _ChamberIntegrator(rs).classical(r)
+    rays = np.vstack(rs.chamber_rays)                   # (ell, dim)
+    gram = rays @ rays.T                                # (ell, ell)
+    r2 = r * r
+
+    def upper(prefix):
+        k = len(prefix)
+        p = np.asarray(prefix)
+        a = gram[k, k]
+        b = 2.0 * float(gram[:k, k] @ p) if k else 0.0
+        c0 = float(p @ gram[:k, :k] @ p) - r2 if k else -r2
+        disc = b * b - 4.0 * a * c0
+        if disc <= 0:
+            return 0.0
+        return (-b + math.sqrt(disc)) / (2.0 * a)
+
+    return _chamber_integral(rs, r, upper)
 
 
 def fit_ball_volume(rs: RootSystemData, which: str = "polyhedral",
@@ -291,8 +275,8 @@ def heat_bound(rs: RootSystemData, case: str, *, t: float, delta_second: float,
     delta_second - ||rho|| < s1 < s2 < ||rho||; case 'iii' needs
     s > delta_second, eps > 0, and the two diagonal partial sums.
     """
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"time must be finite and positive, got {t}")
     n = rs.dim_x
     rho = rs.rho_norm
     base = t ** (-n / 2.0)
@@ -323,10 +307,10 @@ def heat_bound(rs: RootSystemData, case: str, *, t: float, delta_second: float,
             raise ValueError("case 'iii' needs eps, psecond_x and psecond_y")
         if not delta_second < 2.0 * rho:
             raise ValueError(f"case 'iii' needs delta_second < 2||rho||, got {delta_second}")
-        if s is None or s <= delta_second:
-            raise ValueError(f"case 'iii' needs s > delta_second, got s={s}")
-        if eps <= 0:
-            raise ValueError(f"case 'iii' needs eps > 0, got {eps}")
+        if s is None or not 0 < s < math.inf or s <= delta_second:
+            raise ValueError(f"case 'iii' needs finite s > max(delta_second, 0), got s={s}")
+        if not 0 < eps < math.inf:
+            raise ValueError(f"case 'iii' needs finite eps > 0, got {eps}")
         rate = rho**2 - (delta_second - rho) ** 2 - 2.0 * eps
         return base * math.exp(-rate * t) * math.sqrt(psecond_x) * math.sqrt(psecond_y)
     raise ValueError(f"unknown heat-bound case {case!r}")

@@ -26,7 +26,7 @@ from .exponents import (DEFAULT_RADII_STEP, DEFAULT_WINDOW_FRACTION, KIND_MIXED,
                         KIND_POLYHEDRAL, KIND_RIEMANNIAN, counting_curve,
                         delta_second_bisection, exponent_triple, level_partial_sums,
                         poincare_partial_sum, trust_radius)
-from .liecore import ARITHMETIC_MODES, GroupSpec, build_root_system
+from .liecore import ARITHMETIC_MODES, Factor, GroupSpec, build_root_system
 from .orbit import DEFAULT_MAX_ELEMENTS, GeneratorSet, enumerate_ball
 from .spectrum import consistency_check
 
@@ -174,16 +174,13 @@ def load_config(path: str | Path, include_torsion: bool = False,
     factors = group["factors"]
     if not isinstance(factors, list):
         raise ConfigError("group.factors must be a list")
-    ns = []
     for f in factors:
-        if not isinstance(f, dict) or f.get("type") != "sl" \
-                or not isinstance(f.get("n"), int):
+        if not isinstance(f, dict):
             raise UnsupportedGroupError(f"unsupported factor {f!r}")
-        ns.append(f["n"])
     arithmetic = group.get("arithmetic", "exact-int")
     if arithmetic not in ARITHMETIC_MODES:
         raise ConfigError(f"unknown arithmetic {arithmetic!r}; choose from {ARITHMETIC_MODES}")
-    spec = GroupSpec.product(ns, arithmetic)
+    spec = GroupSpec(tuple(Factor(f.get("type"), f.get("n")) for f in factors), arithmetic)
 
     gens_raw = raw.get("generators", [])
     if not isinstance(gens_raw, list):

@@ -9,8 +9,8 @@ from scipy.integrate import quad
 from orbispec import (GroupSpec, build_root_system, cartan_density,
                       classical_ball_volume, enumerate_ball, fit_ball_volume,
                       green_asymptotic, green_series_diagnostic, heat_bound,
-                      polyhedral_ball_volume)
-from orbispec import exponents
+                      polyhedral_ball_volume, ResourceLimitError)
+from orbispec import asymptotics, exponents
 
 from conftest import sanov_generators, word_lengths
 
@@ -99,6 +99,26 @@ def test_volume_quadrature_rank_cap():
     rs4 = build_root_system(GroupSpec.product((2, 2, 2, 2), "float"))
     with pytest.raises(ValueError, match="rank"):
         polyhedral_ball_volume(rs4, 1.0)
+
+
+@pytest.mark.parametrize("ns,r,want", [
+    ((3,), 2.0, (16.316116470321795, 13.000760939695285)),
+    ((2, 2), 4.0, (2236.2180709530116, 1131.8418653960605)),
+    ((2, 2, 2), 1.0, (0.14506636341686194, 0.07533017161524204)),
+    ((4,), 1.0, (0.007246274870454207, 0.005409644878325744)),
+], ids=["sl3", "sl2^2", "sl2^3", "sl4"])
+def test_volumes_pinned_to_the_bit(ns, r, want):
+    """The quadrature's tolerances, nesting and summation order fix every
+    bit of a volume, and volumes.csv prints them; a change to any of the
+    three moves these values."""
+    rs = build_root_system(GroupSpec.product(ns, "float"))
+    assert (polyhedral_ball_volume(rs, r), classical_ball_volume(rs, r)) == want
+
+
+def test_quadrature_evaluation_cap(rs3, monkeypatch):
+    monkeypatch.setattr(asymptotics, "QUAD_EVAL_CAP", 50)
+    with pytest.raises(ResourceLimitError, match="quadrature exceeded 50 density evaluations"):
+        polyhedral_ball_volume(rs3, 2.0)
 
 
 def test_green_small_branch(rs2, rs3):
@@ -292,3 +312,26 @@ def test_heat_bound_parameter_validation(rs2):
                    psecond_x=1.0, psecond_y=1.0)
     with pytest.raises(ValueError):
         heat_bound(rs2, "nope", t=1.0, delta_second=0.0)
+
+
+CASE_I = dict(delta_second=0.2, s=0.5, psecond=1.0)
+CASE_III = dict(delta_second=0.2, s=0.5, eps=0.05, psecond_x=1.0, psecond_y=1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rs: heat_bound(rs, "i", t=math.nan, **CASE_I),
+    lambda rs: heat_bound(rs, "i", t=math.inf, **CASE_I),
+    lambda rs: heat_bound(rs, "iii", t=1.0, **dict(CASE_III, s=math.nan)),
+    lambda rs: heat_bound(rs, "iii", t=1.0, **dict(CASE_III, s=math.inf)),
+    lambda rs: heat_bound(rs, "iii", t=1.0, **dict(CASE_III, eps=math.nan)),
+    lambda rs: heat_bound(rs, "iii", t=1.0, **dict(CASE_III, eps=math.inf)),
+    lambda rs: polyhedral_ball_volume(rs, math.nan),
+    lambda rs: classical_ball_volume(rs, math.nan),
+    lambda rs: polyhedral_ball_volume(rs, math.inf),
+    lambda rs: fit_ball_volume(rs, "polyhedral", "small", radii=[0.1, math.nan]),
+], ids=["i-t-nan", "i-t-inf", "iii-s-nan", "iii-s-inf", "iii-eps-nan", "iii-eps-inf",
+        "polyhedral-nan", "classical-nan", "polyhedral-inf", "fit-nan"])
+def test_non_finite_inputs_rejected(rs2, call):
+    """NaN passes every `<= 0` check, so each input must be required finite."""
+    with pytest.raises(ValueError, match="finite"):
+        call(rs2)

@@ -106,6 +106,17 @@ def test_volume_green_heatbound_analyses(tmp_path):
     assert rate == pytest.approx(2 / SQRT2, abs=0.1)  # 2 * ||rho|| for SL(2)
 
 
+def test_window_fraction_from_config(tmp_path):
+    cfg = write_config(tmp_path, sanov_config(max_word_length=10, radii_step=0.1,
+                                              window_fraction=0.75))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["parameters"]["window_fraction"] == 0.75
+    for kind in ("delta", "delta_second", "delta_prime"):
+        assert report["exponents"][kind]["window"] == pytest.approx([3.15, 4.2]), kind
+
+
 def test_heatbound_rows_below_the_endpoint(tmp_path):
     """A convergent-regime group (delta_second < ||rho||) produces case i
     and case iii rows; at the lattice endpoint no case applies."""
@@ -135,14 +146,30 @@ def test_malformed_generator_exits_1(tmp_path, capsys):
     assert "generator 1" in err
 
 
-def test_unsupported_group_exits_2(tmp_path):
+@pytest.mark.parametrize("factors", [
+    [{"type": "sp", "n": 4}], [{"type": "so", "n": 3}], [{"n": 2}],
+    [{"type": "sl", "n": True}], [{"type": "sl", "n": 2.0}], [{"type": "sl", "n": 1}],
+    [], [3],
+], ids=["sp", "so", "no-type", "n-true", "n-float", "n-1", "empty", "not-an-object"])
+def test_unsupported_group_exits_2(tmp_path, factors):
     cfg = write_config(tmp_path, {
-        "group": {"factors": [{"type": "sp", "n": 4}]},
+        "group": {"factors": factors},
         "generators": [],
         "max_word_length": 0,
         "analyses": ["lambda0"],
     })
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_volume_rank_cap_exits_4(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "group": {"factors": [{"type": "sl", "n": 2}] * 4},
+        "generators": [],
+        "max_word_length": 0,
+        "analyses": ["volume"],
+    })
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert "volume quadrature supports rank <= 3" in capsys.readouterr().err
 
 
 def test_resource_cap_exits_3(tmp_path):
@@ -199,6 +226,7 @@ def test_bad_json_and_unknown_keys_exit_1(tmp_path, capsys):
                 {"max_elements": 0}, {"max_elements": 2.5}, {"analyses": [["orbit"]]},
                 {"analyses": 5}, {"generators": [], "max_word_length": True},
                 {"heat_times": []}, {"volume_radii_small": []}, {"volume_radii_large": []},
+                {"window_fraction": 1.5},
                 {"group": {"factors": [{"type": "sl", "n": 2}], "arithmetic": "bogus"}},
                 *({key: None} for key in cli._OPTIONAL_KEYS)):
         capsys.readouterr()

@@ -164,9 +164,11 @@ def log_singular_values(stack: np.ndarray, det: float | None = None) -> np.ndarr
     `known_det`), since ad - bc in float64 cancels once entries pass ~1e8.
     """
     stack = np.asarray(stack, dtype=float)
-    if not np.all(np.isfinite(stack)):
+    # two reductions and no stack-sized copy: NaN propagates through both
+    hi, lo = stack.max(initial=0.0), stack.min(initial=0.0)
+    if not (np.isfinite(hi) and np.isfinite(lo)):
         raise NumericalError("non-finite matrix entries")
-    if np.abs(stack).max(initial=0.0) > MAX_FLOAT_ENTRY:
+    if max(hi, -lo) > MAX_FLOAT_ENTRY:
         raise NumericalError(
             f"matrix entries exceed {MAX_FLOAT_ENTRY:g}; reduce the word length"
         )

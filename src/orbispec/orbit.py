@@ -14,6 +14,20 @@ rows within every equal-hash group and on every hash hit; a level where two
 different rows share a hash is deduplicated by sorting whole rows.  Rational
 and oversized-integer inputs fall back to a dictionary-based walk on exact
 flat tuples.
+
+For each frontier row the enumerator keeps the inverse of its last letter,
+the generator by which the row was first reached, permuted with the level.
+From level 2 on, a row's product with that inverse is its parent, always
+old, and is never formed, so a frontier row yields |S| - 1 candidates (all
+|S| when some generator's inverse is not found in the set by its key).  In
+float mode that product is the parent up to rounding, which the
+full-history check would have found old unless the rounding moved it into
+another quantum cell.  Candidates are formed, keyed and hashed _BLOCK_ROWS
+rows at a time into one compressed candidate array, frontier-major and
+generator-ascending; full key rows are formed only for the rows compared.
+A candidate thus costs its m entries and its 8-byte hash for the level,
+plus about four 8-byte indices while the level is deduplicated; float keys
+(2m int64 words) and product temporaries live for one block only.
 """
 
 from __future__ import annotations
@@ -34,6 +48,9 @@ DEFAULT_MAX_ELEMENTS = 10_000_000
 _INT64_SAFE = 2**62
 
 _FLOAT_QUANTUM = 1e-9
+
+# candidate rows formed, keyed and hashed at a time
+_BLOCK_ROWS = 1 << 16
 
 
 def _flat_mul_factory(spec: GroupSpec):
@@ -198,12 +215,14 @@ def _block_products(spec: GroupSpec, frontier: np.ndarray, gen_rows: np.ndarray)
     nf, ng = len(frontier), len(gen_rows)
     pieces = []
     for n, sl in zip(spec.sizes, spec.entry_slices):
-        fb = frontier[:, sl].reshape(nf, n, n)
+        fb = frontier[:, sl].reshape(nf, 1, n, n)
         gb = gen_rows[:, sl].reshape(ng, n, n)
         if frontier.dtype == np.int64:
-            prod = np.matmul(fb[:, None], gb)  # exact, and much faster than einsum on ints
+            prod = np.matmul(fb, gb)  # exact, and much faster than einsum on ints
         else:
-            prod = np.einsum("fij,gjk->fgik", fb, gb)  # float bits depend on this order
+            # np.einsum("fij,gjk->fgik") bit for bit, and faster: each entry
+            # adds its products over j = 0, 1, ... to +0.0
+            prod = sum(fb[..., j, None] * gb[:, None, j] for j in range(n))
         pieces.append(prod.reshape(nf * ng, n * n))
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
 
@@ -219,36 +238,85 @@ def _row_hashes(keys: np.ndarray) -> np.ndarray:
     return h
 
 
-def _fresh_rows(keys: np.ndarray, known, known_keys) -> tuple[np.ndarray, np.ndarray]:
-    """First occurrences of the distinct rows of `keys` that no known set
-    holds: candidate indices and row hashes, in ascending hash order.  `known`
-    lists (sorted hashes, fetch) pairs, fetch(i) giving the key rows behind
-    sorted positions i.  Rows are compared in full within equal-hash groups and
-    on hash hits; if two different rows share a hash, the level is deduplicated
-    by a row sort against known_keys() instead."""
-    h = _row_hashes(keys)
+def _candidates(spec: GroupSpec, frontier: np.ndarray, gen_rows: np.ndarray,
+                skip: np.ndarray | None, keys_of) -> tuple[np.ndarray, np.ndarray]:
+    """Products of the frontier with the generators, frontier-major and
+    generator-ascending, leaving out generator skip[f] for frontier row f,
+    with the hash of each product's key.  Products, keys and hashes are
+    formed _BLOCK_ROWS products at a time and compressed straight into the
+    one candidate array."""
+    ng = len(gen_rows)
+    per_row = ng if skip is None else ng - 1
+    cand = np.empty((len(frontier) * per_row, frontier.shape[1]), dtype=frontier.dtype)
+    h = np.empty(len(cand), dtype=np.uint64)
+    step = max(_BLOCK_ROWS // ng, 1)
+    for lo in range(0, len(frontier), step):
+        prod = _block_products(spec, frontier[lo:lo + step], gen_rows)
+        at = slice(lo * per_row, (lo + step) * per_row)
+        if skip is None:
+            cand[at] = prod
+        else:
+            keep = np.arange(ng) != skip[lo:lo + step, None]
+            np.compress(keep.ravel(), prod, axis=0, out=cand[at])
+        del prod
+        h[at] = _row_hashes(keys_of(cand[at]))
+    return cand, h
+
+
+def _hash_groups(h: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Sort `h` in place; return the first candidate of each equal-hash
+    group, the group hashes, and whether a group holds different rows.  Its
+    candidate-length temporaries are freed on return."""
     order = np.argsort(h)
-    h = h[order]
+    h[...] = h[order]
     head = np.r_[True, h[1:] != h[:-1]]
     repeat = np.flatnonzero(~head)
-    clash = not np.array_equal(np.take(keys, order[repeat], axis=0),
-                               np.take(keys, order[repeat - 1], axis=0))
+    clash = not np.array_equal(rows(order[repeat]), rows(order[repeat - 1]))
     groups = np.flatnonzero(head)
-    first, h = np.minimum.reduceat(order, groups), h[groups]
+    return np.minimum.reduceat(order, groups), h[groups], clash
+
+
+def _fresh_rows(h: np.ndarray, rows, known, known_keys) -> tuple[np.ndarray, np.ndarray]:
+    """First occurrences of the distinct candidates that no known set holds:
+    candidate indices and row hashes, in ascending hash order.  `h` holds the
+    candidates' row hashes and is sorted in place; rows(i) gives the key rows
+    of candidates i.  `known` lists (sorted hashes, fetch) pairs, fetch(i)
+    giving the key rows behind sorted positions i.  Rows are compared in full
+    within equal-hash groups and on hash hits; if two different rows share a
+    hash, the level is deduplicated by a row sort against known_keys()
+    instead."""
+    count = len(h)
+    first, h, clash = _hash_groups(h, rows)
     fresh = np.ones(len(first), dtype=bool)
     for sorted_h, fetch in known:
-        at = np.minimum(np.searchsorted(sorted_h, h), len(sorted_h) - 1)
+        at = np.searchsorted(sorted_h, h)
+        np.minimum(at, len(sorted_h) - 1, out=at)
         hit = sorted_h[at] == h
-        clash |= not np.array_equal(np.take(keys, first[hit], axis=0), fetch(at[hit]))
+        clash |= not np.array_equal(rows(first[hit]), fetch(at[hit]))
         fresh &= ~hit
     if not clash:
         return first[fresh], h[fresh]
-    ref = known_keys()
+    ref, keys = known_keys(), rows(np.arange(count))
     _, first = np.unique(np.vstack([ref, keys]), axis=0, return_index=True)
     first = first[first >= len(ref)] - len(ref)
     h = _row_hashes(np.take(keys, first, axis=0))
     order = np.argsort(h)
     return first[order], h[order]
+
+
+def _inverse_index(gens: GeneratorSet, gen_rows: np.ndarray, keys_of) -> np.ndarray | None:
+    """Position in the generating set of each generator's inverse, found by
+    its key.  None if some inverse's key is not a generator's, if a float
+    inverse fails GroupElement's determinant check, or if the one generator
+    is its own inverse: skipping it would leave no candidates."""
+    try:
+        inverses = [g.inverse().flat_entries() for g in gens.elements]
+    except ValueError:
+        return None
+    inv_rows = np.array(inverses, dtype=gen_rows.dtype).reshape(gen_rows.shape)
+    where = {key: i for i, key in enumerate(map(tuple, keys_of(gen_rows).tolist()))}
+    found = [where.get(key) for key in map(tuple, keys_of(inv_rows).tolist())]
+    return None if None in found or len(found) < 2 else np.array(found, dtype=np.intp)
 
 
 def _lex_order(rows: np.ndarray) -> np.ndarray:
@@ -292,11 +360,14 @@ def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitB
     gen_rows = gen_rows.reshape(len(gens.elements), spec.entry_count)
     gen_max = int(np.abs(gen_rows).max()) if gen_rows.size else 0
     n_max = max(spec.sizes)
+    inverse = _inverse_index(gens, gen_rows, keys_of)
 
     identity = np.array([GroupElement.identity(spec).flat_entries()], dtype=dtype)
     levels = [identity]
     # per level: its sorted row hashes and the level row behind each
     index = [(_row_hashes(keys_of(identity)), np.zeros(1, dtype=np.intp))]
+    # per frontier row: the generator whose product is the row's parent
+    skip = None
     total = 1
     exhausted = False
     for w in range(1, L + 1):
@@ -308,13 +379,14 @@ def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitB
             # entries outgrow the int64 fast path; continue on exact big ints
             return _enumerate_generic(gens, L, cap,
                                       seed_levels=[lvl.tolist() for lvl in levels])
-        cand = _block_products(spec, frontier, gen_rows)
+        cand, h = _candidates(spec, frontier, gen_rows, skip, keys_of)
         # float rounding noise does not respect word length: check every level
         known = range(max(len(levels) - 2, 0) if exact else 0, len(levels))
         fetch = [(index[k][0], lambda i, k=k: keys_of(np.take(levels[k], index[k][1][i], axis=0)))
                  for k in known]
-        first, hashes = _fresh_rows(keys_of(cand), fetch,
+        first, hashes = _fresh_rows(h, lambda i: keys_of(np.take(cand, i, axis=0)), fetch,
                                     lambda: keys_of(np.vstack([levels[k] for k in known])))
+        del h
         if len(first) == 0:
             exhausted = True
             break
@@ -335,6 +407,14 @@ def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitB
         index.append((hashes, at))
         if exact and len(index) > 2:
             index[-3] = None
+        if inverse is not None and w < L:
+            # the last letter of each new row; its inverse leads back
+            first = first[order]
+            per_row = len(gen_rows) if skip is None else len(gen_rows) - 1
+            letter = first % per_row
+            if skip is not None:
+                letter += letter >= skip[first // per_row]
+            skip = inverse[letter]
     return OrbitBall(spec, L, levels, exhausted)
 
 

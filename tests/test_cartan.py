@@ -235,3 +235,17 @@ def test_entry_cap_rejected():
         log_singular_values(big)
     with pytest.raises(NumericalError):
         log_singular_values(np.array([[[np.nan, 0.0], [0.0, 1.0]]]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("bad, message", [(np.nan, "non-finite"), (np.inf, "non-finite"),
+                                          (-np.inf, "non-finite"), (-2e15, "exceed")],
+                         ids=["nan", "+inf", "-inf", "-2e15"])
+def test_entry_checks_on_either_sign(n, bad, message):
+    """The checks see one bad entry anywhere in the stack, negative ones
+    included, and an empty stack passes them."""
+    stack = np.broadcast_to(np.eye(n), (4, n, n)).copy()
+    stack[2, n - 1, 0] = bad
+    with pytest.raises(NumericalError, match=message):
+        log_singular_values(stack)
+    assert log_singular_values(np.empty((0, n, n))).shape == (0, n)

@@ -286,6 +286,28 @@ def _float_rotation():
     return GeneratorSet.from_elements([GroupElement(spec, (((c, -s), (s, c)),))])
 
 
+def _first_occurrence_levels(gens, L):
+    """Float levels by a plain walk on one-block generators: every frontier x
+    generator product, by np.einsum, kept in candidate order where its
+    quantized key is new."""
+    n = gens.spec.sizes[0]
+    gen_blocks = np.array([g.flat_entries() for g in gens.elements]).reshape(-1, n, n)
+    levels = [np.eye(n).reshape(1, n * n)]
+    seen = {tuple(orbit._quantized_keys(levels[0])[0].tolist())}
+    for _ in range(L):
+        cand = np.einsum("fij,gjk->fgik", levels[-1].reshape(-1, n, n), gen_blocks)
+        cand = cand.reshape(-1, n * n)
+        keep = []
+        for i, key in enumerate(map(tuple, orbit._quantized_keys(cand).tolist())):
+            if key not in seen:
+                seen.add(key)
+                keep.append(i)
+        if not keep:
+            break
+        levels.append(cand[keep])
+    return levels
+
+
 def test_float_levels_keep_first_occurrence_order(monkeypatch):
     """Each float level holds the candidates whose key no earlier level
     holds, in the order the candidates first occur.  On a 0.4 quantum the
@@ -296,19 +318,106 @@ def test_float_levels_keep_first_occurrence_order(monkeypatch):
         monkeypatch.setattr(orbit, "_FLOAT_QUANTUM", quantum)
         gens = make_gens()
         ball = enumerate_ball(gens, L)
-        levels = _levels(ball)
-        gen_rows = np.array([g.flat_entries() for g in gens.elements], dtype=float)
-        seen = {tuple(orbit._quantized_keys(levels[0])[0].tolist())}
-        for prev, level in zip(levels[:-1], levels[1:]):
-            cand = orbit._block_products(ball.spec, prev, gen_rows)
-            keep = []
-            for i, key in enumerate(map(tuple, orbit._quantized_keys(cand).tolist())):
-                if key not in seen:
-                    seen.add(key)
-                    keep.append(i)
-            np.testing.assert_array_equal(level, cand[keep])
+        want = _first_occurrence_levels(gens, L)
+        assert [lvl.tobytes() for lvl in _levels(ball)] == [lvl.tobytes() for lvl in want]
     assert ball.growth_per_level == [1, 2, 2, 1, 1]
     assert ball.exhausted
+
+
+@pytest.mark.parametrize("sizes", [(3,), (2, 3)], ids=["sl3", "sl2xsl3"])
+def test_float_block_products_match_einsum_bit_for_bit(sizes):
+    """Float products add each entry's terms over j in order to +0.0, as
+    np.einsum("fij,gjk->fgik") does: the bits are einsum's, over entries
+    from 1e-3 to 1e9 of either sign and rows and columns of +0.0 and -0.0."""
+    spec = GroupSpec.product(sizes, "float")
+    rng = np.random.default_rng(5)
+
+    def entries(count):
+        x = 10.0 ** rng.uniform(-3, 9, size=(count, spec.entry_count))
+        return x * rng.choice([-1.0, 1.0], size=x.shape)
+
+    frontier, gen_rows = entries(40), entries(7)
+    for n, sl in zip(spec.sizes, spec.entry_slices):
+        frontier[:8, sl.start:sl.start + n] = 0.0  # block row 0
+        frontier[8:16, sl.stop - n:sl.stop] = -0.0  # block row n - 1
+        gen_rows[:2, sl.start:sl.stop:n] = 0.0  # block column 0
+        gen_rows[2:4, sl.start + 1:sl.stop:n] = -0.0  # block column 1
+    want = np.concatenate(
+        [np.einsum("fij,gjk->fgik", frontier[:, sl].reshape(-1, n, n),
+                   gen_rows[:, sl].reshape(-1, n, n)).reshape(-1, n * n)
+         for n, sl in zip(spec.sizes, spec.entry_slices)], axis=1)
+    got = orbit._block_products(spec, frontier, gen_rows)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_float_enumeration_peak_below_two_level_key_arrays(monkeypatch):
+    """Keys and hashes are formed a block at a time.  With 1024-row blocks
+    the L=9 float ball is enumerated within twice the size of the int64 key
+    array that its last level's candidates would need all at once, and the
+    blocks change no bit of the ball."""
+    import tracemalloc
+    gens, L = _sym2_float_generators(), 9
+    ref = enumerate_ball(gens, L)
+    monkeypatch.setattr(orbit, "_BLOCK_ROWS", 1024)
+    tracemalloc.start()
+    try:
+        ball = enumerate_ball(gens, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    frontier = ball.growth_per_level[L - 1]
+    key_array = frontier * len(gens.elements) * 2 * ball.spec.entry_count * 8
+    assert peak < 2 * key_array
+    assert ball.float_entry_matrix().tobytes() == ref.float_entry_matrix().tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [orbit._BLOCK_ROWS, 64])
+def test_parent_products_are_never_formed(block_rows, monkeypatch):
+    """From level 2 on a row's product with the inverse of its last letter
+    is its parent: Sanov's L=8 ball hashes |S| - 1 candidates per frontier
+    row, however the rows fall into blocks, and is still the ball of the
+    dictionary walk."""
+    gens, L = sanov_generators(), 8
+    hashed = []
+
+    def counting(keys):
+        hashed.append(len(keys))
+        return row_hashes(keys)
+
+    row_hashes = orbit._row_hashes
+    monkeypatch.setattr(orbit, "_row_hashes", counting)
+    monkeypatch.setattr(orbit, "_BLOCK_ROWS", block_rows)
+    ball = enumerate_ball(gens, L)
+    growth, size = ball.growth_per_level, len(gens.elements)
+    # the identity's own hash, level 1 from all |S| products, then |S| - 1
+    assert sum(hashed) == 1 + size + (size - 1) * sum(growth[1:L])
+    oracle = orbit._enumerate_generic(gens, L, orbit.DEFAULT_MAX_ELEMENTS)
+    assert growth == oracle.growth_per_level
+    for got, want in zip(_levels(ball), _levels(oracle)):
+        assert {tuple(r) for r in got.tolist()} == {tuple(r) for r in want.tolist()}
+
+
+@pytest.mark.parametrize("entries, quantum, L", [
+    ((1.7, 0.3, 0.9), 1e-17, 6),
+    ((702471.6059460046, 82.45371109486837, 79279.29200841639), orbit._FLOAT_QUANTUM, 2),
+], ids=["bit-keys", "inverse-off-determinant"])
+def test_float_set_without_found_inverses_skips_nothing(entries, quantum, L, monkeypatch):
+    """When some generator's inverse matches no generator's key, or cannot
+    be formed, nothing is skipped and the ball is the plain walk's.  On a
+    1e-17 quantum the keys are the float bits, and inverting the first
+    generator's inverse misses it by one bit; there the products' rounding
+    noise lands on new keys.  The second generator's inverse inverts to
+    determinant 1 - 1.1e-9, outside GroupElement's tolerance."""
+    spec = GroupSpec.sl(2, "float")
+    a, b, c = entries
+    gens = GeneratorSet.from_elements([GroupElement(spec, (((a, b), (c, (1 + b * c) / a)),))])
+    monkeypatch.setattr(orbit, "_FLOAT_QUANTUM", quantum)
+    rows = np.array([g.flat_entries() for g in gens.elements])
+    assert orbit._inverse_index(gens, rows, orbit._quantized_keys) is None
+    ball = enumerate_ball(gens, L)
+    want = _first_occurrence_levels(gens, L)
+    assert [lvl.tobytes() for lvl in _levels(ball)] == [lvl.tobytes() for lvl in want]
 
 
 @pytest.mark.parametrize("bound", [3, 2**20, 2**40, 2**61,

@@ -154,6 +154,13 @@ def known_det(spec: GroupSpec) -> float | None:
     return None if spec.arithmetic == "float" else 1.0
 
 
+def stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Broadcast product of float matrix stacks, np.einsum("...ij,...jk->...ik")
+    bit for bit and faster: each entry adds its products over j = 0, 1, ...
+    to +0.0, so products that are all -0.0 sum to +0.0 as in einsum."""
+    return sum(a[..., j, None] * b[..., None, j, :] for j in range(a.shape[-1]))
+
+
 def log_singular_values(stack: np.ndarray, det: float | None = None) -> np.ndarray:
     """Per-matrix log singular values, sorted non-increasingly and recentred
     to sum zero, for a (..., n, n) float stack.

@@ -231,9 +231,8 @@ def _json_safe(x):
 
 
 def _project(config, rs, ball, triple, out) -> None:
-    gens = GeneratorSet.from_elements(config.generators).elements if config.generators else ()
     rows = []
-    for i, g in enumerate(gens):
+    for i, g in enumerate(GeneratorSet(config.spec, tuple(config.generators)).elements):
         h = cartan_projection(g)
         rows.append([i, *h.coords.tolist(), h.norm, float(rs.rho @ h.coords) / rs.rho_norm])
     header = ["generator_index"] + [f"coordinate_{k}" for k in range(rs.ambient_dim)]
@@ -369,14 +368,9 @@ def run(config: JobConfig, out_dir: str | Path = ".") -> int:
         "analyses_run": sorted(set(config.analyses)),
     }
 
-    if config.generators:
-        gens = GeneratorSet.from_elements(config.generators)
-        depth = config.max_word_length
-    else:
-        # probing one level proves the trivial group exhausted
-        gens = GeneratorSet.trivial(config.spec)
-        depth = max(config.max_word_length, 1)
-    ball = enumerate_ball(gens, depth, config.max_elements)
+    # probing one level proves the trivial group exhausted
+    ball = enumerate_ball(GeneratorSet(config.spec, tuple(config.generators)),
+                          max(config.max_word_length, 1), config.max_elements)
     report["orbit"] = {
         "size": len(ball),
         "levels": ball.growth_per_level,

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cartan import cartan_projection, known_det, log_singular_values, mixed_from_parts
+from .cartan import (cartan_projection, known_det, log_singular_values, mixed_from_parts,
+                     stack_product)
 from .errors import ResourceLimitError
 from .liecore import RootSystemData
 from .orbit import OrbitBall
@@ -93,11 +94,7 @@ def relative_chamber_matrix(ball: OrbitBall, x=None, y=None) -> np.ndarray:
     pieces = []
     for k, m in enumerate(ball.block_stacks()):
         if x_inv is not None:
-            a = x_inv[k]
-            # np.einsum("ij,njk->nik", a, m) bit for bit, in a third of its
-            # time: each entry adds its products over j = 0, 1, ... to +0.0,
-            # so products that are all -0.0 sum to +0.0 as in einsum
-            m = sum(a[:, j, None] * m[:, None, j, :] for j in range(len(a)))
+            m = stack_product(x_inv[k], m)
         if y is not None:
             # einsum is faster on this stack-first form than a sum of products
             m = np.einsum("nij,jk->nik", m, y.float_blocks()[k])

@@ -16,29 +16,31 @@ and oversized-integer inputs fall back to a dictionary-based walk on exact
 flat tuples.
 
 For each frontier row the enumerator keeps the inverse of its last letter,
-the generator by which the row was first reached, permuted with the level.
-From level 2 on, a row's product with that inverse is its parent, always
-old, and is never formed, so a frontier row yields |S| - 1 candidates (all
-|S| when some generator's inverse is not found in the set by its key).  In
-float mode that product is the parent up to rounding, which the
-full-history check would have found old unless the rounding moved it into
-another quantum cell.  Candidates are formed, keyed and hashed _BLOCK_ROWS
-rows at a time into one compressed candidate array, frontier-major and
-generator-ascending; full key rows are formed only for the rows compared.
-A candidate thus costs its m entries and its 8-byte hash for the level,
-plus about four 8-byte indices while the level is deduplicated; float keys
-(2m int64 words) and product temporaries live for one block only.
+the generator by which the row was first reached, permuted with the level;
+`GeneratorSet.inverse` paired each generator with its inverse when it built
+the set.  From level 2 on, a row's product with that inverse is its parent,
+always old, and is never formed, so a frontier row yields |S| - 1
+candidates.  In float mode that product is the parent up to rounding, which
+the full-history check would have found old unless the rounding moved it
+into another quantum cell.  A level whose rows yield no candidates (no
+generators, or one involution from level 2 on) ends the walk as exhausted.
+Candidates are formed, keyed and hashed _BLOCK_ROWS rows at a time into one
+compressed candidate array, frontier-major and generator-ascending; full
+key rows are formed only for the rows compared.  A candidate thus costs its
+m entries and its 8-byte hash for the level, plus about four 8-byte indices
+while the level is deduplicated; float keys (2m int64 words) and product
+temporaries live for one block only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 # log_singular_values stays bound here, unused, because perfbench/spans.py
 # wraps it by module name to count Cartan projections
-from .cartan import GroupElement, log_singular_values, MAX_FLOAT_ENTRY  # noqa: F401
+from .cartan import GroupElement, log_singular_values, MAX_FLOAT_ENTRY, stack_product  # noqa: F401
 from .errors import NumericalError, ResourceLimitError
 from .liecore import GroupSpec
 
@@ -93,29 +95,38 @@ class GeneratorSet:
 
     Building one closes the given elements under inverses and drops repeats:
     `elements` holds the generators, then their inverses, each at its first
-    occurrence.  The enumerator's two-level dedup relies on this symmetry.
+    occurrence, keyed as the enumerator keys rows (quantized in float mode).
+    `inverse[i]` is the position of the inverse of `elements[i]`, taken from
+    the (generator, inverse) pairs the set is built from.  The
+    enumerator's two-level dedup and its parent skip rely on this symmetry.
     Discreteness and torsion-freeness are the caller's responsibility; the
     engine itself tolerates torsion and merely collapses repeated elements.
     """
 
     spec: GroupSpec
     elements: tuple[GroupElement, ...]
+    inverse: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        seen, unique = set(), []
-        for g in [*self.elements, *(g.inverse() for g in self.elements)]:
+        # stack[k] and stack[(k + n) % 2n] are a generator and its inverse
+        n = len(self.elements)
+        stack = [*self.elements, *(g.inverse() for g in self.elements)]
+        for g in stack:
             if g.spec != self.spec:
                 raise ValueError("generators live in different groups")
             if g.is_identity:
                 raise ValueError("generator equals the identity")
-            if self.spec.arithmetic == "float":
-                key = tuple(_quantized_keys(np.asarray(g.flat_entries(), dtype=float)[None])[0])
-            else:
-                key = g.flat_entries()
-            if key not in seen:
-                seen.add(key)
-                unique.append(g)
-        object.__setattr__(self, "elements", tuple(unique))
+        keys = [g.flat_entries() for g in stack]
+        if self.spec.arithmetic == "float":
+            rows = np.array(keys, dtype=float).reshape(len(stack), self.spec.entry_count)
+            keys = list(map(tuple, _quantized_keys(rows).tolist()))
+        at, firsts = {}, []
+        for k, key in enumerate(keys):
+            if key not in at:
+                at[key] = len(firsts)
+                firsts.append(k)
+        object.__setattr__(self, "elements", tuple(stack[k] for k in firsts))
+        object.__setattr__(self, "inverse", tuple(at[keys[(k + n) % (2 * n)]] for k in firsts))
 
     @classmethod
     def from_elements(cls, gens) -> "GeneratorSet":
@@ -193,8 +204,7 @@ def enumerate_ball(gens: GeneratorSet, max_word_length: int,
 
     Deduplication is exact matrix equality in the exact modes and quantized
     (1e-9) key equality in float mode, found through 64-bit row hashes with
-    full-row verification (see the module docstring).  Every element records
-    the minimal word length at which it was reached.  Raises
+    full-row verification (see the module docstring).  Raises
     ResourceLimitError when the ball would exceed max_elements.
     """
     if max_word_length < 0:
@@ -220,9 +230,7 @@ def _block_products(spec: GroupSpec, frontier: np.ndarray, gen_rows: np.ndarray)
         if frontier.dtype == np.int64:
             prod = np.matmul(fb, gb)  # exact, and much faster than einsum on ints
         else:
-            # np.einsum("fij,gjk->fgik") bit for bit, and faster: each entry
-            # adds its products over j = 0, 1, ... to +0.0
-            prod = sum(fb[..., j, None] * gb[:, None, j] for j in range(n))
+            prod = stack_product(fb, gb)
         pieces.append(prod.reshape(nf * ng, n * n))
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
 
@@ -246,7 +254,7 @@ def _candidates(spec: GroupSpec, frontier: np.ndarray, gen_rows: np.ndarray,
     formed _BLOCK_ROWS products at a time and compressed straight into the
     one candidate array."""
     ng = len(gen_rows)
-    per_row = ng if skip is None else ng - 1
+    per_row = ng - (skip is not None)
     cand = np.empty((len(frontier) * per_row, frontier.shape[1]), dtype=frontier.dtype)
     h = np.empty(len(cand), dtype=np.uint64)
     step = max(_BLOCK_ROWS // ng, 1)
@@ -304,21 +312,6 @@ def _fresh_rows(h: np.ndarray, rows, known, known_keys) -> tuple[np.ndarray, np.
     return first[order], h[order]
 
 
-def _inverse_index(gens: GeneratorSet, gen_rows: np.ndarray, keys_of) -> np.ndarray | None:
-    """Position in the generating set of each generator's inverse, found by
-    its key.  None if some inverse's key is not a generator's, if a float
-    inverse fails GroupElement's determinant check, or if the one generator
-    is its own inverse: skipping it would leave no candidates."""
-    try:
-        inverses = [g.inverse().flat_entries() for g in gens.elements]
-    except ValueError:
-        return None
-    inv_rows = np.array(inverses, dtype=gen_rows.dtype).reshape(gen_rows.shape)
-    where = {key: i for i, key in enumerate(map(tuple, keys_of(gen_rows).tolist()))}
-    found = [where.get(key) for key in map(tuple, keys_of(inv_rows).tolist())]
-    return None if None in found or len(found) < 2 else np.array(found, dtype=np.intp)
-
-
 def _lex_order(rows: np.ndarray) -> np.ndarray:
     """Permutation putting distinct int64 rows in lexicographic order.
 
@@ -360,7 +353,7 @@ def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitB
     gen_rows = gen_rows.reshape(len(gens.elements), spec.entry_count)
     gen_max = int(np.abs(gen_rows).max()) if gen_rows.size else 0
     n_max = max(spec.sizes)
-    inverse = _inverse_index(gens, gen_rows, keys_of)
+    inverse = np.array(gens.inverse, dtype=np.intp)
 
     identity = np.array([GroupElement.identity(spec).flat_entries()], dtype=dtype)
     levels = [identity]
@@ -372,7 +365,8 @@ def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitB
     exhausted = False
     for w in range(1, L + 1):
         frontier = levels[-1]
-        if gen_rows.size == 0:
+        per_row = len(gen_rows) - (skip is not None)
+        if per_row == 0:
             exhausted = True
             break
         if exact and n_max * max(int(np.abs(frontier).max()), 1) * max(gen_max, 1) >= _INT64_SAFE:
@@ -407,10 +401,9 @@ def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitB
         index.append((hashes, at))
         if exact and len(index) > 2:
             index[-3] = None
-        if inverse is not None and w < L:
+        if w < L:
             # the last letter of each new row; its inverse leads back
             first = first[order]
-            per_row = len(gen_rows) if skip is None else len(gen_rows) - 1
             letter = first % per_row
             if skip is not None:
                 letter += letter >= skip[first // per_row]

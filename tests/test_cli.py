@@ -53,6 +53,27 @@ def test_trivial_config_reports_top_of_spectrum(tmp_path):
     assert report["spectrum"]["consistent"]
 
 
+def test_single_involution_config_is_an_exhausted_group_of_order_two(tmp_path):
+    """-I is its own inverse, so the generating set is one element paired
+    with itself: the walk stops at level 2 with the ball {I, -I}."""
+    cfg = write_config(tmp_path, {
+        "group": {"factors": [{"type": "sl", "n": 2}], "arithmetic": "exact-int"},
+        "generators": [[[[-1, 0], [0, -1]]]],
+        "max_word_length": 3,
+        "analyses": ["project", "orbit", "lambda0"],
+    })
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["orbit"]["levels"] == [1, 1]
+    assert report["orbit"]["exhausted"] is True
+    lines = (out / "orbit_levels.csv").read_text().splitlines()
+    assert [line.split(",") for line in lines[1:]] == [["0", "1"], ["1", "1"]]
+    assert len((out / "projections.csv").read_text().splitlines()) == 2  # header and -I
+    for name in ("delta", "delta_prime", "delta_second"):
+        assert report["exponents"][name]["value"] == 0.0
+
+
 def test_congruence_group_run(tmp_path):
     cfg = write_config(tmp_path, sanov_config())
     out = tmp_path / "out"

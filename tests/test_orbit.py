@@ -147,9 +147,20 @@ def test_generator_set_validation():
     gens = sanov_generators()
     assert len(gens.elements) == 4  # two generators plus their inverses
     # symmetric closure deduplicates an involution to a single element
+    assert gens.inverse == (2, 3, 0, 1)
     j = GroupElement(spec, (((0, 1), (-1, 0)),))
     alone = GeneratorSet.from_elements([j])
     assert len(alone.elements) == 2  # j and j^-1 = -j are distinct matrices
+    assert alone.inverse == (1, 0)
+    # -I is its own inverse: one element, paired with itself, and from level
+    # 2 on its one row yields no candidates
+    for arithmetic in ("exact-int", "float"):
+        spec = GroupSpec.sl(2, arithmetic)
+        minus = GeneratorSet.from_elements([GroupElement(spec, (((-1, 0), (0, -1)),))])
+        assert len(minus.elements) == 1 and minus.inverse == (0,)
+        ball = enumerate_ball(minus, 4)
+        assert ball.growth_per_level == [1, 1]
+        assert ball.exhausted
 
 
 def test_bigint_fallback_matches_direct_multiplication():
@@ -372,13 +383,14 @@ def test_float_enumeration_peak_below_two_level_key_arrays(monkeypatch):
     assert ball.float_entry_matrix().tobytes() == ref.float_entry_matrix().tobytes()
 
 
+@pytest.mark.parametrize("make_gens, L", [(sanov_generators, 8), (_sym2_float_generators, 7)])
 @pytest.mark.parametrize("block_rows", [orbit._BLOCK_ROWS, 64])
-def test_parent_products_are_never_formed(block_rows, monkeypatch):
+def test_parent_products_are_never_formed(make_gens, L, block_rows, monkeypatch):
     """From level 2 on a row's product with the inverse of its last letter
-    is its parent: Sanov's L=8 ball hashes |S| - 1 candidates per frontier
-    row, however the rows fall into blocks, and is still the ball of the
-    dictionary walk."""
-    gens, L = sanov_generators(), 8
+    is its parent: the ball hashes |S| - 1 candidates per frontier row,
+    however the rows fall into blocks, in int64 and in float mode, and is
+    still the ball of the dictionary walk."""
+    gens = make_gens()
     hashed = []
 
     def counting(keys):
@@ -398,26 +410,34 @@ def test_parent_products_are_never_formed(block_rows, monkeypatch):
         assert {tuple(r) for r in got.tolist()} == {tuple(r) for r in want.tolist()}
 
 
-@pytest.mark.parametrize("entries, quantum, L", [
-    ((1.7, 0.3, 0.9), 1e-17, 6),
-    ((702471.6059460046, 82.45371109486837, 79279.29200841639), orbit._FLOAT_QUANTUM, 2),
-], ids=["bit-keys", "inverse-off-determinant"])
-def test_float_set_without_found_inverses_skips_nothing(entries, quantum, L, monkeypatch):
-    """When some generator's inverse matches no generator's key, or cannot
-    be formed, nothing is skipped and the ball is the plain walk's.  On a
-    1e-17 quantum the keys are the float bits, and inverting the first
-    generator's inverse misses it by one bit; there the products' rounding
-    noise lands on new keys.  The second generator's inverse inverts to
-    determinant 1 - 1.1e-9, outside GroupElement's tolerance."""
+@pytest.mark.parametrize("entries, quantum, L, levels", [
+    ((1.7, 0.3, 0.9), 1e-17, 6, [1, 2, 2, 2, 2, 2, 2]),
+    ((702471.6059460046, 82.45371109486837, 79279.29200841639), orbit._FLOAT_QUANTUM, 2,
+     [1, 2, 2]),
+], ids=["bit-keys", "large-entries"])
+def test_cyclic_float_generator_enumerates_its_cyclic_group(entries, quantum, L, levels,
+                                                            monkeypatch):
+    """A float generator is paired with its inverse as the set is built, so
+    every level from 2 on skips the parent product, also where inverting the
+    stored inverse would miss the generator's key: by one bit on a 1e-17
+    quantum, where the keys are the float bits, and by a determinant of
+    1 - 1.1e-9, outside GroupElement's tolerance, for the large entries.
+    Level k then holds g^k and g^-k alone, where the rounding noise of the
+    unskipped products would add elements the group does not have."""
     spec = GroupSpec.sl(2, "float")
     a, b, c = entries
-    gens = GeneratorSet.from_elements([GroupElement(spec, (((a, b), (c, (1 + b * c) / a)),))])
     monkeypatch.setattr(orbit, "_FLOAT_QUANTUM", quantum)
-    rows = np.array([g.flat_entries() for g in gens.elements])
-    assert orbit._inverse_index(gens, rows, orbit._quantized_keys) is None
+    g = GroupElement(spec, (((a, b), (c, (1 + b * c) / a)),))
+    gens = GeneratorSet.from_elements([g])
+    assert gens.inverse == (1, 0)
     ball = enumerate_ball(gens, L)
-    want = _first_occurrence_levels(gens, L)
-    assert [lvl.tobytes() for lvl in _levels(ball)] == [lvl.tobytes() for lvl in want]
+    assert ball.growth_per_level == levels
+    assert not ball.exhausted
+    block = np.array(g.float_blocks()[0])
+    for k, level in enumerate(_levels(ball)[1:], start=1):
+        for e in (k, -k):
+            power = np.linalg.matrix_power(block, e).ravel()
+            assert (np.abs(level - power).max(axis=1) / np.abs(power).max()).min() < 1e-9
 
 
 @pytest.mark.parametrize("bound", [3, 2**20, 2**40, 2**61,

@@ -13,6 +13,7 @@ which interpolates between the two.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -29,8 +30,10 @@ _DET_FLOAT_TOL = 1e-9
 
 
 def _coerce_entry(x, arithmetic: str):
+    if isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"matrix entries must be numbers, got {x!r}")
     if arithmetic == "exact-int":
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        if not isinstance(x, (int, np.integer)):
             raise ValueError(f"exact-int mode requires integer entries, got {x!r}")
         return int(x)
     if arithmetic == "exact-rational":
@@ -75,18 +78,23 @@ def _adjugate(rows: tuple[tuple, ...]) -> list[list[Fraction]]:
     return [[(-1) ** (i + j) * _det_exact(minor(j, i)) for j in range(n)] for i in range(n)]
 
 
-def _mat_mul(a: tuple[tuple, ...], b: tuple[tuple, ...]) -> tuple[tuple, ...]:
-    n = len(a)
-    cols = list(zip(*b))
-    return tuple(
-        tuple(sum(a[i][k] * cols[j][k] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+@functools.cache
+def flat_product(spec: GroupSpec):
+    """Product of two block-diagonal matrices of `spec` given as flat entry
+    tuples (the layout of `GroupElement.flat_entries`), exact on exact data."""
+    index_pairs = [tuple((sl.start + i * n + k, sl.start + k * n + j) for k in range(n))
+                   for n, sl in zip(spec.sizes, spec.entry_slices)
+                   for i in range(n) for j in range(n)]
+
+    def mul(a, b):
+        return tuple(sum(a[p] * b[q] for p, q in pairs) for pairs in index_pairs)
+    return mul
 
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Block-diagonal determinant-one matrix, one block per spec factor."""
+    """Block-diagonal matrix, one block per spec factor, each of determinant
+    one (floats within 1e-9), which the Cartan closed form relies on."""
 
     spec: GroupSpec
     blocks: tuple[tuple[tuple, ...], ...]
@@ -123,8 +131,8 @@ class GroupElement:
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if self.spec != other.spec:
             raise ValueError("elements live in different groups")
-        blocks = tuple(_mat_mul(a, b) for a, b in zip(self.blocks, other.blocks))
-        return GroupElement(self.spec, blocks)
+        mul = flat_product(self.spec)
+        return GroupElement.from_flat(self.spec, mul(self.flat_entries(), other.flat_entries()))
 
     def inverse(self) -> "GroupElement":
         if self.spec.arithmetic == "float":
@@ -142,16 +150,16 @@ class GroupElement:
     def flat_entries(self) -> tuple:
         return tuple(x for rows in self.blocks for row in rows for x in row)
 
+    @classmethod
+    def from_flat(cls, spec: GroupSpec, flat, word_length: int | None = None) -> "GroupElement":
+        """The element whose `flat_entries` are `flat`."""
+        return cls(spec, tuple(tuple(flat[sl][i * n:(i + 1) * n] for i in range(n))
+                               for n, sl in zip(spec.sizes, spec.entry_slices)), word_length)
+
     @property
     def is_identity(self) -> bool:
         return all(x == (i == j) for rows in self.blocks
                    for i, row in enumerate(rows) for j, x in enumerate(row))
-
-
-def known_det(spec: GroupSpec) -> float | None:
-    """|det| for `log_singular_values` to assume on blocks of `spec`: 1 for
-    exact data, which has determinant 1, and None (computed) for floats."""
-    return None if spec.arithmetic == "float" else 1.0
 
 
 def stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -167,8 +175,9 @@ def log_singular_values(stack: np.ndarray, det: float | None = None) -> np.ndarr
 
     For 2x2 matrices the Frobenius norm q and determinant give the exact
     closed form arccosh(q / (2|det|)) / 2, avoiding millions of LAPACK calls
-    in orbit-scale batches.  Callers pass a known |det| as `det` (see
-    `known_det`), since ad - bc in float64 cancels once entries pass ~1e8.
+    in orbit-scale batches.  Blocks of group elements have determinant 1,
+    so the package passes det=1.0: ad - bc in float64 cancels once entries
+    pass ~1e8.  With det=None |det| is computed, for raw stacks only.
     """
     stack = np.asarray(stack, dtype=float)
     # two reductions and no stack-sized copy: NaN propagates through both
@@ -199,7 +208,7 @@ def log_singular_values(stack: np.ndarray, det: float | None = None) -> np.ndarr
 
 def cartan_projection(g: GroupElement) -> ChamberVector:
     """Chamber component of g in the K exp(a+) K decomposition."""
-    coords = np.concatenate([log_singular_values(block[None], det=known_det(g.spec))[0]
+    coords = np.concatenate([log_singular_values(block[None], det=1.0)[0]
                              for block in g.float_blocks()])
     return ChamberVector(g.spec, coords)
 
@@ -207,17 +216,7 @@ def cartan_projection(g: GroupElement) -> ChamberVector:
 def relative_position(x: GroupElement, y: GroupElement | None = None) -> ChamberVector:
     """Cartan projection of y^-1 x, the chamber-valued distance of xK from yK
     (from eK when y is None)."""
-    if y is None:
-        return cartan_projection(x)
-    if x.spec != y.spec:
-        raise ValueError("elements live in different groups")
-    if x.spec.arithmetic == "float":
-        coords = []
-        for bx, by in zip(x.float_blocks(), y.float_blocks()):
-            m = np.linalg.solve(by, bx)
-            coords.append(log_singular_values(m[None])[0])
-        return ChamberVector(x.spec, np.concatenate(coords))
-    return cartan_projection(y.inverse() @ x)
+    return cartan_projection(x if y is None else y.inverse() @ x)
 
 
 def distance_riemannian(x: GroupElement, y: GroupElement | None = None) -> float:

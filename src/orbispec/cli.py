@@ -186,6 +186,10 @@ def load_config(path: str | Path, include_torsion: bool = False,
     if not isinstance(gens_raw, list):
         raise ConfigError("generators must be a list")
     generators = [_parse_element(spec, g, f"generator {i}") for i, g in enumerate(gens_raw)]
+    try:
+        GeneratorSet(spec, tuple(generators))
+    except ValueError as exc:
+        raise ConfigError(f"generators: {exc}") from exc
 
     analyses = raw.get("analyses", ["orbit", "count", "exponent", "lambda0"])
     if not isinstance(analyses, list):

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cartan import (cartan_projection, known_det, log_singular_values, mixed_from_parts,
-                     stack_product)
+from .cartan import cartan_projection, log_singular_values, mixed_from_parts, stack_product
 from .errors import ResourceLimitError
 from .liecore import RootSystemData
 from .orbit import OrbitBall
@@ -98,7 +97,7 @@ def relative_chamber_matrix(ball: OrbitBall, x=None, y=None) -> np.ndarray:
         if y is not None:
             # einsum is faster on this stack-first form than a sum of products
             m = np.einsum("nij,jk->nik", m, y.float_blocks()[k])
-        pieces.append(log_singular_values(m, det=known_det(ball.spec)))
+        pieces.append(log_singular_values(m, det=1.0))
     return np.concatenate(pieces, axis=1)
 
 

@@ -40,7 +40,8 @@ import numpy as np
 
 # log_singular_values stays bound here, unused, because perfbench/spans.py
 # wraps it by module name to count Cartan projections
-from .cartan import GroupElement, log_singular_values, MAX_FLOAT_ENTRY, stack_product  # noqa: F401
+from .cartan import log_singular_values  # noqa: F401
+from .cartan import flat_product, GroupElement, MAX_FLOAT_ENTRY, stack_product
 from .errors import NumericalError, ResourceLimitError
 from .liecore import GroupSpec
 
@@ -53,23 +54,6 @@ _FLOAT_QUANTUM = 1e-9
 
 # candidate rows formed, keyed and hashed at a time
 _BLOCK_ROWS = 1 << 16
-
-
-def _flat_mul_factory(spec: GroupSpec):
-    """Multiplier for block-diagonal matrices stored as flat entry tuples."""
-    index_pairs = [tuple((sl.start + i * n + k, sl.start + k * n + j) for k in range(n))
-                   for n, sl in zip(spec.sizes, spec.entry_slices)
-                   for i in range(n) for j in range(n)]
-
-    def mul(a, b):
-        return tuple(sum(a[p] * b[q] for p, q in pairs) for pairs in index_pairs)
-    return mul
-
-
-def _element_from_flat(spec: GroupSpec, flat, word_length=None) -> GroupElement:
-    blocks = tuple(tuple(flat[sl][i * n:(i + 1) * n] for i in range(n))
-                   for n, sl in zip(spec.sizes, spec.entry_slices))
-    return GroupElement(spec, blocks, word_length)
 
 
 def _quantized_keys(rows: np.ndarray) -> np.ndarray:
@@ -164,7 +148,7 @@ class OrbitBall:
     def element(self, i: int) -> GroupElement:
         i = range(len(self))[i]  # a negative index counts from the end
         level = np.searchsorted(np.cumsum(self.growth_per_level), i, side="right")
-        return _element_from_flat(self.spec, self._entries[i].tolist(), int(level))
+        return GroupElement.from_flat(self.spec, self._entries[i].tolist(), int(level))
 
     def iter_elements(self):
         for i in range(len(self)):
@@ -414,7 +398,7 @@ def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitB
 def _enumerate_generic(gens: GeneratorSet, L: int, cap: int,
                        seed_levels: list | None = None) -> OrbitBall:
     spec = gens.spec
-    mul = _flat_mul_factory(spec)
+    mul = flat_product(spec)
     gen_tuples = [g.flat_entries() for g in gens.elements]
 
     if seed_levels is None:

@@ -211,6 +211,12 @@ def test_element_validation_and_arithmetic():
     assert (q @ q.inverse()).is_identity
 
 
+@pytest.mark.parametrize("arithmetic", ["exact-int", "exact-rational", "float"])
+def test_boolean_entries_rejected_in_every_mode(arithmetic):
+    with pytest.raises(ValueError, match="must be numbers"):
+        GroupElement(GroupSpec.sl(2, arithmetic), (((True, 2), (False, True)),))
+
+
 def test_equality_ignores_word_length():
     """Two elements with one matrix are equal and hash alike, whatever word
     length an orbit ball recorded for either."""

@@ -249,6 +249,10 @@ def test_bad_json_and_unknown_keys_exit_1(tmp_path, capsys):
                 {"heat_times": []}, {"volume_radii_small": []}, {"volume_radii_large": []},
                 {"window_fraction": 1.5},
                 {"group": {"factors": [{"type": "sl", "n": 2}], "arithmetic": "bogus"}},
+                # a generating set that GeneratorSet refuses; JSON booleans
+                {"generators": [[[[1, 0], [0, 1]]]]},
+                {"group": {"factors": [{"type": "sl", "n": 2}], "arithmetic": "float"},
+                 "generators": [[[[True, 2], [0, True]]]]},
                 *({key: None} for key in cli._OPTIONAL_KEYS)):
         capsys.readouterr()
         cfg = write_config(tmp_path, sanov_config(**bad))

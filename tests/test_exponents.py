@@ -271,17 +271,18 @@ def test_torsion_mask_computed_once_per_ball(monkeypatch):
     assert exponents._torsion_mask(ball, rs, False) is mask
 
 
-def _based_ball_and_points(depth):
-    spec = GroupSpec.sl(2)
+def _based_ball_and_points(depth, arithmetic="exact-int"):
+    spec = GroupSpec.sl(2, arithmetic)
     x = GroupElement(spec, (((2, 1), (1, 1)),))
     y = GroupElement(spec, (((1, 2), (0, 1)),))
     return enumerate_ball(sanov_generators(spec), depth), x, y
 
 
-def test_distance_table_matches_per_element_oracles(sanov_rs):
+@pytest.mark.parametrize("arithmetic", ["exact-int", "float"])
+def test_distance_table_matches_per_element_oracles(sanov_rs, arithmetic):
     """Each table entry is d(x, gamma y) and its polyhedral counterpart."""
     from orbispec.cartan import distance_polyhedral, distance_riemannian
-    ball, x, y = _based_ball_and_points(5)
+    ball, x, y = _based_ball_and_points(5, arithmetic)
     table = distance_table(ball, sanov_rs, x, y)
     assert table.d.shape == table.dprime.shape == (len(ball),)
     for i, g in enumerate(ball.iter_elements()):
@@ -293,6 +294,19 @@ def test_distance_table_matches_per_element_oracles(sanov_rs):
     assert distance_table(ball, sanov_rs, x, y) is table
     with pytest.raises(ValueError):
         table.d[0] = 0.0
+
+
+@pytest.mark.parametrize("depth", [12, 16])
+def test_float_cyclic_ball_matches_exact_distances(sanov_rs, depth):
+    """[[3,8],[1,3]]^k reaches entries of 2.5e12 at k = 16, where ad - bc in
+    float64 cancels; float blocks are projected with determinant 1 as exact
+    ones are.  g^k and g^-k lie at one distance, so sorted tables compare."""
+    balls = [enumerate_ball(GeneratorSet.from_elements(
+        [GroupElement(GroupSpec.sl(2, mode), (((3, 8), (1, 3)),))]), depth)
+        for mode in ("exact-int", "float")]
+    assert balls[0].growth_per_level == balls[1].growth_per_level
+    exact, rounded = (np.sort(distance_table(b, sanov_rs).d) for b in balls)
+    np.testing.assert_allclose(rounded, exact, rtol=0, atol=1e-12)
 
 
 def _product_ball():

@@ -88,17 +88,28 @@ class ExponentTriple:
 
 def relative_chamber_matrix(ball: OrbitBall, x=None, y=None) -> np.ndarray:
     """Cartan projections of x^-1 gamma y over the ball (equivalently of
-    y^-1 gamma^-1 x up to -w0, under which both distances are invariant)."""
+    y^-1 gamma^-1 x up to -w0, under which both distances are invariant).
+    The rows are projected one float row block of the ball at a time into
+    the one result array; every step is row-wise, so the blocks change no
+    bit of the result."""
+    spec = ball.spec
     x_inv = None if x is None else x.inverse().float_blocks()  # exact for exact data
-    pieces = []
-    for k, m in enumerate(ball.block_stacks()):
-        if x_inv is not None:
-            m = stack_product(x_inv[k], m)
-        if y is not None:
-            # einsum is faster on this stack-first form than a sum of products
-            m = np.einsum("nij,jk->nik", m, y.float_blocks()[k])
-        pieces.append(log_singular_values(m, det=1.0))
-    return np.concatenate(pieces, axis=1)
+    y_blocks = None if y is None else y.float_blocks()
+    chamber = np.empty((len(ball), spec.ambient_dim))
+    start = 0
+    for rows in ball.float_row_blocks():
+        stop = start + len(rows)
+        for k, (n, sl, cols) in enumerate(zip(spec.sizes, spec.entry_slices,
+                                              spec.block_slices)):
+            m = rows[:, sl].reshape(-1, n, n)
+            if x_inv is not None:
+                m = stack_product(x_inv[k], m)
+            if y_blocks is not None:
+                # einsum is faster on this stack-first form than a sum of products
+                m = np.einsum("nij,jk->nik", m, y_blocks[k])
+            chamber[start:stop, cols] = log_singular_values(m, det=1.0)
+        start = stop
+    return chamber
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,11 @@ path exploits this to run fully vectorized on int64 rows, storing each level
 in lexicographic row order.  Float mode quantizes entries to a 1e-9 grid
 (documented risk: distinct elements closer than the quantum collapse) and
 checks the full history, since rounding noise does not respect word-length
-metrics; its levels keep the order in which candidates first occur.  Both
+metrics; its levels keep the order in which candidates first occur.  Exact
+levels are stored as int32 while n * max|frontier| * max|generator| stays
+below 2**31, else as int64; products and hashes are always formed from
+int64 values, so the narrow storage changes no hash, no dedup and no level
+order.  Both
 paths find keys by 64-bit row hashes, sorted per level, and compare full key
 rows within every equal-hash group and on every hash hit; a level where two
 different rows share a hash is deduplicated by sorting whole rows.  Rational
@@ -27,9 +31,10 @@ generators, or one involution from level 2 on) ends the walk as exhausted.
 Candidates are formed, keyed and hashed _BLOCK_ROWS rows at a time into one
 compressed candidate array, frontier-major and generator-ascending; full
 key rows are formed only for the rows compared.  A candidate thus costs its
-m entries and its 8-byte hash for the level, plus about four 8-byte indices
-while the level is deduplicated; float keys (2m int64 words) and product
-temporaries live for one block only.
+m entries (4 or 8 bytes each) and its 8-byte hash for the level, plus about
+four 8-byte indices while the level is deduplicated; float keys (2m int64
+words) and int64 product temporaries live for one block only.  The ball keeps the level
+arrays as they are made, with no stacked copy.
 """
 
 from __future__ import annotations
@@ -47,7 +52,9 @@ from .liecore import GroupSpec
 
 DEFAULT_MAX_ELEMENTS = 10_000_000
 
-# keep n * max|frontier| * max|generator| clear of int64 overflow
+# store a level as int32 while n * max|frontier| * max|generator| is below
+# _INT32_SAFE; keep it clear of int64 overflow, else walk on big ints
+_INT32_SAFE = 2**31
 _INT64_SAFE = 2**62
 
 _FLOAT_QUANTUM = 1e-9
@@ -127,32 +134,38 @@ class GeneratorSet:
 class OrbitBall:
     """Deduplicated orbit ball up to a word length, with per-level counts.
 
-    The entries are one (N, m) array: int64, float64, or dtype=object for
-    rationals and oversized integers, stored level by level from the
-    identity in row 0.  `growth_per_level` is the one record of the levels:
-    the ball keeps no per-element word lengths.  The ball holds no Cartan
-    data; the distance table of each base-point pair is cached in `tables`.
+    The entries are the list of (n_w, m) level arrays the enumerator made,
+    level w holding the elements of word length w, the identity alone at
+    level 0.  An exact level is int32 or int64, a float one float64, and
+    rationals and oversized integers are dtype=object.  Element i is row i
+    of the levels taken in order; they are never stacked into one array.
+    The levels are the one record of word length: the ball keeps no
+    per-element word lengths.  The ball holds no Cartan data; the distance
+    table of each base-point pair is cached in `tables`.
     """
 
     def __init__(self, spec: GroupSpec, max_word_length: int, levels, exhausted: bool):
         self.spec = spec
         self.max_word_length = max_word_length
-        self.growth_per_level = [len(lvl) for lvl in levels]
+        self._levels = list(levels)
+        self.growth_per_level = [len(lvl) for lvl in self._levels]
         self.exhausted = exhausted
-        self._entries = np.vstack(levels)
         self.tables: dict = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(self.growth_per_level)
 
     def element(self, i: int) -> GroupElement:
         i = range(len(self))[i]  # a negative index counts from the end
-        level = np.searchsorted(np.cumsum(self.growth_per_level), i, side="right")
-        return GroupElement.from_flat(self.spec, self._entries[i].tolist(), int(level))
+        for w, lvl in enumerate(self._levels):
+            if i < len(lvl):
+                return GroupElement.from_flat(self.spec, lvl[i].tolist(), w)
+            i -= len(lvl)
 
     def iter_elements(self):
-        for i in range(len(self)):
-            yield self.element(i)
+        for w, lvl in enumerate(self._levels):
+            for row in lvl:
+                yield GroupElement.from_flat(self.spec, row.tolist(), w)
 
     def level_sums(self, terms: np.ndarray) -> np.ndarray:
         """Sum of one term per element over each word-length level,
@@ -168,18 +181,20 @@ class OrbitBall:
             start += n
         return sums
 
-    def float_entry_matrix(self) -> np.ndarray:
-        """Float64 image of the entries.  Exact balls convert on every call
-        rather than keep a second (N, m) copy for the ball's lifetime."""
-        try:
-            return self._entries.astype(float, copy=False)
-        except OverflowError as exc:
-            raise NumericalError("entries too large for a float image") from exc
+    def float_row_blocks(self):
+        """Float64 images of the entries in element order, at most
+        _BLOCK_ROWS rows at a time and never across a level.  Exact balls
+        convert only the block in use rather than keep a second copy."""
+        for lvl in self._levels:
+            for lo in range(0, len(lvl), _BLOCK_ROWS):
+                try:
+                    yield lvl[lo:lo + _BLOCK_ROWS].astype(float, copy=False)
+                except OverflowError as exc:
+                    raise NumericalError("entries too large for a float image") from exc
 
-    def block_stacks(self) -> list[np.ndarray]:
-        mat = self.float_entry_matrix()
-        return [mat[:, sl].reshape(-1, n, n)
-                for n, sl in zip(self.spec.sizes, self.spec.entry_slices)]
+    def float_entry_matrix(self) -> np.ndarray:
+        """Float64 image of all the entries, one (N, m) array."""
+        return np.concatenate(list(self.float_row_blocks()))
 
 
 def enumerate_ball(gens: GeneratorSet, max_word_length: int,
@@ -220,30 +235,31 @@ def _block_products(spec: GroupSpec, frontier: np.ndarray, gen_rows: np.ndarray)
 
 
 def _row_hashes(keys: np.ndarray) -> np.ndarray:
-    """64-bit multiply-xor hash of each row of an (N, m) int64 key array."""
-    words = keys.view(np.uint64)
+    """64-bit multiply-xor hash of the int64 values of each row of an (N, m)
+    integer key array, widened one column at a time."""
     h = np.zeros(len(keys), dtype=np.uint64)
-    for j in range(words.shape[1]):
-        h ^= words[:, j]
+    for col in keys.T:
+        h ^= col.astype(np.int64, copy=False).view(np.uint64)
         h *= np.uint64(0x9E3779B97F4A7C15)
         h ^= h >> np.uint64(29)
     return h
 
 
 def _candidates(spec: GroupSpec, frontier: np.ndarray, gen_rows: np.ndarray,
-                skip: np.ndarray | None, keys_of) -> tuple[np.ndarray, np.ndarray]:
+                skip: np.ndarray | None, keys_of, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Products of the frontier with the generators, frontier-major and
     generator-ascending, leaving out generator skip[f] for frontier row f,
     with the hash of each product's key.  Products, keys and hashes are
-    formed _BLOCK_ROWS products at a time and compressed straight into the
-    one candidate array."""
+    formed _BLOCK_ROWS products at a time, in the generators' dtype, and
+    compressed straight into the one candidate array of `dtype`."""
     ng = len(gen_rows)
     per_row = ng - (skip is not None)
-    cand = np.empty((len(frontier) * per_row, frontier.shape[1]), dtype=frontier.dtype)
+    cand = np.empty((len(frontier) * per_row, frontier.shape[1]), dtype=dtype)
     h = np.empty(len(cand), dtype=np.uint64)
     step = max(_BLOCK_ROWS // ng, 1)
     for lo in range(0, len(frontier), step):
-        prod = _block_products(spec, frontier[lo:lo + step], gen_rows)
+        block = frontier[lo:lo + step].astype(gen_rows.dtype, copy=False)
+        prod = _block_products(spec, block, gen_rows)
         at = slice(lo * per_row, (lo + step) * per_row)
         if skip is None:
             cand[at] = prod
@@ -286,6 +302,7 @@ def _fresh_rows(h: np.ndarray, rows, known, known_keys) -> tuple[np.ndarray, np.
         hit = sorted_h[at] == h
         clash |= not np.array_equal(rows(first[hit]), fetch(at[hit]))
         fresh &= ~hit
+        del at, hit  # candidate-length: gone before the fresh rows are taken
     if not clash:
         return first[fresh], h[fresh]
     ref, keys = known_keys(), rows(np.arange(count))
@@ -297,7 +314,7 @@ def _fresh_rows(h: np.ndarray, rows, known, known_keys) -> tuple[np.ndarray, np.
 
 
 def _lex_order(rows: np.ndarray) -> np.ndarray:
-    """Permutation putting distinct int64 rows in lexicographic order.
+    """Permutation putting distinct int32 or int64 rows in lexicographic order.
 
     Runs of columns are packed into uint64 mixed-radix keys.  One argsort of
     the leading key orders the rows; only the positions that tie on it are
@@ -311,7 +328,9 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
     def packed(cols):
         key = np.zeros(len(cols), dtype=np.uint64)
         for col in cols.T:
-            key = key * np.uint64(span) + (col - lo).astype(np.uint64)
+            key *= np.uint64(span)
+            # an int64 lo widens an int32 column, which overflows past 2**31
+            key += (col - np.int64(lo)).view(np.uint64)
         return key
 
     lead = packed(rows[:, :width])
@@ -329,7 +348,8 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
 
 
 def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitBall:
-    """Vectorized BFS on int64 rows (exact) or float64 rows with quantized keys."""
+    """Vectorized BFS on int32/int64 rows (exact) or float64 rows with
+    quantized keys."""
     spec = gens.spec
     dtype = np.int64 if exact else float
     keys_of = (lambda rows: rows) if exact else _quantized_keys
@@ -339,7 +359,8 @@ def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitB
     n_max = max(spec.sizes)
     inverse = np.array(gens.inverse, dtype=np.intp)
 
-    identity = np.array([GroupElement.identity(spec).flat_entries()], dtype=dtype)
+    identity = np.array([GroupElement.identity(spec).flat_entries()],
+                        dtype=np.int32 if exact else float)
     levels = [identity]
     # per level: its sorted row hashes and the level row behind each
     index = [(_row_hashes(keys_of(identity)), np.zeros(1, dtype=np.intp))]
@@ -353,11 +374,15 @@ def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitB
         if per_row == 0:
             exhausted = True
             break
-        if exact and n_max * max(int(np.abs(frontier).max()), 1) * max(gen_max, 1) >= _INT64_SAFE:
-            # entries outgrow the int64 fast path; continue on exact big ints
-            return _enumerate_generic(gens, L, cap,
-                                      seed_levels=[lvl.tolist() for lvl in levels])
-        cand, h = _candidates(spec, frontier, gen_rows, skip, keys_of)
+        level_dtype = dtype
+        if exact:
+            bound = n_max * max(-int(frontier.min()), int(frontier.max()), 1) * max(gen_max, 1)
+            if bound >= _INT64_SAFE:
+                # entries outgrow the int64 fast path; continue on exact big ints
+                return _enumerate_generic(gens, L, cap,
+                                          seed_levels=[lvl.tolist() for lvl in levels])
+            level_dtype = np.int32 if bound < _INT32_SAFE else np.int64
+        cand, h = _candidates(spec, frontier, gen_rows, skip, keys_of, level_dtype)
         # float rounding noise does not respect word length: check every level
         known = range(max(len(levels) - 2, 0) if exact else 0, len(levels))
         fetch = [(index[k][0], lambda i, k=k: keys_of(np.take(levels[k], index[k][1][i], axis=0)))

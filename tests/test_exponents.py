@@ -438,10 +438,11 @@ def test_default_radii_at_completeness_radius_zero(sanov_rs):
 
 
 def test_relative_chamber_matrix_matches_einsum_bytes(sanov_rs, monkeypatch):
-    """x^-1 gamma y is formed bit for bit as np.einsum forms it, on a Sanov
-    ball at x, y and both, and on a float stack full of signed zeros, where
-    a sum of products that did not start at +0.0 would keep -0.0."""
-    from orbispec import exponents
+    """x^-1 gamma y is formed bit for bit as np.einsum forms it, in every
+    row block the table projects, on a Sanov ball at x, y and both, and on
+    a float ball full of signed zeros, where a sum of products that did not
+    start at +0.0 would keep -0.0."""
+    from orbispec import exponents, orbit
     from orbispec.cartan import log_singular_values
 
     def reference(stack, bx, by):
@@ -457,25 +458,37 @@ def test_relative_chamber_matrix_matches_einsum_bytes(sanov_rs, monkeypatch):
         seen.append(stack)
         return log_singular_values(stack, det=det)
 
+    def assert_blocks_match(want):
+        assert sum(map(len, seen)) == len(want)
+        start = 0
+        for block in seen:
+            assert block.tobytes() == want[start:start + len(block)].tobytes()
+            start += len(block)
+
     monkeypatch.setattr(exponents, "log_singular_values", recorded)
     ball, x, y = _based_ball_and_points(8)
+    ball_stack = ball.float_entry_matrix().reshape(-1, 2, 2)
     for px, py in ((x, None), (None, y), (x, y)):
         seen.clear()
         got = exponents.relative_chamber_matrix(ball, px, py)
-        want = reference(ball.block_stacks()[0], px, py)
-        assert seen[0].tobytes() == want.tobytes()
+        want = reference(ball_stack, px, py)
+        assert len(seen) == len(ball.growth_per_level)  # one block per level
+        assert_blocks_match(want)
         assert got.tobytes() == log_singular_values(want, det=1.0).tobytes()
 
     rng = np.random.default_rng(3)
     stack = rng.standard_normal((4000, 2, 2))
     stack[rng.random(stack.shape) < 0.4] = 0.0
     stack[rng.random(stack.shape) < 0.4] = -0.0
-    shear = GroupElement(GroupSpec.sl(2), (((1, 1), (0, 1)),))
-    monkeypatch.setattr(ball, "block_stacks", lambda: [stack])
+    spec = GroupSpec.sl(2, "float")
+    zeros_ball = orbit.OrbitBall(spec, 0, [stack.reshape(-1, 4)], False)
+    shear = GroupElement(spec, (((1.0, 1.0), (0.0, 1.0)),))
+    monkeypatch.setattr(orbit, "_BLOCK_ROWS", 1024)
     for px, py in ((shear, None), (shear, shear)):
         seen.clear()
-        exponents.relative_chamber_matrix(ball, px, py)
-        assert seen[0].tobytes() == reference(stack, px, py).tobytes()
+        exponents.relative_chamber_matrix(zeros_ball, px, py)
+        assert len(seen) == 4
+        assert_blocks_match(reference(stack, px, py))
 
 
 def _torsion_sanov_ball(depth):

@@ -441,16 +441,23 @@ def test_cyclic_float_generator_enumerates_its_cyclic_group(entries, quantum, L,
 
 
 @pytest.mark.parametrize("bound", [3, 2**20, 2**40, 2**61,
-                                   pytest.param((3, 2**40), id="lead3-last2**40")])
+                                   pytest.param((3, 2**40), id="lead3-last2**40"),
+                                   pytest.param((3, 2**31 - 1, np.int32),
+                                                id="int32-lead3-last2**31")])
 def test_lex_order_matches_python_tuple_sort(bound):
     """Packed sort keys (one key, several, or one column each) order rows
     exactly as Python orders their tuples.  Small leading columns with a last
     column up to 2**40 give one key per column and long runs of rows that tie
-    on the leading key, which only the remaining keys can order."""
-    lead, last = bound if isinstance(bound, tuple) else (bound, bound)
+    on the leading key, which only the remaining keys can order.  int32 rows
+    with a last column near +-(2**31 - 1) span more than 2**31, so the small
+    columns minus the minimum straddle the int32 range."""
+    if not isinstance(bound, tuple):
+        bound = (bound, bound)
+    lead, last, dtype = (*bound, np.int64)[:3]
     rng = np.random.default_rng(7)
     rows = np.column_stack([rng.integers(-lead, lead, size=(500, 3)),
-                            rng.integers(-last, last, size=500)])
+                            rng.integers(-last, last, size=500)]).astype(dtype)
+    assert dtype == np.int64 or int(rows.max()) - int(rows.min()) > 2**31
     rows = np.unique(rows, axis=0)
     rows = rows[rng.permutation(len(rows))]
     expect = sorted(range(len(rows)), key=lambda i: tuple(rows[i].tolist()))
@@ -484,6 +491,72 @@ def test_exact_determinant_survives_large_entries():
               for e in ball.iter_elements()]
     np.testing.assert_allclose(relative_chamber_matrix(ball)[:, 0], expect, rtol=1e-15,
                                atol=0)
+
+
+def test_int_ball_levels_climb_from_int32_to_int64():
+    """The entries of <[[3,8],[1,3]]> pass 2**31 near word length 12: its
+    levels are stored as int32, then int64, and level k still holds exactly
+    g^k and g^-k as Python-int matrix powers give them.  Each element's
+    chamber row has the bytes it has in the dictionary walk's ball."""
+    spec = GroupSpec.sl(2)
+    g = ((3, 8), (1, 3))
+    gens = GeneratorSet.from_elements([GroupElement(spec, (g,))])
+    L = 16
+    ball = enumerate_ball(gens, L)
+
+    def power(k):
+        m, step = ((1, 0), (0, 1)), g if k >= 0 else ((3, -8), (-1, 3))
+        for _ in range(abs(k)):
+            m = tuple(tuple(sum(m[i][t] * step[t][j] for t in range(2)) for j in range(2))
+                      for i in range(2))
+        return tuple(x for row in m for x in row)
+
+    dtypes = [lvl.dtype for lvl in ball._levels]
+    assert dtypes == sorted(dtypes, key=lambda d: d.itemsize)
+    assert {np.dtype(np.int32), np.dtype(np.int64)} == set(dtypes)
+    assert max(power(L)) > 2**31
+    for k, lvl in enumerate(ball._levels):
+        assert sorted(map(tuple, lvl.tolist())) == sorted({power(k), power(-k)})
+
+    generic = orbit._enumerate_generic(gens, L, 10**6)
+
+    def rows_by_element(b):
+        return {e.flat_entries(): row.tobytes()
+                for e, row in zip(b.iter_elements(), relative_chamber_matrix(b))}
+
+    assert rows_by_element(ball) == rows_by_element(generic)
+
+
+def test_exact_enumeration_peak_below_two_int64_images(monkeypatch):
+    """An int ball is kept as its int32 levels, never stacked into one
+    array: with 4096-row blocks the L=10 Sanov ball is enumerated within
+    twice the bytes of its int64 entries, which a stacked copy of int64
+    levels alone would fill."""
+    import tracemalloc
+    monkeypatch.setattr(orbit, "_BLOCK_ROWS", 4096)
+    tracemalloc.start()
+    try:
+        ball = enumerate_ball(sanov_generators(), 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(ball) * ball.spec.entry_count * 8
+
+
+def test_chamber_matrix_peak_below_one_float_image(monkeypatch):
+    """The table projects the ball a row block at a time: with 4096-row
+    blocks its traced peak on the L=10 Sanov ball stays below one float64
+    image of the whole ball plus the chamber matrix itself."""
+    import tracemalloc
+    ball = enumerate_ball(sanov_generators(), 10)
+    monkeypatch.setattr(orbit, "_BLOCK_ROWS", 4096)
+    tracemalloc.start()
+    try:
+        chamber = relative_chamber_matrix(ball)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(ball) * ball.spec.entry_count * 8 + chamber.nbytes
 
 
 def test_chamber_matrix_keeps_no_float_copy_of_an_int_ball():
@@ -554,7 +627,7 @@ def test_int64_ball_continues_on_big_ints(monkeypatch):
     monkeypatch.setattr(orbit, "_enumerate_generic", spy)
     ball = enumerate_ball(gens, 30)
     assert seeded == [True]
-    assert ball._entries.dtype == object
+    assert all(lvl.dtype == object for lvl in ball._levels)
     assert ball.growth_per_level == [1] + [2] * 30
     fresh = generic(gens, 30, 10**6)
     assert ball_key_set(ball) == ball_key_set(fresh)

@@ -71,6 +71,10 @@ def _det_exact(rows: tuple[tuple, ...]) -> Fraction:
     return det
 
 
+def _integer_valued(rows: tuple[tuple[float, ...], ...]) -> bool:
+    return all(x.is_integer() for row in rows for x in row)
+
+
 def _adjugate(rows: tuple[tuple, ...]) -> list[list[Fraction]]:
     """Adjugate from the signed minors: the inverse of a determinant-one block."""
     n = len(rows)
@@ -94,7 +98,8 @@ def flat_product(spec: GroupSpec):
 @dataclass(frozen=True)
 class GroupElement:
     """Block-diagonal matrix, one block per spec factor, each of determinant
-    one (floats within 1e-9), which the Cartan closed form relies on."""
+    one (float blocks with a non-integer entry within 1e-9), which the
+    Cartan closed form relies on."""
 
     spec: GroupSpec
     blocks: tuple[tuple[tuple, ...], ...]
@@ -111,11 +116,13 @@ class GroupElement:
             rows = tuple(tuple(_coerce_entry(x, mode) for x in row) for row in block)
             if len(rows) != n or any(len(r) != n for r in rows):
                 raise ValueError(f"block must be {n}x{n}, got {rows!r}")
-            if mode == "float":
+            if mode == "float" and not _integer_valued(rows):
                 det = float(np.linalg.det(np.asarray(rows, dtype=float)))
                 if abs(det - 1.0) > _DET_FLOAT_TOL:
                     raise ValueError(f"block determinant {det:.12g} != 1")
             else:
+                # integer-valued entries have an integer determinant, within
+                # 1e-9 of 1 only when it is 1; LU rounding misses 1e-9 past ~1e4
                 det = _det_exact(rows)
                 if det != 1:
                     raise ValueError(f"block determinant {det} != 1")
@@ -135,12 +142,13 @@ class GroupElement:
         return GroupElement.from_flat(self.spec, mul(self.flat_entries(), other.flat_entries()))
 
     def inverse(self) -> "GroupElement":
-        if self.spec.arithmetic == "float":
-            blocks = [np.linalg.inv(b).tolist() for b in self.float_blocks()]
-        else:
-            whole = self.spec.arithmetic == "exact-int"
-            blocks = [[[int(x) if whole else x for x in row] for row in _adjugate(rows)]
-                      for rows in self.blocks]
+        """The exact adjugate of each exact or integer-valued float block;
+        np.linalg.inv of any other float block."""
+        cast = {"exact-int": int, "float": float}.get(self.spec.arithmetic, Fraction)
+        blocks = [np.linalg.inv(np.asarray(rows)).tolist()
+                  if cast is float and not _integer_valued(rows)
+                  else [[cast(x) for x in row] for row in _adjugate(rows)]
+                  for rows in self.blocks]
         return GroupElement(self.spec, tuple(tuple(map(tuple, b)) for b in blocks))
 
     def float_blocks(self) -> list[np.ndarray]:

@@ -377,9 +377,19 @@ def delta_second_bisection(ball: OrbitBall, rs: RootSystemData) -> float:
     """
     if ball.exhausted:
         return 0.0
+    table = distance_table(ball, rs)
+    rho_norm, d, dprime = table.rho_norm, table.d, table.dprime
+    # the mixed terms exp(-rho d' - (s - rho) d) for s > rho, exp(-s d')
+    # otherwise: those of level_partial_sums up to the sign of zero
+    neg_rho_dprime = -rho_norm * dprime
 
     def apparently_convergent(s: float) -> bool:
-        sums = level_partial_sums(ball, rs, KIND_MIXED, s)
+        if s > rho_norm:
+            terms = np.multiply(s - rho_norm, d)
+            np.subtract(neg_rho_dprime, terms, out=terms)
+        else:
+            terms = np.multiply(-s, dprime)
+        sums = np.cumsum(ball.level_sums(np.exp(terms, out=terms)))
         if len(sums) < 3:
             return True
         inc = np.diff(sums)

@@ -5,19 +5,32 @@ With a symmetric generating set the word length of a product gamma*g differs
 from that of gamma by at most one, so a candidate produced from the frontier
 is new precisely when it avoids the previous two levels; the exact-integer
 path exploits this to run fully vectorized on int64 rows, storing each level
-in lexicographic row order.  Float mode quantizes entries to a 1e-9 grid
-(documented risk: distinct elements closer than the quantum collapse) and
-checks the full history, since rounding noise does not respect word-length
-metrics; its levels keep the order in which candidates first occur.  Exact
-levels are stored as int32 while n * max|frontier| * max|generator| stays
-below 2**31, else as int64; products and hashes are always formed from
-int64 values, so the narrow storage changes no hash, no dedup and no level
-order.  Both
-paths find keys by 64-bit row hashes, sorted per level, and compare full key
-rows within every equal-hash group and on every hash hit; a level where two
-different rows share a hash is deduplicated by sorting whole rows.  Rational
-and oversized-integer inputs fall back to a dictionary-based walk on exact
-flat tuples.
+in lexicographic row order.  Exact levels are stored as int32 while
+n * max|frontier| * max|generator| stays below 2**31, else as int64;
+products and hashes are always formed from int64 values, so the narrow
+storage changes no hash, no dedup and no level order.
+
+Float levels are float64 and keep the order in which candidates first
+occur.  A float generating set is integral when every entry of every
+element, inverses included (GroupElement.inverse takes those as exact
+adjugates), is integer-valued; then so is every float product and sum of
+its entries, and each row is keyed by its int64 values, equal exactly
+where quantized keys are equal.  While n * max|frontier| * max|generator|
+stays below 2**53 every partial sum is exact, so an integral level's
+products are formed in int64, converted a block at a time, and equal the
+float products bit for bit; the ball's relations then hold exactly and,
+as in the exact path, only the previous two levels are searched.  From the
+first level where that bound reaches 2**53, and for every other float
+set, products are formed in float64 and every earlier level is searched,
+since rounding noise does not respect word-length metrics.  Other float
+sets quantize entries to a 1e-9 grid (documented risk: distinct elements
+closer than the quantum collapse) and key each entry by two int64 words.
+
+Both paths find keys by 64-bit row hashes, sorted per level, and compare
+full key rows within every equal-hash group and on every hash hit; a level
+where two different rows share a hash is deduplicated by sorting whole
+rows.  Rational and oversized-integer inputs fall back to a dictionary-based
+walk on exact flat tuples.
 
 For each frontier row the enumerator keeps the inverse of its last letter,
 the generator by which the row was first reached, permuted with the level;
@@ -32,8 +45,8 @@ Candidates are formed, keyed and hashed _BLOCK_ROWS rows at a time into one
 compressed candidate array, frontier-major and generator-ascending; full
 key rows are formed only for the rows compared.  A candidate thus costs its
 m entries (4 or 8 bytes each) and its 8-byte hash for the level, plus about
-four 8-byte indices while the level is deduplicated; float keys (2m int64
-words) and int64 product temporaries live for one block only.  The ball keeps the level
+four 8-byte indices while the level is deduplicated; keys and int64
+product temporaries live for one block only.  The ball keeps the level
 arrays as they are made, with no stacked copy.
 """
 
@@ -56,6 +69,9 @@ DEFAULT_MAX_ELEMENTS = 10_000_000
 # _INT32_SAFE; keep it clear of int64 overflow, else walk on big ints
 _INT32_SAFE = 2**31
 _INT64_SAFE = 2**62
+# integer-valued float products are exact while that bound is below
+# _FLOAT_EXACT, since then every partial sum is an integer below 2**53
+_FLOAT_EXACT = 2**53
 
 _FLOAT_QUANTUM = 1e-9
 
@@ -63,12 +79,16 @@ _FLOAT_QUANTUM = 1e-9
 _BLOCK_ROWS = 1 << 16
 
 
-def _quantized_keys(rows: np.ndarray) -> np.ndarray:
-    """Exact int64 pair encoding of round(x / quantum) for |x| <= 1e15."""
+def _check_float_entries(rows: np.ndarray) -> None:
     if rows.size and np.abs(rows).max() > MAX_FLOAT_ENTRY:
         raise NumericalError(
             f"entry-overflow in float mode: entries exceed {MAX_FLOAT_ENTRY:g}"
         )
+
+
+def _quantized_keys(rows: np.ndarray) -> np.ndarray:
+    """Exact int64 pair encoding of round(x / quantum) for |x| <= 1e15."""
+    _check_float_entries(rows)
     whole = np.floor(rows)
     frac_key = np.rint((rows - whole) / _FLOAT_QUANTUM)
     carry = frac_key >= round(1.0 / _FLOAT_QUANTUM)
@@ -78,6 +98,13 @@ def _quantized_keys(rows: np.ndarray) -> np.ndarray:
     keys[..., 0::2] = whole.astype(np.int64)
     keys[..., 1::2] = frac_key.astype(np.int64)
     return keys
+
+
+def _integer_keys(rows: np.ndarray) -> np.ndarray:
+    """The int64 values of integer-valued float rows, |x| <= 1e15: equal
+    exactly where their quantized keys are equal, in one word per entry."""
+    _check_float_entries(rows)
+    return rows.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -201,10 +228,11 @@ def enumerate_ball(gens: GeneratorSet, max_word_length: int,
                    max_elements: int = DEFAULT_MAX_ELEMENTS) -> OrbitBall:
     """Enumerate {gamma : word length <= max_word_length} by levelled BFS.
 
-    Deduplication is exact matrix equality in the exact modes and quantized
-    (1e-9) key equality in float mode, found through 64-bit row hashes with
-    full-row verification (see the module docstring).  Raises
-    ResourceLimitError when the ball would exceed max_elements.
+    Deduplication is exact matrix equality in the exact modes and for float
+    sets of integer entries, and quantized (1e-9) key equality for other
+    float sets, found through 64-bit row hashes with full-row verification
+    (see the module docstring).  Raises ResourceLimitError when the ball
+    would exceed max_elements.
     """
     if max_word_length < 0:
         raise ValueError("max_word_length must be >= 0")
@@ -251,7 +279,8 @@ def _candidates(spec: GroupSpec, frontier: np.ndarray, gen_rows: np.ndarray,
     generator-ascending, leaving out generator skip[f] for frontier row f,
     with the hash of each product's key.  Products, keys and hashes are
     formed _BLOCK_ROWS products at a time, in the generators' dtype, and
-    compressed straight into the one candidate array of `dtype`."""
+    compressed straight into the one candidate array of `dtype`; a block of
+    int64 products bound for float candidates is converted first."""
     ng = len(gen_rows)
     per_row = ng - (skip is not None)
     cand = np.empty((len(frontier) * per_row, frontier.shape[1]), dtype=dtype)
@@ -261,6 +290,8 @@ def _candidates(spec: GroupSpec, frontier: np.ndarray, gen_rows: np.ndarray,
         block = frontier[lo:lo + step].astype(gen_rows.dtype, copy=False)
         prod = _block_products(spec, block, gen_rows)
         at = slice(lo * per_row, (lo + step) * per_row)
+        if cand.dtype.kind == "f":
+            prod = prod.astype(float, copy=False)  # compress casts int64 to int32 only
         if skip is None:
             cand[at] = prod
         else:
@@ -348,14 +379,18 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
 
 
 def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitBall:
-    """Vectorized BFS on int32/int64 rows (exact) or float64 rows with
-    quantized keys."""
+    """Vectorized BFS on int32/int64 rows (exact) or float64 rows, keyed by
+    their int64 values when the generating set is integral, else quantized."""
     spec = gens.spec
     dtype = np.int64 if exact else float
-    keys_of = (lambda rows: rows) if exact else _quantized_keys
     gen_rows = np.array([g.flat_entries() for g in gens.elements], dtype=dtype)
     gen_rows = gen_rows.reshape(len(gens.elements), spec.entry_count)
+    # every entry of an integral set, inverses included, is integer-valued,
+    # and so is every float product and sum of its entries
+    integral = exact or np.array_equal(gen_rows, np.rint(gen_rows))
+    keys_of = (lambda rows: rows) if exact else _integer_keys if integral else _quantized_keys
     gen_max = int(np.abs(gen_rows).max()) if gen_rows.size else 0
+    int_gen_rows = gen_rows.astype(np.int64, copy=False) if integral else None
     n_max = max(spec.sizes)
     inverse = np.array(gens.inverse, dtype=np.intp)
 
@@ -368,6 +403,9 @@ def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitB
     skip = None
     total = 1
     exhausted = False
+    # while products are exact the ball's relations hold exactly, so with a
+    # symmetric set a candidate is new when the last two levels lack it
+    two_level = integral
     for w in range(1, L + 1):
         frontier = levels[-1]
         per_row = len(gen_rows) - (skip is not None)
@@ -375,16 +413,21 @@ def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitB
             exhausted = True
             break
         level_dtype = dtype
-        if exact:
+        if two_level:
             bound = n_max * max(-int(frontier.min()), int(frontier.max()), 1) * max(gen_max, 1)
-            if bound >= _INT64_SAFE:
-                # entries outgrow the int64 fast path; continue on exact big ints
-                return _enumerate_generic(gens, L, cap,
-                                          seed_levels=[lvl.tolist() for lvl in levels])
-            level_dtype = np.int32 if bound < _INT32_SAFE else np.int64
-        cand, h = _candidates(spec, frontier, gen_rows, skip, keys_of, level_dtype)
-        # float rounding noise does not respect word length: check every level
-        known = range(max(len(levels) - 2, 0) if exact else 0, len(levels))
+            if exact:
+                if bound >= _INT64_SAFE:
+                    # entries outgrow the int64 fast path; continue on exact big ints
+                    return _enumerate_generic(gens, L, cap,
+                                              seed_levels=[lvl.tolist() for lvl in levels])
+                level_dtype = np.int32 if bound < _INT32_SAFE else np.int64
+            elif bound >= _FLOAT_EXACT:
+                # float products may round from here on, and rounding noise
+                # does not respect word length: float products, every level
+                two_level = False
+        mul_rows = int_gen_rows if two_level else gen_rows
+        cand, h = _candidates(spec, frontier, mul_rows, skip, keys_of, level_dtype)
+        known = range(max(len(levels) - 2, 0) if two_level else 0, len(levels))
         fetch = [(index[k][0], lambda i, k=k: keys_of(np.take(levels[k], index[k][1][i], axis=0)))
                  for k in known]
         first, hashes = _fresh_rows(h, lambda i: keys_of(np.take(cand, i, axis=0)), fetch,

@@ -2,12 +2,16 @@
 module attribute, so renaming or dropping one of them breaks the benchmark
 without breaking the library.  Each workload runs here once, traced, at
 the smoke word length, through the harness's own job-spec and child-process
-functions."""
+functions.  The harness's float workload is meant to exercise integral float
+enumeration, so its generating sets must stay integer-valued."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from orbispec import GeneratorSet, GroupElement, GroupSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,3 +53,16 @@ def test_traced_lib_job_projects_the_ball_once(run_module, tmp_path, monkeypatch
     assert sum(s["name"] == "exponents.relative_chamber_matrix" for s in spans) == 1
     rows = [s["rows"] for s in spans if s["name"] == "cartan.log_singular_values"]
     assert sum(rows) == sum(payload["result"]["levels"])
+
+
+def test_hitchin_generating_sets_are_integral(run_module):
+    """Every entry of the hitchin workload's generating set, inverses
+    included, is an integer for seeds 0-23, so its float ball is keyed by
+    int64 values and multiplied exactly, as the workload means to measure."""
+    spec = GroupSpec.sl(3, "float")
+    for seed in range(24):
+        mats = run_module.make_inputs("hitchin3-float-cli-L11", seed)["generators"]
+        gens = GeneratorSet.from_elements(
+            [GroupElement(spec, (tuple(map(tuple, m)),)) for m in mats])
+        rows = np.array([g.flat_entries() for g in gens.elements])
+        assert np.array_equal(rows, np.rint(rows)), seed

@@ -319,20 +319,107 @@ def _first_occurrence_levels(gens, L):
     return levels
 
 
+def _record_searched_levels(monkeypatch) -> list[int]:
+    """Make orbit._fresh_rows record, for each level it deduplicates, how
+    many earlier levels it checks the candidates against."""
+    searched = []
+    fresh_rows = orbit._fresh_rows
+
+    def recording(h, rows, known, known_keys):
+        searched.append(len(known))
+        return fresh_rows(h, rows, known, known_keys)
+
+    monkeypatch.setattr(orbit, "_fresh_rows", recording)
+    return searched
+
+
 def test_float_levels_keep_first_occurrence_order(monkeypatch):
     """Each float level holds the candidates whose key no earlier level
     holds, in the order the candidates first occur.  On a 0.4 quantum the
     rotation meets keys more than two levels old, which only the float
-    path's full-history check catches."""
+    path's full-history check catches: its entries are not integers, so
+    each of its levels is checked against every earlier one."""
+    searched = _record_searched_levels(monkeypatch)
     for make_gens, L, quantum in ((_sym2_float_generators, 5, orbit._FLOAT_QUANTUM),
                                   (_float_rotation, 12, 0.4)):
         monkeypatch.setattr(orbit, "_FLOAT_QUANTUM", quantum)
         gens = make_gens()
+        searched.clear()
         ball = enumerate_ball(gens, L)
         want = _first_occurrence_levels(gens, L)
         assert [lvl.tobytes() for lvl in _levels(ball)] == [lvl.tobytes() for lvl in want]
     assert ball.growth_per_level == [1, 2, 2, 1, 1]
     assert ball.exhausted
+    assert searched == [1, 2, 3, 4, 5]
+
+
+def _float_modular_group():
+    """<S, T> = SL(2,Z) in float mode: integer entries, and relations such
+    as S^4 = (ST)^6 = 1."""
+    spec = GroupSpec.sl(2, "float")
+    return GeneratorSet.from_elements([GroupElement(spec, (((0, -1), (1, 0)),)),
+                                       GroupElement(spec, (((1, 1), (0, 1)),))])
+
+
+@pytest.mark.parametrize("make_gens, L", [(_sym2_float_generators, 7),
+                                          (_float_modular_group, 12)])
+def test_integral_float_ball_is_keyed_exactly_on_two_levels(make_gens, L, monkeypatch):
+    """Every entry of these float sets, inverses included, is an integer.
+    Their balls are keyed by their int64 values, never by quantized keys,
+    and each level is checked against the previous two only, as exact balls
+    are; the levels are still the first-occurrence walk's, byte for byte."""
+    gens = make_gens()
+    want = _first_occurrence_levels(gens, L)
+    searched = _record_searched_levels(monkeypatch)
+    monkeypatch.setattr(orbit, "_quantized_keys", None)  # a call would raise
+    ball = enumerate_ball(gens, L)
+    assert [lvl.tobytes() for lvl in _levels(ball)] == [lvl.tobytes() for lvl in want]
+    assert searched == [1] + [2] * (L - 1)
+
+
+def test_integral_float_ball_falls_back_to_full_history(monkeypatch):
+    """From the first level whose products could round, an integral ball
+    multiplies in float and checks every earlier level.  With the bound
+    lowered to 2**11, word length 5 of the sym2 ball is the first such level
+    (3 * 841 * 4 >= 2**11 > 3 * 144 * 4), and the bytes do not change."""
+    gens, L = _sym2_float_generators(), 7
+    want = _first_occurrence_levels(gens, L)
+    searched = _record_searched_levels(monkeypatch)
+    monkeypatch.setattr(orbit, "_FLOAT_EXACT", 2**11)
+    ball = enumerate_ball(gens, L)
+    assert [lvl.tobytes() for lvl in _levels(ball)] == [lvl.tobytes() for lvl in want]
+    assert searched == [1, 2, 2, 2, 5, 6, 7]
+
+
+@pytest.mark.parametrize("k", [30, 1000])
+def test_conjugated_float_modular_group_has_the_exact_ball(k):
+    """<S, T> conjugated by [[k, k - 1], [1, 1]] has integer entries, and so
+    have the inverses the generating set takes as exact adjugates: the float
+    ball holds the 3,932 elements of the exact one, not the tens of
+    thousands (k = 30) or 832,315 (k = 1000) that inverses rounded by LU
+    added."""
+    conj, conj_inv = np.array([[k, k - 1], [1, 1]]), np.array([[1, 1 - k], [-1, k]])
+    balls = []
+    for arithmetic in ("float", "exact-int"):
+        spec = GroupSpec.sl(2, arithmetic)
+        gens = [GroupElement(spec, (tuple(map(tuple, (conj @ m @ conj_inv).tolist())),))
+                for m in (np.array([[0, -1], [1, 0]]), np.array([[1, 1], [0, 1]]))]
+        balls.append(enumerate_ball(GeneratorSet.from_elements(gens), 12))
+    assert len(balls[0]) == len(balls[1]) == 3932
+    assert balls[0].growth_per_level == balls[1].growth_per_level
+
+
+def test_float_ball_elements_with_large_integer_entries_are_valid():
+    """The float ball of [[3,8],[1,3]] at L=16 holds integer entries up to
+    2.5e12, where np.linalg.det misses 1 by more than 1e-9.  Its blocks'
+    determinants are taken exactly, so every element(i) is built, and each
+    is the exact ball's element."""
+    balls = [enumerate_ball(GeneratorSet.from_elements(
+        [GroupElement(GroupSpec.sl(2, arithmetic), (((3, 8), (1, 3)),))]), 16)
+        for arithmetic in ("float", "exact-int")]
+    got = {tuple(map(int, balls[0].element(i).flat_entries())) for i in range(len(balls[0]))}
+    assert got == {e.flat_entries() for e in balls[1].iter_elements()}
+    assert len(got) == 33
 
 
 @pytest.mark.parametrize("sizes", [(3,), (2, 3)], ids=["sl3", "sl2xsl3"])

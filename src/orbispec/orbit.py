@@ -1,30 +1,26 @@
 """Breadth-first enumeration of orbit balls in finitely generated subgroups.
 
 Elements are gathered level by level in word length with exact deduplication.
-With a symmetric generating set the word length of a product gamma*g differs
-from that of gamma by at most one, so a candidate produced from the frontier
-is new precisely when it avoids the previous two levels; the exact-integer
-path exploits this to run fully vectorized on int64 rows, storing each level
-in lexicographic row order.  Exact levels are stored as int32 while
-n * max|frontier| * max|generator| stays below 2**31, else as int64;
-products and hashes are always formed from int64 values, so the narrow
-storage changes no hash, no dedup and no level order.
+A generating set is integral when every entry of every element, inverses
+included, is an integer: every exact-int set, and every float set whose
+entries are integer-valued (GroupElement.inverse takes those inverses as
+exact adjugates).  An integral ball runs one path whatever its arithmetic
+label.  Its products are formed in int64, and its rows are their own keys.
+Each level is stored as int32 while n * max|frontier| * max|generator|
+stays below 2**31, else as int64, and from the level where that bound
+reaches 2**62 the walk continues on exact Python ints.  With a symmetric
+generating set the word length of a product gamma*g differs from that of
+gamma by at most one, so a candidate is new precisely when it avoids the
+previous two levels.  The label decides only the level order: exact-int
+levels are stored in lexicographic row order, float ones in the order in
+which candidates first occur, and float levels still fail with
+NumericalError once an entry passes MAX_FLOAT_ENTRY.
 
-Float levels are float64 and keep the order in which candidates first
-occur.  A float generating set is integral when every entry of every
-element, inverses included (GroupElement.inverse takes those as exact
-adjugates), is integer-valued; then so is every float product and sum of
-its entries, and each row is keyed by its int64 values, equal exactly
-where quantized keys are equal.  While n * max|frontier| * max|generator|
-stays below 2**53 every partial sum is exact, so an integral level's
-products are formed in int64, converted a block at a time, and equal the
-float products bit for bit; the ball's relations then hold exactly and,
-as in the exact path, only the previous two levels are searched.  From the
-first level where that bound reaches 2**53, and for every other float
-set, products are formed in float64 and every earlier level is searched,
-since rounding noise does not respect word-length metrics.  Other float
-sets quantize entries to a 1e-9 grid (documented risk: distinct elements
-closer than the quantum collapse) and key each entry by two int64 words.
+Other float sets are multiplied in float64, and every earlier level is
+searched, since rounding noise does not respect word-length metrics.  Their
+entries are quantized to a 1e-9 grid (documented risk: distinct elements
+closer than the quantum collapse) and each entry is keyed by two int64
+words.
 
 Both paths find keys by 64-bit row hashes, sorted per level, and compare
 full key rows within every equal-hash group and on every hash hit; a level
@@ -69,9 +65,6 @@ DEFAULT_MAX_ELEMENTS = 10_000_000
 # _INT32_SAFE; keep it clear of int64 overflow, else walk on big ints
 _INT32_SAFE = 2**31
 _INT64_SAFE = 2**62
-# integer-valued float products are exact while that bound is below
-# _FLOAT_EXACT, since then every partial sum is an integer below 2**53
-_FLOAT_EXACT = 2**53
 
 _FLOAT_QUANTUM = 1e-9
 
@@ -79,8 +72,9 @@ _FLOAT_QUANTUM = 1e-9
 _BLOCK_ROWS = 1 << 16
 
 
-def _check_float_entries(rows: np.ndarray) -> None:
-    if rows.size and np.abs(rows).max() > MAX_FLOAT_ENTRY:
+def _check_float_entries(top) -> None:
+    """Raise once the largest |entry| of a float ball passes MAX_FLOAT_ENTRY."""
+    if top > MAX_FLOAT_ENTRY:
         raise NumericalError(
             f"entry-overflow in float mode: entries exceed {MAX_FLOAT_ENTRY:g}"
         )
@@ -88,7 +82,7 @@ def _check_float_entries(rows: np.ndarray) -> None:
 
 def _quantized_keys(rows: np.ndarray) -> np.ndarray:
     """Exact int64 pair encoding of round(x / quantum) for |x| <= 1e15."""
-    _check_float_entries(rows)
+    _check_float_entries(max(-rows.min(initial=0.0), rows.max(initial=0.0)))
     whole = np.floor(rows)
     frac_key = np.rint((rows - whole) / _FLOAT_QUANTUM)
     carry = frac_key >= round(1.0 / _FLOAT_QUANTUM)
@@ -98,13 +92,6 @@ def _quantized_keys(rows: np.ndarray) -> np.ndarray:
     keys[..., 0::2] = whole.astype(np.int64)
     keys[..., 1::2] = frac_key.astype(np.int64)
     return keys
-
-
-def _integer_keys(rows: np.ndarray) -> np.ndarray:
-    """The int64 values of integer-valued float rows, |x| <= 1e15: equal
-    exactly where their quantized keys are equal, in one word per entry."""
-    _check_float_entries(rows)
-    return rows.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -163,8 +150,9 @@ class OrbitBall:
 
     The entries are the list of (n_w, m) level arrays the enumerator made,
     level w holding the elements of word length w, the identity alone at
-    level 0.  An exact level is int32 or int64, a float one float64, and
-    rationals and oversized integers are dtype=object.  Element i is row i
+    level 0.  A level of an integral generating set is int32 or int64, in
+    float mode too, one of any other float set float64, and rationals and
+    oversized integers are dtype=object.  Element i is row i
     of the levels taken in order; they are never stacked into one array.
     The levels are the one record of word length: the ball keeps no
     per-element word lengths.  The ball holds no Cartan data; the distance
@@ -210,8 +198,9 @@ class OrbitBall:
 
     def float_row_blocks(self):
         """Float64 images of the entries in element order, at most
-        _BLOCK_ROWS rows at a time and never across a level.  Exact balls
-        convert only the block in use rather than keep a second copy."""
+        _BLOCK_ROWS rows at a time and never across a level.  Integer and
+        object levels, float-mode ones included, convert only the block in
+        use rather than keep a second copy."""
         for lvl in self._levels:
             for lo in range(0, len(lvl), _BLOCK_ROWS):
                 try:
@@ -228,22 +217,23 @@ def enumerate_ball(gens: GeneratorSet, max_word_length: int,
                    max_elements: int = DEFAULT_MAX_ELEMENTS) -> OrbitBall:
     """Enumerate {gamma : word length <= max_word_length} by levelled BFS.
 
-    Deduplication is exact matrix equality in the exact modes and for float
-    sets of integer entries, and quantized (1e-9) key equality for other
-    float sets, found through 64-bit row hashes with full-row verification
-    (see the module docstring).  Raises ResourceLimitError when the ball
-    would exceed max_elements.
+    Deduplication is exact matrix equality for integral generating sets,
+    exact-int or float, and in exact-rational mode, and quantized (1e-9) key
+    equality for other float sets, found through 64-bit row hashes with
+    full-row verification (see the module docstring).  Raises
+    ResourceLimitError when the ball would exceed max_elements, and in float
+    mode NumericalError once an entry passes MAX_FLOAT_ENTRY.
     """
     if max_word_length < 0:
         raise ValueError("max_word_length must be >= 0")
     spec = gens.spec
-    if spec.arithmetic == "float":
-        return _enumerate_rows(gens, max_word_length, max_elements, exact=False)
-    if spec.arithmetic == "exact-int":
-        gen_max = max((max(abs(x) for x in g.flat_entries()) for g in gens.elements),
-                      default=0)
+    entries = [x for g in gens.elements for x in g.flat_entries()]
+    if spec.arithmetic == "float" and not all(x.is_integer() for x in entries):
+        return _enumerate_rows(gens, max_word_length, max_elements, integral=False)
+    if spec.arithmetic != "exact-rational":
+        gen_max = int(max(map(abs, entries), default=0))
         if max(spec.sizes) * max(gen_max, 1) * gen_max < _INT64_SAFE:
-            return _enumerate_rows(gens, max_word_length, max_elements, exact=True)
+            return _enumerate_rows(gens, max_word_length, max_elements, integral=True)
     return _enumerate_generic(gens, max_word_length, max_elements)
 
 
@@ -279,8 +269,7 @@ def _candidates(spec: GroupSpec, frontier: np.ndarray, gen_rows: np.ndarray,
     generator-ascending, leaving out generator skip[f] for frontier row f,
     with the hash of each product's key.  Products, keys and hashes are
     formed _BLOCK_ROWS products at a time, in the generators' dtype, and
-    compressed straight into the one candidate array of `dtype`; a block of
-    int64 products bound for float candidates is converted first."""
+    compressed straight into the one candidate array of `dtype`."""
     ng = len(gen_rows)
     per_row = ng - (skip is not None)
     cand = np.empty((len(frontier) * per_row, frontier.shape[1]), dtype=dtype)
@@ -290,8 +279,6 @@ def _candidates(spec: GroupSpec, frontier: np.ndarray, gen_rows: np.ndarray,
         block = frontier[lo:lo + step].astype(gen_rows.dtype, copy=False)
         prod = _block_products(spec, block, gen_rows)
         at = slice(lo * per_row, (lo + step) * per_row)
-        if cand.dtype.kind == "f":
-            prod = prod.astype(float, copy=False)  # compress casts int64 to int32 only
         if skip is None:
             cand[at] = prod
         else:
@@ -378,24 +365,20 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
     return order
 
 
-def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitBall:
-    """Vectorized BFS on int32/int64 rows (exact) or float64 rows, keyed by
-    their int64 values when the generating set is integral, else quantized."""
+def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, integral: bool) -> OrbitBall:
+    """Vectorized BFS on int32/int64 rows that are their own keys (an
+    integral set, see the module docstring) or on quantized float64 rows."""
     spec = gens.spec
-    dtype = np.int64 if exact else float
-    gen_rows = np.array([g.flat_entries() for g in gens.elements], dtype=dtype)
+    gen_rows = np.array([g.flat_entries() for g in gens.elements],
+                        dtype=np.int64 if integral else float)
     gen_rows = gen_rows.reshape(len(gens.elements), spec.entry_count)
-    # every entry of an integral set, inverses included, is integer-valued,
-    # and so is every float product and sum of its entries
-    integral = exact or np.array_equal(gen_rows, np.rint(gen_rows))
-    keys_of = (lambda rows: rows) if exact else _integer_keys if integral else _quantized_keys
+    keys_of = (lambda rows: rows) if integral else _quantized_keys
     gen_max = int(np.abs(gen_rows).max()) if gen_rows.size else 0
-    int_gen_rows = gen_rows.astype(np.int64, copy=False) if integral else None
     n_max = max(spec.sizes)
     inverse = np.array(gens.inverse, dtype=np.intp)
 
     identity = np.array([GroupElement.identity(spec).flat_entries()],
-                        dtype=np.int32 if exact else float)
+                        dtype=np.int32 if integral else float)
     levels = [identity]
     # per level: its sorted row hashes and the level row behind each
     index = [(_row_hashes(keys_of(identity)), np.zeros(1, dtype=np.intp))]
@@ -403,31 +386,26 @@ def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitB
     skip = None
     total = 1
     exhausted = False
-    # while products are exact the ball's relations hold exactly, so with a
-    # symmetric set a candidate is new when the last two levels lack it
-    two_level = integral
+    top = 1  # the largest |entry| of the frontier
     for w in range(1, L + 1):
         frontier = levels[-1]
         per_row = len(gen_rows) - (skip is not None)
         if per_row == 0:
             exhausted = True
             break
-        level_dtype = dtype
-        if two_level:
-            bound = n_max * max(-int(frontier.min()), int(frontier.max()), 1) * max(gen_max, 1)
-            if exact:
-                if bound >= _INT64_SAFE:
-                    # entries outgrow the int64 fast path; continue on exact big ints
-                    return _enumerate_generic(gens, L, cap,
-                                              seed_levels=[lvl.tolist() for lvl in levels])
-                level_dtype = np.int32 if bound < _INT32_SAFE else np.int64
-            elif bound >= _FLOAT_EXACT:
-                # float products may round from here on, and rounding noise
-                # does not respect word length: float products, every level
-                two_level = False
-        mul_rows = int_gen_rows if two_level else gen_rows
-        cand, h = _candidates(spec, frontier, mul_rows, skip, keys_of, level_dtype)
-        known = range(max(len(levels) - 2, 0) if two_level else 0, len(levels))
+        level_dtype = float
+        if integral:
+            bound = n_max * top * max(gen_max, 1)
+            if bound >= _INT64_SAFE:
+                # entries outgrow the int64 fast path; continue on exact big ints
+                return _enumerate_generic(gens, L, cap,
+                                          seed_levels=[lvl.tolist() for lvl in levels])
+            level_dtype = np.int32 if bound < _INT32_SAFE else np.int64
+        cand, h = _candidates(spec, frontier, gen_rows, skip, keys_of, level_dtype)
+        # integral products are exact, so the ball's relations hold exactly and,
+        # the set being symmetric, a candidate is new when the last two levels
+        # lack it; float rounding noise does not respect word length
+        known = range(max(len(levels) - 2, 0) if integral else 0, len(levels))
         fetch = [(index[k][0], lambda i, k=k: keys_of(np.take(levels[k], index[k][1][i], axis=0)))
                  for k in known]
         first, hashes = _fresh_rows(h, lambda i: keys_of(np.take(cand, i, axis=0)), fetch,
@@ -442,16 +420,20 @@ def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, exact: bool) -> OrbitB
                 f"orbit ball exceeds {cap} elements at word length {w}"
             )
         # drop the step's largest arrays once used: at the last level they
-        # would otherwise stay alive while OrbitBall stacks the levels
+        # would otherwise stay alive beside the finished ball
         rows = np.take(cand, first, axis=0)
         del cand
-        order = _lex_order(rows) if exact else np.argsort(first)
+        if integral:
+            top = max(-int(rows.min()), int(rows.max()))
+            if spec.arithmetic == "float":
+                _check_float_entries(top)
+        order = _lex_order(rows) if spec.arithmetic == "exact-int" else np.argsort(first)
         levels.append(np.take(rows, order, axis=0))
         del rows
         at = np.empty_like(order)
         at[order] = np.arange(len(order))
         index.append((hashes, at))
-        if exact and len(index) > 2:
+        if integral and len(index) > 2:
             index[-3] = None
         if w < L:
             # the last letter of each new row; its inverse leads back
@@ -467,10 +449,12 @@ def _enumerate_generic(gens: GeneratorSet, L: int, cap: int,
                        seed_levels: list | None = None) -> OrbitBall:
     spec = gens.spec
     mul = flat_product(spec)
-    gen_tuples = [g.flat_entries() for g in gens.elements]
+    # a float set reaches here only when integral: walk on its int values
+    cast = int if spec.arithmetic == "float" else (lambda x: x)
+    gen_tuples = [tuple(map(cast, g.flat_entries())) for g in gens.elements]
 
     if seed_levels is None:
-        levels = [[GroupElement.identity(spec).flat_entries()]]
+        levels = [[tuple(map(cast, GroupElement.identity(spec).flat_entries()))]]
     else:
         levels = [[tuple(row) for row in lvl] for lvl in seed_levels]
     seen = {t for lvl in levels for t in lvl}
@@ -492,5 +476,7 @@ def _enumerate_generic(gens: GeneratorSet, L: int, cap: int,
         if not new:
             exhausted = True
             break
+        if spec.arithmetic == "float":
+            _check_float_entries(max(max(map(max, new)), -min(map(min, new))))
         levels.append(new)
     return OrbitBall(spec, L, [np.array(lvl, dtype=object) for lvl in levels], exhausted)

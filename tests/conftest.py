@@ -46,6 +46,21 @@ def cyclic_hyperbolic_generator():
     return GeneratorSet.from_elements([GroupElement(spec, (((e, 0.0), (0.0, 1.0 / e)),))])
 
 
+def orthonormal_sym2_generators():
+    """The Sanov generators of Gamma(2) through the symmetric square, in an
+    orthonormal basis of quadratic forms: float SL(3,R) elements with
+    entries in sqrt(2) Z, so the set is not integral.  Every element's
+    singular values are the squares of its Gamma(2) preimage's, so d and d'
+    are twice the Gamma(2) distance d."""
+    spec = GroupSpec.sl(3, "float")
+    out = []
+    for (a, b), (c, d) in (((1, 2), (0, 1)), ((1, 0), (2, 1))):
+        m = ((a * a, SQRT2 * a * b, b * b), (SQRT2 * a * c, a * d + b * c, SQRT2 * b * d),
+             (c * c, SQRT2 * c * d, d * d))
+        out.append(GroupElement(spec, (m,)))
+    return GeneratorSet.from_elements(out)
+
+
 def word_lengths(ball) -> np.ndarray:
     """The word length of each element of a ball, built from its level sizes."""
     return np.repeat(np.arange(len(ball.growth_per_level)), ball.growth_per_level)

@@ -219,15 +219,21 @@ def test_cyclic_ball_with_base_point_exits_0(tmp_path):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
-def test_numerical_overflow_exits_4(tmp_path):
+@pytest.mark.parametrize("generator, depth", [
+    ([[1e8, 0.0], [0.0, 1e-8]], 4),
+    ([[1, 10**14], [0, 1]], 12),  # integral, on big ints from the start
+    ([[3, 8], [1, 3]], 30),  # integral, on int rows
+], ids=["quantized", "integral-generic-walk", "integral-int-rows"])
+def test_numerical_overflow_exits_4(tmp_path, capsys, generator, depth):
     # float-mode entries blow past 1e15 during enumeration
     cfg = write_config(tmp_path, {
         "group": {"factors": [{"type": "sl", "n": 2}], "arithmetic": "float"},
-        "generators": [[[[1e8, 0.0], [0.0, 1e-8]]]],
-        "max_word_length": 4,
+        "generators": [[generator]],
+        "max_word_length": depth,
         "analyses": ["orbit", "count", "exponent", "lambda0"],
     })
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert "entry-overflow in float mode" in capsys.readouterr().err
 
 
 def test_bad_json_and_unknown_keys_exit_1(tmp_path, capsys):

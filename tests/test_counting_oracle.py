@@ -19,7 +19,7 @@ from orbispec import (GeneratorSet, GroupElement, GroupSpec, KIND_RIEMANNIAN,
                       build_root_system, counting_curve, enumerate_ball)
 from orbispec.exponents import trust_radius
 
-from conftest import sanov_generators
+from conftest import orthonormal_sym2_generators, sanov_generators
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -59,13 +59,15 @@ def _sanov(a, b, c, d):
     return b % 2 == 0 and c % 2 == 0 and a % 4 == 1 and d % 4 == 1
 
 
-def _pin_below_trust_radius(ball, keep):
+def _pin_below_trust_radius(ball, keep, scale=1.0):
     """Counts at every 0.25 step from 0 up to the trust radius equal the
-    oracle's; the step at 0 holds the elements at distance exactly zero."""
+    oracle's at radius R / scale, for a group whose distances are `scale`
+    times those of its SL(2,Z) preimage; the step at 0 holds the elements at
+    distance exactly zero."""
     rs = build_root_system(ball.spec)
     radii = np.arange(0.0, trust_radius(ball, rs), 0.25)
     curve = counting_curve(ball, rs, KIND_RIEMANNIAN, radii=radii)
-    np.testing.assert_array_equal(curve.counts, oracle_counts(radii, keep))
+    np.testing.assert_array_equal(curve.counts, oracle_counts(radii / scale, keep))
     return radii, curve.counts
 
 
@@ -105,3 +107,13 @@ def test_modular_group_counts_match_the_oracle():
     radii, counts = _pin_below_trust_radius(
         enumerate_ball(GeneratorSet.from_elements([s, t]), 12), lambda *g: True)
     assert radii[-1] >= 3.0 and counts[0] == 4
+
+
+def test_orthonormal_sym2_counts_match_the_oracle():
+    """The float orthonormal sym2 image of Gamma(2) in SL(3,R) doubles every
+    Gamma(2) distance, so its counts at R are the Sanov counts at R / 2, on
+    all 33 steps of its L=9 trust radius."""
+    radii, counts = _pin_below_trust_radius(enumerate_ball(orthonormal_sym2_generators(), 9),
+                                            _sanov, scale=2.0)
+    assert len(radii) == 33 and radii[-1] == 8.0
+    assert counts[0] == 1 and counts[-1] == 133

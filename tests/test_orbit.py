@@ -11,7 +11,7 @@ from orbispec import (GeneratorSet, GroupElement, GroupSpec, NumericalError,
                       trust_radius)
 from orbispec.exponents import distance_table, relative_chamber_matrix
 
-from conftest import cyclic_hyperbolic_generator, sanov_generators
+from conftest import cyclic_hyperbolic_generator, orthonormal_sym2_generators, sanov_generators
 
 SQRT2 = np.sqrt(2.0)
 
@@ -365,9 +365,10 @@ def _float_modular_group():
                                           (_float_modular_group, 12)])
 def test_integral_float_ball_is_keyed_exactly_on_two_levels(make_gens, L, monkeypatch):
     """Every entry of these float sets, inverses included, is an integer.
-    Their balls are keyed by their int64 values, never by quantized keys,
-    and each level is checked against the previous two only, as exact balls
-    are; the levels are still the first-occurrence walk's, byte for byte."""
+    Their balls run the exact path: int32 or int64 levels that are their
+    own keys, never quantized keys, each checked against the previous two
+    levels only; their float images are still the first-occurrence walk's,
+    byte for byte."""
     gens = make_gens()
     want = _first_occurrence_levels(gens, L)
     searched = _record_searched_levels(monkeypatch)
@@ -375,29 +376,18 @@ def test_integral_float_ball_is_keyed_exactly_on_two_levels(make_gens, L, monkey
     ball = enumerate_ball(gens, L)
     assert [lvl.tobytes() for lvl in _levels(ball)] == [lvl.tobytes() for lvl in want]
     assert searched == [1] + [2] * (L - 1)
+    assert all(lvl.dtype in (np.int32, np.int64) for lvl in ball._levels)
 
 
-def test_integral_float_ball_falls_back_to_full_history(monkeypatch):
-    """From the first level whose products could round, an integral ball
-    multiplies in float and checks every earlier level.  With the bound
-    lowered to 2**11, word length 5 of the sym2 ball is the first such level
-    (3 * 841 * 4 >= 2**11 > 3 * 144 * 4), and the bytes do not change."""
-    gens, L = _sym2_float_generators(), 7
-    want = _first_occurrence_levels(gens, L)
-    searched = _record_searched_levels(monkeypatch)
-    monkeypatch.setattr(orbit, "_FLOAT_EXACT", 2**11)
-    ball = enumerate_ball(gens, L)
-    assert [lvl.tobytes() for lvl in _levels(ball)] == [lvl.tobytes() for lvl in want]
-    assert searched == [1, 2, 2, 2, 5, 6, 7]
-
-
-@pytest.mark.parametrize("k", [30, 1000])
+@pytest.mark.parametrize("k", [30, 1000, 100000])
 def test_conjugated_float_modular_group_has_the_exact_ball(k):
     """<S, T> conjugated by [[k, k - 1], [1, 1]] has integer entries, and so
     have the inverses the generating set takes as exact adjugates: the float
     ball holds the 3,932 elements of the exact one, not the tens of
     thousands (k = 30) or 832,315 (k = 1000) that inverses rounded by LU
-    added."""
+    added.  At k = 100000 the generators' entries near 1e10 put both balls
+    on the exact big-int walk from the start, where float products that
+    rounded past 2**53 gave 12,909 elements."""
     conj, conj_inv = np.array([[k, k - 1], [1, 1]]), np.array([[1, 1 - k], [-1, k]])
     balls = []
     for arithmetic in ("float", "exact-int"):
@@ -407,6 +397,27 @@ def test_conjugated_float_modular_group_has_the_exact_ball(k):
         balls.append(enumerate_ball(GeneratorSet.from_elements(gens), 12))
     assert len(balls[0]) == len(balls[1]) == 3932
     assert balls[0].growth_per_level == balls[1].growth_per_level
+    assert [_level_set(lvl) for lvl in balls[0]._levels] == \
+        [_level_set(lvl) for lvl in balls[1]._levels]
+
+
+def _level_set(level) -> set:
+    """The rows of a level as tuples of Python ints, checking each is one."""
+    rows = {tuple(r) for r in level.tolist()}
+    assert all(type(x) is int for r in rows for x in r)
+    return rows
+
+
+@pytest.mark.parametrize("entries, L", [(((1, 10**14), (0, 1)), 12),
+                                        (((3, 8), (1, 3)), 30)],
+                         ids=["generic-walk", "int-rows"])
+def test_float_ball_overflow_is_an_enumeration_error(entries, L):
+    """An integral float ball still raises NumericalError once an entry
+    passes MAX_FLOAT_ENTRY (1e15), whether it walks on big ints from the
+    start (generator entries of 1e14) or on int rows (word length 20)."""
+    gens = GeneratorSet.from_elements([GroupElement(GroupSpec.sl(2, "float"), (entries,))])
+    with pytest.raises(NumericalError, match="entry-overflow in float mode"):
+        enumerate_ball(gens, L)
 
 
 def test_float_ball_elements_with_large_integer_entries_are_valid():
@@ -450,12 +461,13 @@ def test_float_block_products_match_einsum_bit_for_bit(sizes):
 
 
 def test_float_enumeration_peak_below_two_level_key_arrays(monkeypatch):
-    """Keys and hashes are formed a block at a time.  With 1024-row blocks
-    the L=9 float ball is enumerated within twice the size of the int64 key
-    array that its last level's candidates would need all at once, and the
-    blocks change no bit of the ball."""
+    """Quantized keys and hashes are formed a block at a time.  With
+    1024-row blocks the L=9 ball of the orthonormal sym2 set, whose entries
+    hold sqrt(2) and so are quantized, is enumerated within twice the size
+    of the two-word key array that its last level's candidates would need
+    all at once, and the blocks change no bit of the ball."""
     import tracemalloc
-    gens, L = _sym2_float_generators(), 9
+    gens, L = orthonormal_sym2_generators(), 9
     ref = enumerate_ball(gens, L)
     monkeypatch.setattr(orbit, "_BLOCK_ROWS", 1024)
     tracemalloc.start()
@@ -700,11 +712,21 @@ def test_oversized_int_ball_has_no_float_image():
         ball.float_entry_matrix()
 
 
-def test_int64_ball_continues_on_big_ints(monkeypatch):
+@pytest.mark.parametrize("arithmetic, L, int64_safe", [("exact-int", 30, orbit._INT64_SAFE),
+                                                        ("float", 19, 2**40)],
+                         ids=["exact-int", "float"])
+def test_int64_ball_continues_on_big_ints(arithmetic, L, int64_safe, monkeypatch):
     """<[[3,8],[1,3]]> outgrows int64 partway to word length 30: the int64
     levels seed one generic walk on exact integers, which gives the levels
-    of a generic walk from scratch."""
-    gens = GeneratorSet.from_elements([GroupElement(GroupSpec.sl(2), (((3, 8), (1, 3)),))])
+    of a generic walk from scratch.  The float ball takes the same walk on
+    the int values of its entries; with the switch lowered to 2**40 it
+    switches at word length 15, its entries still below 1e15 up to L = 19,
+    and its levels are the exact ball's, as Python ints."""
+    def make_gens(arithmetic):
+        spec = GroupSpec.sl(2, arithmetic)
+        return GeneratorSet.from_elements([GroupElement(spec, (((3, 8), (1, 3)),))])
+
+    gens = make_gens(arithmetic)
     generic, seeded = orbit._enumerate_generic, []
 
     def spy(*args, seed_levels=None):
@@ -712,14 +734,14 @@ def test_int64_ball_continues_on_big_ints(monkeypatch):
         return generic(*args, seed_levels=seed_levels)
 
     monkeypatch.setattr(orbit, "_enumerate_generic", spy)
-    ball = enumerate_ball(gens, 30)
+    monkeypatch.setattr(orbit, "_INT64_SAFE", int64_safe)
+    ball = enumerate_ball(gens, L)
     assert seeded == [True]
     assert all(lvl.dtype == object for lvl in ball._levels)
-    assert ball.growth_per_level == [1] + [2] * 30
-    fresh = generic(gens, 30, 10**6)
-    assert ball_key_set(ball) == ball_key_set(fresh)
-    words = {g.flat_entries(): g.word_length for g in fresh.iter_elements()}
-    assert all(words[g.flat_entries()] == g.word_length for g in ball.iter_elements())
+    assert ball.growth_per_level == [1] + [2] * L
+    fresh = generic(make_gens("exact-int"), L, 10**6)
+    assert [_level_set(lvl) for lvl in ball._levels] == \
+        [_level_set(lvl) for lvl in fresh._levels]
 
 
 def test_generic_walk_enforces_element_cap():

@@ -17,7 +17,7 @@ from .exponents import (CountingCurve, ExponentEstimate, ExponentTriple,
                         level_partial_sums, poincare_partial_sum,
                         trust_radius)
 from .liecore import (ChamberVector, Factor, GroupSpec, RootSystemData,
-                      build_root_system, dominant_projection)
+                      build_root_system)
 from .orbit import GeneratorSet, OrbitBall, enumerate_ball
 from .spectrum import (SpectrumReport, consistency_check,
                        lambda0_characterization, lambda0_lower_polyhedral,
@@ -34,7 +34,7 @@ __all__ = [
     "build_root_system", "cartan_density", "cartan_projection",
     "classical_ball_volume", "consistency_check", "counting_curve",
     "delta_second_bisection", "distance_mixed", "distance_polyhedral",
-    "distance_riemannian", "dominant_projection", "enumerate_ball",
+    "distance_riemannian", "enumerate_ball",
     "estimate_exponent", "exponent_triple", "fit_ball_volume",
     "green_asymptotic", "green_series_diagnostic", "heat_bound",
     "lambda0_characterization", "lambda0_lower_polyhedral",

@@ -13,7 +13,6 @@ which interpolates between the two.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -82,19 +81,6 @@ def _adjugate(rows: tuple[tuple, ...]) -> list[list[Fraction]]:
     return [[(-1) ** (i + j) * _det_exact(minor(j, i)) for j in range(n)] for i in range(n)]
 
 
-@functools.cache
-def flat_product(spec: GroupSpec):
-    """Product of two block-diagonal matrices of `spec` given as flat entry
-    tuples (the layout of `GroupElement.flat_entries`), exact on exact data."""
-    index_pairs = [tuple((sl.start + i * n + k, sl.start + k * n + j) for k in range(n))
-                   for n, sl in zip(spec.sizes, spec.entry_slices)
-                   for i in range(n) for j in range(n)]
-
-    def mul(a, b):
-        return tuple(sum(a[p] * b[q] for p, q in pairs) for pairs in index_pairs)
-    return mul
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """Block-diagonal matrix, one block per spec factor, each of determinant
@@ -138,8 +124,10 @@ class GroupElement:
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if self.spec != other.spec:
             raise ValueError("elements live in different groups")
-        mul = flat_product(self.spec)
-        return GroupElement.from_flat(self.spec, mul(self.flat_entries(), other.flat_entries()))
+        # each entry adds its products over k = 0, 1, ... to 0, exact on exact data
+        return GroupElement(self.spec, tuple(
+            tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+            for a, b in zip(self.blocks, other.blocks)))
 
     def inverse(self) -> "GroupElement":
         """The exact adjugate of each exact or integer-valued float block;

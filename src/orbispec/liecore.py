@@ -197,25 +197,3 @@ def build_root_system(spec: GroupSpec) -> RootSystemData:
         dim_x=rank + len(positive),
     )
 
-
-def dominant_projection(spec: GroupSpec, coords) -> ChamberVector:
-    """Weyl-group representative of a per-block trace-free vector: sort each
-    SL(n) block in non-increasing order.  Idempotent."""
-    v = np.asarray(coords, dtype=float)
-    if v.shape != (spec.ambient_dim,):
-        raise ValueError(f"expected {spec.ambient_dim} coordinates, got shape {v.shape}")
-    out = v.copy()
-    for sl in spec.block_slices:
-        if abs(out[sl].sum()) > FLOAT_ATOL:
-            raise ValueError(f"block {sl} is not trace-free: sum {out[sl].sum():g}")
-        out[sl] = np.sort(out[sl])[::-1]
-    return ChamberVector(spec, out)
-
-
-def longest_element_negation(spec: GroupSpec, coords) -> np.ndarray:
-    """Apply -w0 per A-type block: reverse the block and negate it."""
-    v = np.asarray(coords, dtype=float)
-    out = v.copy()
-    for sl in spec.block_slices:
-        out[sl] = -v[sl][::-1]
-    return out

@@ -1,20 +1,24 @@
 """Breadth-first enumeration of orbit balls in finitely generated subgroups.
 
-Elements are gathered level by level in word length with exact deduplication.
-A generating set is integral when every entry of every element, inverses
-included, is an integer: every exact-int set, and every float set whose
-entries are integer-valued (GroupElement.inverse takes those inverses as
-exact adjugates).  An integral ball runs one path whatever its arithmetic
-label.  Its products are formed in int64, and its rows are their own keys.
-Each level is stored as int32 while n * max|frontier| * max|generator|
-stays below 2**31, else as int64, and from the level where that bound
-reaches 2**62 the walk continues on exact Python ints.  With a symmetric
-generating set the word length of a product gamma*g differs from that of
-gamma by at most one, so a candidate is new precisely when it avoids the
-previous two levels.  The label decides only the level order: exact-int
-levels are stored in lexicographic row order, float ones in the order in
-which candidates first occur, and float levels still fail with
-NumericalError once an entry passes MAX_FLOAT_ENTRY.
+Elements are gathered level by level in word length with exact deduplication,
+by one walk whatever the arithmetic.  A generating set is integral when every
+entry of every element, inverses included, is an integer: every exact-int
+set, and every float set whose entries are integer-valued (GroupElement.inverse
+takes those inverses as exact adjugates).  An integral ball runs one path
+whatever its arithmetic label, and its rows are their own keys.  Each level
+is stored as int32 while n * max|frontier| * max|generator| stays below
+2**31, else as int64, its products formed in int64; from the level where
+that bound reaches 2**62 (checked first), levels are object rows of exact
+Python ints.  The bound starts from max|generator|, so a set whose products
+could pass int64 at once is on object rows from level 1.  Levels keep the dtype they were made with across that switch, and the
+last two levels are hashed again as object rows there.  Exact-rational sets
+walk on object rows of fractions from level 0.  With a symmetric generating
+set and exact products the word length of a product gamma*g differs from
+that of gamma by at most one, so a candidate is new precisely when it avoids
+the previous two levels.  Exact-int int32/int64 levels are stored in
+lexicographic row order, every other level in the order in which candidates
+first occur, and float levels still fail with NumericalError once an entry
+passes MAX_FLOAT_ENTRY.
 
 Other float sets are multiplied in float64, and every earlier level is
 searched, since rounding noise does not respect word-length metrics.  Their
@@ -22,11 +26,11 @@ entries are quantized to a 1e-9 grid (documented risk: distinct elements
 closer than the quantum collapse) and each entry is keyed by two int64
 words.
 
-Both paths find keys by 64-bit row hashes, sorted per level, and compare
-full key rows within every equal-hash group and on every hash hit; a level
-where two different rows share a hash is deduplicated by sorting whole
-rows.  Rational and oversized-integer inputs fall back to a dictionary-based
-walk on exact flat tuples.
+Every level finds its keys by 64-bit row hashes, sorted per level: a
+multiply-xor hash of integer key rows, and Python's tuple hash of object
+rows.  Full key rows are compared within every equal-hash group and on
+every hash hit; a level where two different rows share a hash is
+deduplicated by one first-occurrence pass over whole rows instead.
 
 For each frontier row the enumerator keeps the inverse of its last letter,
 the generator by which the row was first reached, permuted with the level;
@@ -40,7 +44,8 @@ generators, or one involution from level 2 on) ends the walk as exhausted.
 Candidates are formed, keyed and hashed _BLOCK_ROWS rows at a time into one
 compressed candidate array, frontier-major and generator-ascending; full
 key rows are formed only for the rows compared.  A candidate thus costs its
-m entries (4 or 8 bytes each) and its 8-byte hash for the level, plus about
+m entries (4 or 8 bytes each, plus the Python objects an object row points
+to) and its 8-byte hash for the level, plus about
 four 8-byte indices while the level is deduplicated; keys and int64
 product temporaries live for one block only.  The ball keeps the level
 arrays as they are made, with no stacked copy.
@@ -55,14 +60,14 @@ import numpy as np
 # log_singular_values stays bound here, unused, because perfbench/spans.py
 # wraps it by module name to count Cartan projections
 from .cartan import log_singular_values  # noqa: F401
-from .cartan import flat_product, GroupElement, MAX_FLOAT_ENTRY, stack_product
+from .cartan import GroupElement, MAX_FLOAT_ENTRY, stack_product
 from .errors import NumericalError, ResourceLimitError
 from .liecore import GroupSpec
 
 DEFAULT_MAX_ELEMENTS = 10_000_000
 
 # store a level as int32 while n * max|frontier| * max|generator| is below
-# _INT32_SAFE; keep it clear of int64 overflow, else walk on big ints
+# _INT32_SAFE; keep it clear of int64 overflow, else store object rows
 _INT32_SAFE = 2**31
 _INT64_SAFE = 2**62
 
@@ -150,10 +155,12 @@ class OrbitBall:
 
     The entries are the list of (n_w, m) level arrays the enumerator made,
     level w holding the elements of word length w, the identity alone at
-    level 0.  A level of an integral generating set is int32 or int64, in
-    float mode too, one of any other float set float64, and rationals and
-    oversized integers are dtype=object.  Element i is row i
-    of the levels taken in order; they are never stacked into one array.
+    level 0.  The levels of an integral generating set, in float mode too,
+    are int32, then int64, then dtype=object rows of Python ints once
+    products could pass int64; earlier levels keep their dtype.  Levels of
+    any other float set are float64, and those of a rational set object
+    rows of fractions.  Element i is row i of the levels taken in
+    order; they are never stacked into one array.
     The levels are the one record of word length: the ball keeps no
     per-element word lengths.  The ball holds no Cartan data; the distance
     table of each base-point pair is cached in `tables`.
@@ -220,21 +227,100 @@ def enumerate_ball(gens: GeneratorSet, max_word_length: int,
     Deduplication is exact matrix equality for integral generating sets,
     exact-int or float, and in exact-rational mode, and quantized (1e-9) key
     equality for other float sets, found through 64-bit row hashes with
-    full-row verification (see the module docstring).  Raises
-    ResourceLimitError when the ball would exceed max_elements, and in float
-    mode NumericalError once an entry passes MAX_FLOAT_ENTRY.
+    full-row verification.  One walk serves every set: its levels are
+    int32, then int64, then object rows of exact Python ints for integral
+    sets, object rows of fractions for rational ones, float64 for the rest
+    (see the module docstring).  Raises ResourceLimitError when the ball
+    would exceed max_elements, and in float mode NumericalError once an
+    entry passes MAX_FLOAT_ENTRY.
     """
     if max_word_length < 0:
         raise ValueError("max_word_length must be >= 0")
-    spec = gens.spec
+    spec, L, cap = gens.spec, max_word_length, max_elements
     entries = [x for g in gens.elements for x in g.flat_entries()]
-    if spec.arithmetic == "float" and not all(x.is_integer() for x in entries):
-        return _enumerate_rows(gens, max_word_length, max_elements, integral=False)
-    if spec.arithmetic != "exact-rational":
-        gen_max = int(max(map(abs, entries), default=0))
-        if max(spec.sizes) * max(gen_max, 1) * gen_max < _INT64_SAFE:
-            return _enumerate_rows(gens, max_word_length, max_elements, integral=True)
-    return _enumerate_generic(gens, max_word_length, max_elements)
+    quantized = spec.arithmetic == "float" and not all(x.is_integer() for x in entries)
+    integral = spec.arithmetic != "exact-rational" and not quantized
+    if integral:
+        entries = list(map(int, entries))
+    gen_rows = np.array(entries, dtype=float if quantized else object)
+    gen_rows = gen_rows.reshape(len(gens.elements), spec.entry_count)
+    keys_of = _quantized_keys if quantized else (lambda rows: rows)
+    n_max = max(spec.sizes)
+    inverse = np.array(gens.inverse, dtype=np.intp)
+
+    identity = np.array([GroupElement.identity(spec).flat_entries()],
+                        dtype=float if quantized else np.int32 if integral else object)
+    levels = [identity]
+    # per level: its sorted row hashes and the level row behind each
+    index = [_hash_index(keys_of(identity))]
+    # per frontier row: the generator whose product is the row's parent
+    skip = None
+    total = 1
+    exhausted = False
+    level_dtype = identity.dtype
+    # bounds the largest |entry| of the frontier; from max|generator| at
+    # level 1, so a set whose products could pass int64 at once starts on
+    # object rows there
+    top = gen_max = max(map(abs, entries), default=0) if integral else 0
+    for w in range(1, L + 1):
+        frontier = levels[-1]
+        per_row = len(gen_rows) - (skip is not None)
+        if per_row == 0:
+            exhausted = True
+            break
+        if integral and level_dtype != object:
+            bound = n_max * top * gen_max
+            if bound >= _INT64_SAFE:
+                # products could overflow int64: walk on exact Python ints from
+                # here, with the last two levels hashed again as object rows so
+                # that candidates can meet them
+                level_dtype = np.dtype(object)
+                index[-2:] = [_hash_index(lvl.astype(object)) for lvl in levels[-2:]]
+            else:
+                level_dtype = np.dtype(np.int32 if bound < _INT32_SAFE else np.int64)
+        cand, h = _candidates(spec, frontier, gen_rows, skip, keys_of, level_dtype)
+        # exact products make the ball's relations hold exactly and, the set
+        # being symmetric, a candidate is new when the last two levels lack
+        # it; float rounding noise does not respect word length
+        known = range(0 if quantized else max(len(levels) - 2, 0), len(levels))
+        fetch = [(index[k][0], lambda i, k=k: keys_of(np.take(levels[k], index[k][1][i], axis=0)))
+                 for k in known]
+        first, hashes = _fresh_rows(h, lambda i: keys_of(np.take(cand, i, axis=0)), fetch,
+                                    lambda: keys_of(np.vstack([levels[k] for k in known])))
+        del h
+        if len(first) == 0:
+            exhausted = True
+            break
+        total += len(first)
+        if total > cap:
+            raise ResourceLimitError(
+                f"orbit ball exceeds {cap} elements at word length {w}"
+            )
+        # drop the step's largest arrays once used: at the last level they
+        # would otherwise stay alive beside the finished ball
+        rows = np.take(cand, first, axis=0)
+        del cand
+        if integral:
+            top = max(-int(rows.min()), int(rows.max()))
+            if spec.arithmetic == "float":
+                _check_float_entries(top)
+        lex = spec.arithmetic == "exact-int" and level_dtype != object
+        order = _lex_order(rows) if lex else np.argsort(first)
+        levels.append(np.take(rows, order, axis=0))
+        del rows
+        at = np.empty_like(order)
+        at[order] = np.arange(len(order))
+        index.append((hashes, at))
+        if not quantized and len(index) > 2:
+            index[-3] = None
+        if w < L:
+            # the last letter of each new row; its inverse leads back
+            first = first[order]
+            letter = first % per_row
+            if skip is not None:
+                letter += letter >= skip[first // per_row]
+            skip = inverse[letter]
+    return OrbitBall(spec, L, levels, exhausted)
 
 
 def _block_products(spec: GroupSpec, frontier: np.ndarray, gen_rows: np.ndarray) -> np.ndarray:
@@ -244,17 +330,21 @@ def _block_products(spec: GroupSpec, frontier: np.ndarray, gen_rows: np.ndarray)
     for n, sl in zip(spec.sizes, spec.entry_slices):
         fb = frontier[:, sl].reshape(nf, 1, n, n)
         gb = gen_rows[:, sl].reshape(ng, n, n)
-        if frontier.dtype == np.int64:
-            prod = np.matmul(fb, gb)  # exact, and much faster than einsum on ints
-        else:
+        if frontier.dtype == float:
             prod = stack_product(fb, gb)
+        else:
+            prod = np.matmul(fb, gb)  # exact, and much faster than einsum on ints
         pieces.append(prod.reshape(nf * ng, n * n))
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
 
 
 def _row_hashes(keys: np.ndarray) -> np.ndarray:
-    """64-bit multiply-xor hash of the int64 values of each row of an (N, m)
-    integer key array, widened one column at a time."""
+    """64-bit hash of each row of an (N, m) key array: Python's tuple hash
+    of an object row, else a multiply-xor hash of the int64 values of an
+    integer row, widened one column at a time."""
+    if keys.dtype == object:
+        return np.fromiter(map(hash, map(tuple, keys.tolist())), dtype=np.int64,
+                           count=len(keys)).view(np.uint64)
     h = np.zeros(len(keys), dtype=np.uint64)
     for col in keys.T:
         h ^= col.astype(np.int64, copy=False).view(np.uint64)
@@ -263,13 +353,22 @@ def _row_hashes(keys: np.ndarray) -> np.ndarray:
     return h
 
 
+def _hash_index(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A level's sorted row hashes and the level row behind each."""
+    h = _row_hashes(keys)
+    order = np.argsort(h)
+    return h[order], order
+
+
 def _candidates(spec: GroupSpec, frontier: np.ndarray, gen_rows: np.ndarray,
                 skip: np.ndarray | None, keys_of, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Products of the frontier with the generators, frontier-major and
     generator-ascending, leaving out generator skip[f] for frontier row f,
     with the hash of each product's key.  Products, keys and hashes are
-    formed _BLOCK_ROWS products at a time, in the generators' dtype, and
-    compressed straight into the one candidate array of `dtype`."""
+    formed _BLOCK_ROWS products at a time, in int64 for an integer `dtype`,
+    else in `dtype`, and compressed straight into the one candidate array of
+    `dtype`."""
+    gen_rows = gen_rows.astype(np.int64 if dtype.kind == "i" else dtype, copy=False)
     ng = len(gen_rows)
     per_row = ng - (skip is not None)
     cand = np.empty((len(frontier) * per_row, frontier.shape[1]), dtype=dtype)
@@ -309,8 +408,8 @@ def _fresh_rows(h: np.ndarray, rows, known, known_keys) -> tuple[np.ndarray, np.
     of candidates i.  `known` lists (sorted hashes, fetch) pairs, fetch(i)
     giving the key rows behind sorted positions i.  Rows are compared in full
     within equal-hash groups and on hash hits; if two different rows share a
-    hash, the level is deduplicated by a row sort against known_keys()
-    instead."""
+    hash, the level is deduplicated instead by one pass that keeps each
+    candidate row neither known_keys() nor an earlier candidate holds."""
     count = len(h)
     first, h, clash = _hash_groups(h, rows)
     fresh = np.ones(len(first), dtype=bool)
@@ -323,9 +422,13 @@ def _fresh_rows(h: np.ndarray, rows, known, known_keys) -> tuple[np.ndarray, np.
         del at, hit  # candidate-length: gone before the fresh rows are taken
     if not clash:
         return first[fresh], h[fresh]
-    ref, keys = known_keys(), rows(np.arange(count))
-    _, first = np.unique(np.vstack([ref, keys]), axis=0, return_index=True)
-    first = first[first >= len(ref)] - len(ref)
+    keys = rows(np.arange(count))
+    seen, first = set(map(tuple, known_keys().tolist())), []
+    for i, row in enumerate(map(tuple, keys.tolist())):
+        if row not in seen:
+            seen.add(row)
+            first.append(i)
+    first = np.array(first, dtype=np.intp)
     h = _row_hashes(np.take(keys, first, axis=0))
     order = np.argsort(h)
     return first[order], h[order]
@@ -363,120 +466,3 @@ def _lex_order(rows: np.ndarray) -> np.ndarray:
     keys = [packed(tail[:, j:j + width]) for j in range(width, m, width)]
     order[at] = sub[np.lexsort(keys[::-1] + [lead[at]])]
     return order
-
-
-def _enumerate_rows(gens: GeneratorSet, L: int, cap: int, integral: bool) -> OrbitBall:
-    """Vectorized BFS on int32/int64 rows that are their own keys (an
-    integral set, see the module docstring) or on quantized float64 rows."""
-    spec = gens.spec
-    gen_rows = np.array([g.flat_entries() for g in gens.elements],
-                        dtype=np.int64 if integral else float)
-    gen_rows = gen_rows.reshape(len(gens.elements), spec.entry_count)
-    keys_of = (lambda rows: rows) if integral else _quantized_keys
-    gen_max = int(np.abs(gen_rows).max()) if gen_rows.size else 0
-    n_max = max(spec.sizes)
-    inverse = np.array(gens.inverse, dtype=np.intp)
-
-    identity = np.array([GroupElement.identity(spec).flat_entries()],
-                        dtype=np.int32 if integral else float)
-    levels = [identity]
-    # per level: its sorted row hashes and the level row behind each
-    index = [(_row_hashes(keys_of(identity)), np.zeros(1, dtype=np.intp))]
-    # per frontier row: the generator whose product is the row's parent
-    skip = None
-    total = 1
-    exhausted = False
-    top = 1  # the largest |entry| of the frontier
-    for w in range(1, L + 1):
-        frontier = levels[-1]
-        per_row = len(gen_rows) - (skip is not None)
-        if per_row == 0:
-            exhausted = True
-            break
-        level_dtype = float
-        if integral:
-            bound = n_max * top * max(gen_max, 1)
-            if bound >= _INT64_SAFE:
-                # entries outgrow the int64 fast path; continue on exact big ints
-                return _enumerate_generic(gens, L, cap,
-                                          seed_levels=[lvl.tolist() for lvl in levels])
-            level_dtype = np.int32 if bound < _INT32_SAFE else np.int64
-        cand, h = _candidates(spec, frontier, gen_rows, skip, keys_of, level_dtype)
-        # integral products are exact, so the ball's relations hold exactly and,
-        # the set being symmetric, a candidate is new when the last two levels
-        # lack it; float rounding noise does not respect word length
-        known = range(max(len(levels) - 2, 0) if integral else 0, len(levels))
-        fetch = [(index[k][0], lambda i, k=k: keys_of(np.take(levels[k], index[k][1][i], axis=0)))
-                 for k in known]
-        first, hashes = _fresh_rows(h, lambda i: keys_of(np.take(cand, i, axis=0)), fetch,
-                                    lambda: keys_of(np.vstack([levels[k] for k in known])))
-        del h
-        if len(first) == 0:
-            exhausted = True
-            break
-        total += len(first)
-        if total > cap:
-            raise ResourceLimitError(
-                f"orbit ball exceeds {cap} elements at word length {w}"
-            )
-        # drop the step's largest arrays once used: at the last level they
-        # would otherwise stay alive beside the finished ball
-        rows = np.take(cand, first, axis=0)
-        del cand
-        if integral:
-            top = max(-int(rows.min()), int(rows.max()))
-            if spec.arithmetic == "float":
-                _check_float_entries(top)
-        order = _lex_order(rows) if spec.arithmetic == "exact-int" else np.argsort(first)
-        levels.append(np.take(rows, order, axis=0))
-        del rows
-        at = np.empty_like(order)
-        at[order] = np.arange(len(order))
-        index.append((hashes, at))
-        if integral and len(index) > 2:
-            index[-3] = None
-        if w < L:
-            # the last letter of each new row; its inverse leads back
-            first = first[order]
-            letter = first % per_row
-            if skip is not None:
-                letter += letter >= skip[first // per_row]
-            skip = inverse[letter]
-    return OrbitBall(spec, L, levels, exhausted)
-
-
-def _enumerate_generic(gens: GeneratorSet, L: int, cap: int,
-                       seed_levels: list | None = None) -> OrbitBall:
-    spec = gens.spec
-    mul = flat_product(spec)
-    # a float set reaches here only when integral: walk on its int values
-    cast = int if spec.arithmetic == "float" else (lambda x: x)
-    gen_tuples = [tuple(map(cast, g.flat_entries())) for g in gens.elements]
-
-    if seed_levels is None:
-        levels = [[tuple(map(cast, GroupElement.identity(spec).flat_entries()))]]
-    else:
-        levels = [[tuple(row) for row in lvl] for lvl in seed_levels]
-    seen = {t for lvl in levels for t in lvl}
-    total = len(seen)
-    exhausted = False
-    for w in range(len(levels), L + 1):
-        new = []
-        for a in levels[-1]:
-            for g in gen_tuples:
-                prod = mul(a, g)
-                if prod not in seen:
-                    seen.add(prod)
-                    new.append(prod)
-                    total += 1
-                    if total > cap:
-                        raise ResourceLimitError(
-                            f"orbit ball exceeds {cap} elements at word length {w}"
-                        )
-        if not new:
-            exhausted = True
-            break
-        if spec.arithmetic == "float":
-            _check_float_entries(max(max(map(max, new)), -min(map(min, new))))
-        levels.append(new)
-    return OrbitBall(spec, L, [np.array(lvl, dtype=object) for lvl in levels], exhausted)

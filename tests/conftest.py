@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from orbispec import GeneratorSet, GroupElement, GroupSpec, enumerate_ball
+from orbispec import GeneratorSet, GroupElement, GroupSpec, OrbitBall, enumerate_ball
 
 SQRT2 = np.sqrt(2.0)
 
@@ -59,6 +59,42 @@ def orthonormal_sym2_generators():
              (c * c, SQRT2 * c * d, d * d))
         out.append(GroupElement(spec, (m,)))
     return GeneratorSet.from_elements(out)
+
+
+def dict_walk(gens: GeneratorSet, L: int) -> OrbitBall:
+    """Reference ball of an exact or integral generating set by a dictionary
+    walk over single elements: every frontier x generator product, formed on
+    flat entry tuples (the int values of a float set's entries), is kept
+    where no earlier product or level holds it.  Its levels are object rows
+    in the order in which their elements first occur."""
+    spec = gens.spec
+
+    def mul(a, b):
+        out = []
+        for n, sl in zip(spec.sizes, spec.entry_slices):
+            x, y = a[sl], b[sl]
+            out += [sum(x[i * n + k] * y[k * n + j] for k in range(n))
+                    for i in range(n) for j in range(n)]
+        return tuple(out)
+
+    cast = int if spec.arithmetic == "float" else (lambda x: x)
+    gen_tuples = [tuple(map(cast, g.flat_entries())) for g in gens.elements]
+    levels = [[tuple(map(cast, GroupElement.identity(spec).flat_entries()))]]
+    seen = set(levels[0])
+    exhausted = False
+    for _ in range(L):
+        new = []
+        for a in levels[-1]:
+            for g in gen_tuples:
+                prod = mul(a, g)
+                if prod not in seen:
+                    seen.add(prod)
+                    new.append(prod)
+        if not new:
+            exhausted = True
+            break
+        levels.append(new)
+    return OrbitBall(spec, L, [np.array(lvl, dtype=object) for lvl in levels], exhausted)
 
 
 def word_lengths(ball) -> np.ndarray:

@@ -1,15 +1,11 @@
-"""Root-system data, chamber projections, and rho_min against independent oracles."""
+"""Root-system data, chamber vectors, and rho_min against independent oracles."""
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from orbispec import (ChamberVector, GroupSpec, UnsupportedGroupError,
-                      build_root_system, dominant_projection)
-from orbispec.liecore import longest_element_negation
+from orbispec import ChamberVector, GroupSpec, UnsupportedGroupError, build_root_system
 
 SQRT2 = np.sqrt(2.0)
 
@@ -88,39 +84,10 @@ def test_rho_min_rank_one_equals_norm():
 
 @pytest.mark.parametrize("ns", [(2,), (3,), (4,), (2, 2), (2, 3)])
 def test_longest_element_fixes_rho(ns):
+    """-w0 reverses and negates each block, and fixes rho on every block."""
     rs = build_root_system(GroupSpec.product(ns))
-    np.testing.assert_array_equal(longest_element_negation(rs.spec, rs.rho), rs.rho)
-
-
-def test_dominant_projection_examples():
-    spec = GroupSpec.sl(2)
-    np.testing.assert_allclose(dominant_projection(spec, [-1.0, 1.0]).coords, [1.0, -1.0])
-    np.testing.assert_allclose(
-        dominant_projection(GroupSpec.sl(3), [0.0, 0.0, 0.0]).coords, [0.0, 0.0, 0.0])
-    np.testing.assert_allclose(
-        dominant_projection(GroupSpec.sl(3), [1.0, -3.0, 2.0]).coords, [2.0, 1.0, -3.0])
-
-
-@settings(max_examples=200)
-@given(st.lists(st.floats(-50, 50), min_size=3, max_size=3),
-       st.lists(st.floats(-50, 50), min_size=2, max_size=2))
-def test_dominant_projection_idempotent(block3, block2):
-    spec = GroupSpec.product((3, 2))
-    v = np.array(block3 + block2)
-    for sl in spec.block_slices:
-        v[sl] -= v[sl].mean()
-    once = dominant_projection(spec, v)
-    twice = dominant_projection(spec, once.coords)
-    np.testing.assert_allclose(once.coords, twice.coords, atol=1e-12)
-    # blocks are sorted copies of the input blocks
-    for sl in spec.block_slices:
-        np.testing.assert_allclose(np.sort(once.coords[sl])[::-1],
-                                   np.sort(v[sl])[::-1], atol=1e-12)
-
-
-def test_dominant_projection_rejects_nonzero_trace():
-    with pytest.raises(ValueError, match="trace-free"):
-        dominant_projection(GroupSpec.sl(2), [1.0, 1.0])
+    for sl in rs.spec.block_slices:
+        np.testing.assert_array_equal(-rs.rho[sl][::-1], rs.rho[sl])
 
 
 def test_chamber_vector_validation():

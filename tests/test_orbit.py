@@ -11,7 +11,8 @@ from orbispec import (GeneratorSet, GroupElement, GroupSpec, NumericalError,
                       trust_radius)
 from orbispec.exponents import distance_table, relative_chamber_matrix
 
-from conftest import cyclic_hyperbolic_generator, orthonormal_sym2_generators, sanov_generators
+from conftest import (cyclic_hyperbolic_generator, dict_walk, orthonormal_sym2_generators,
+                      sanov_generators)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -275,7 +276,7 @@ def test_int_levels_match_exact_dict_walk(make_gens, L):
     lexicographic row order."""
     gens = make_gens()
     ball = enumerate_ball(gens, L)
-    oracle = orbit._enumerate_generic(gens, L, orbit.DEFAULT_MAX_ELEMENTS)
+    oracle = dict_walk(gens, L)
     assert ball.growth_per_level == oracle.growth_per_level
     assert ball.exhausted == oracle.exhausted
     for got, want in zip(_levels(ball), _levels(oracle)):
@@ -503,7 +504,7 @@ def test_parent_products_are_never_formed(make_gens, L, block_rows, monkeypatch)
     growth, size = ball.growth_per_level, len(gens.elements)
     # the identity's own hash, level 1 from all |S| products, then |S| - 1
     assert sum(hashed) == 1 + size + (size - 1) * sum(growth[1:L])
-    oracle = orbit._enumerate_generic(gens, L, orbit.DEFAULT_MAX_ELEMENTS)
+    oracle = dict_walk(gens, L)
     assert growth == oracle.growth_per_level
     for got, want in zip(_levels(ball), _levels(oracle)):
         assert {tuple(r) for r in got.tolist()} == {tuple(r) for r in want.tolist()}
@@ -563,20 +564,42 @@ def test_lex_order_matches_python_tuple_sort(bound):
     np.testing.assert_array_equal(orbit._lex_order(rows), expect)
 
 
+def _rational_generators():
+    spec = GroupSpec.sl(2, "exact-rational")
+    a = GroupElement(spec, (((2, 0), (0, Fraction(1, 2))),))
+    b = GroupElement(spec, (((1, Fraction(1, 3)), (0, 1)),))
+    return GeneratorSet.from_elements([a, b])
+
+
+def _far_conjugated_modular_group():
+    """<S, T> conjugated by [[100000, 99999], [1, 1]]: generator entries
+    near 1e10 put the ball on object rows from level 1."""
+    spec, k = GroupSpec.sl(2), 100000
+    conj, conj_inv = np.array([[k, k - 1], [1, 1]]), np.array([[1, 1 - k], [-1, k]])
+    return GeneratorSet.from_elements(
+        [GroupElement(spec, (tuple(map(tuple, (conj @ m @ conj_inv).tolist())),))
+         for m in (np.array([[0, -1], [1, 0]]), np.array([[1, 1], [0, 1]]))])
+
+
 @pytest.mark.parametrize("weak_hash", [
     lambda keys: np.zeros(len(keys), dtype=np.uint64),
-    lambda keys: keys[:, 0].astype(np.uint64),
+    lambda keys: np.fromiter(map(hash, keys[:, 0].tolist()), dtype=np.int64,
+                             count=len(keys)).view(np.uint64),
 ], ids=["constant", "first-column"])
 @pytest.mark.parametrize("make_gens, L", [(sanov_generators, 6), (_cube_rotations, 10),
-                                          (_sym2_float_generators, 4)])
+                                          (_sym2_float_generators, 4),
+                                          (_rational_generators, 4),
+                                          (_far_conjugated_modular_group, 6)])
 def test_hash_collisions_fall_back_to_identical_balls(make_gens, L, weak_hash, monkeypatch):
-    """Hashes that collide for different rows change nothing: the verified
-    rows expose every clash and the row-sort fallback gives the same ball."""
+    """Hashes that collide for different rows change nothing, on int rows
+    and on object rows of fractions or big ints: the verified rows expose
+    every clash and the first-occurrence fallback gives the same ball."""
     ref = enumerate_ball(make_gens(), L)
     monkeypatch.setattr(orbit, "_row_hashes", weak_hash)
     ball = enumerate_ball(make_gens(), L)
     assert ball.growth_per_level == ref.growth_per_level
     assert ball.exhausted == ref.exhausted
+    assert [lvl.tolist() for lvl in ball._levels] == [lvl.tolist() for lvl in ref._levels]
     assert ball.float_entry_matrix().tobytes() == ref.float_entry_matrix().tobytes()
 
 
@@ -617,13 +640,11 @@ def test_int_ball_levels_climb_from_int32_to_int64():
     for k, lvl in enumerate(ball._levels):
         assert sorted(map(tuple, lvl.tolist())) == sorted({power(k), power(-k)})
 
-    generic = orbit._enumerate_generic(gens, L, 10**6)
-
     def rows_by_element(b):
         return {e.flat_entries(): row.tobytes()
                 for e, row in zip(b.iter_elements(), relative_chamber_matrix(b))}
 
-    assert rows_by_element(ball) == rows_by_element(generic)
+    assert rows_by_element(ball) == rows_by_element(dict_walk(gens, L))
 
 
 def test_exact_enumeration_peak_below_two_int64_images(monkeypatch):
@@ -675,13 +696,6 @@ def test_chamber_matrix_keeps_no_float_copy_of_an_int_ball():
     assert held < len(ball) * entries * 8
 
 
-def _rational_generators():
-    spec = GroupSpec.sl(2, "exact-rational")
-    a = GroupElement(spec, (((2, 0), (0, Fraction(1, 2))),))
-    b = GroupElement(spec, (((1, Fraction(1, 3)), (0, 1)),))
-    return GeneratorSet.from_elements([a, b])
-
-
 def test_rational_ball_elements_are_exact_products():
     """Object storage hands back the exact Fraction products of the words."""
     gens = _rational_generators()
@@ -696,6 +710,8 @@ def test_rational_ball_elements_are_exact_products():
     for g in ball.iter_elements():
         assert all(type(x) is Fraction for x in g.flat_entries())
         assert words[g.flat_entries()] == g.word_length
+    assert [lvl.tolist() for lvl in ball._levels] == \
+        [lvl.tolist() for lvl in dict_walk(gens, 3)._levels]
 
 
 def test_rational_ball_float_image_converts_each_entry():
@@ -712,36 +728,46 @@ def test_oversized_int_ball_has_no_float_image():
         ball.float_entry_matrix()
 
 
-@pytest.mark.parametrize("arithmetic, L, int64_safe", [("exact-int", 30, orbit._INT64_SAFE),
-                                                        ("float", 19, 2**40)],
+@pytest.mark.parametrize("arithmetic, L, int64_safe, switch",
+                         [("exact-int", 30, orbit._INT64_SAFE, 24), ("float", 19, 2**40, 15)],
                          ids=["exact-int", "float"])
-def test_int64_ball_continues_on_big_ints(arithmetic, L, int64_safe, monkeypatch):
-    """<[[3,8],[1,3]]> outgrows int64 partway to word length 30: the int64
-    levels seed one generic walk on exact integers, which gives the levels
-    of a generic walk from scratch.  The float ball takes the same walk on
-    the int values of its entries; with the switch lowered to 2**40 it
-    switches at word length 15, its entries still below 1e15 up to L = 19,
-    and its levels are the exact ball's, as Python ints."""
+def test_int64_ball_continues_on_big_ints(arithmetic, L, int64_safe, switch, monkeypatch):
+    """<[[3,8],[1,3]]> outgrows int64 at word length 24 on the way to 30:
+    its levels are int32 and int64 below that and object rows of Python ints
+    from it, and each level holds the dictionary walk's elements.  The float
+    ball takes the same walk on the int values of its entries; with the
+    switch lowered to 2**40 it switches at word length 15, its entries still
+    below 1e15 up to L = 19."""
     def make_gens(arithmetic):
         spec = GroupSpec.sl(2, arithmetic)
         return GeneratorSet.from_elements([GroupElement(spec, (((3, 8), (1, 3)),))])
 
-    gens = make_gens(arithmetic)
-    generic, seeded = orbit._enumerate_generic, []
-
-    def spy(*args, seed_levels=None):
-        seeded.append(seed_levels is not None)
-        return generic(*args, seed_levels=seed_levels)
-
-    monkeypatch.setattr(orbit, "_enumerate_generic", spy)
     monkeypatch.setattr(orbit, "_INT64_SAFE", int64_safe)
-    ball = enumerate_ball(gens, L)
-    assert seeded == [True]
-    assert all(lvl.dtype == object for lvl in ball._levels)
+    ball = enumerate_ball(make_gens(arithmetic), L)
+    assert [lvl.dtype.kind for lvl in ball._levels] == ["i"] * switch + ["O"] * (L + 1 - switch)
     assert ball.growth_per_level == [1] + [2] * L
-    fresh = generic(make_gens("exact-int"), L, 10**6)
+    oracle = dict_walk(make_gens("exact-int"), L)
     assert [_level_set(lvl) for lvl in ball._levels] == \
-        [_level_set(lvl) for lvl in fresh._levels]
+        [_level_set(lvl) for lvl in oracle._levels]
+
+
+@pytest.mark.parametrize("arithmetic", ["exact-int", "float"])
+def test_relations_across_the_switch_to_object_rows(arithmetic, monkeypatch):
+    """With the switch lowered to 2**5, <S, T> = SL(2,Z) goes on object rows
+    at word length 10, and relations such as S^4 = (ST)^6 = 1 then lead
+    candidates back to the int levels 8 and 9.  Those levels are hashed
+    again as object rows at the switch, so the ball still holds the 3,932
+    elements of SL(2,Z) up to word length 12, level for level the
+    dictionary walk's."""
+    monkeypatch.setattr(orbit, "_INT64_SAFE", 2**5)
+    spec = GroupSpec.sl(2, arithmetic)
+    gens = GeneratorSet.from_elements([GroupElement(spec, (((0, -1), (1, 0)),)),
+                                       GroupElement(spec, (((1, 1), (0, 1)),))])
+    ball = enumerate_ball(gens, 12)
+    assert [lvl.dtype.kind for lvl in ball._levels] == ["i"] * 10 + ["O"] * 3
+    assert len(ball) == 3932
+    assert [_level_set(lvl) for lvl in ball._levels] == \
+        [_level_set(lvl) for lvl in dict_walk(gens, 12)._levels]
 
 
 def test_generic_walk_enforces_element_cap():

@@ -204,15 +204,19 @@ def _green_factors(table: DistanceTable, rs: RootSystemData) -> tuple[np.ndarray
     exactly nothing to its level's sum."""
     factors = table.derived.get("green")
     if factors is None:
-        keep = table.d > ZERO_DISTANCE
-        keep = slice(None) if keep.all() else keep  # a view, not a copy, when all are kept
-        d, chamber = table.d[keep], table.chamber[keep]
-        prefactor = np.ones_like(d)
+        kept = table.d > ZERO_DISTANCE
+        keep = slice(None) if kept.all() else kept  # a view, not a copy, when all are kept
+        # each root's factor over the whole table: no copy of the kept chamber rows
+        prefactor = np.ones(np.count_nonzero(kept))
         for alpha in rs.positive_roots:
-            prefactor *= 1.0 + chamber @ alpha
+            factor = table.chamber @ alpha
+            factor += 1.0
+            prefactor *= factor[keep]
+            del factor
         power = -(rs.rank - 1) / 2.0 - len(rs.positive_roots)
+        prefactor *= table.d[keep] ** power
         weight = np.zeros_like(table.d)
-        weight[keep] = prefactor * d**power
+        weight[keep] = prefactor
         log_base = -rs.rho_norm * table.dprime
         for a in (weight, log_base):
             a.flags.writeable = False

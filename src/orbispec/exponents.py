@@ -150,8 +150,15 @@ def distance_table(ball: OrbitBall, rs: RootSystemData, x=None, y=None) -> Dista
     table = ball.tables.get((x, y))
     if table is None:
         chamber = relative_chamber_matrix(ball, x, y)
-        d = np.linalg.norm(chamber, axis=1)
-        dprime = chamber @ rs.rho / rs.rho_norm
+        # d = sqrt(c0^2 + c1^2 + ...) folded left to right in one accumulator:
+        # np.linalg.norm(axis=1) bit for bit below 8 columns, where numpy's
+        # row sum is sequential, without its (N, k) temporary
+        d = np.square(chamber[:, 0])
+        for col in chamber.T[1:]:
+            d += col * col
+        np.sqrt(d, out=d)
+        dprime = chamber @ rs.rho
+        dprime /= rs.rho_norm
         shift = sum((cartan_projection(g).norm for g in (x, y) if g is not None), 0.0)
         for a in (chamber, d, dprime):
             a.flags.writeable = False

@@ -26,18 +26,24 @@ entries are quantized to a 1e-9 grid (documented risk: distinct elements
 closer than the quantum collapse) and each entry is keyed by two int64
 words.
 
-Every level finds its keys by 64-bit row hashes, sorted per level: a
-multiply-xor hash of integer key rows, and Python's tuple hash of object
-rows.  Full key rows are compared within every equal-hash group and on
-every hash hit; a level where two different rows share a hash is
-deduplicated by one first-occurrence pass over whole rows instead.
+Every level finds its keys by 64-bit row hashes: a multiply-xor hash of
+integer key rows, and Python's tuple hash of object rows.  The candidates
+are grouped by equal hash with one np.sort of their hashes' high bits, the
+candidate index filling the low bits, so each group starts at its first
+candidate; hashes that share those high bits are then sorted again.  Each
+known level's sorted hashes, fewer in a growing ball than the next level's
+candidates, are then searched among the group hashes.  Full key rows are
+compared within every equal-hash group and on every hash hit; a level
+where two different rows share a hash is deduplicated by one
+first-occurrence pass over whole rows instead.  The last level gets no
+hash index and no letters, since no later level reads them.
 
 For each frontier row the enumerator keeps the inverse of its last letter,
 the generator by which the row was first reached, permuted with the level;
 `GeneratorSet.inverse` paired each generator with its inverse when it built
 the set.  From level 2 on, a row's product with that inverse is its parent,
-always old, and is never formed, so a frontier row yields |S| - 1
-candidates.  In float mode that product is the parent up to rounding, which
+always old, and is dropped from its block before it is keyed or hashed, so
+a frontier row yields |S| - 1 candidates.  In float mode that product is the parent up to rounding, which
 the full-history check would have found old unless the rounding moved it
 into another quantum cell.  A level whose rows yield no candidates (no
 generators, or one involution from level 2 on) ends the walk as exhausted.
@@ -308,12 +314,12 @@ def enumerate_ball(gens: GeneratorSet, max_word_length: int,
         order = _lex_order(rows) if lex else np.argsort(first)
         levels.append(np.take(rows, order, axis=0))
         del rows
-        at = np.empty_like(order)
-        at[order] = np.arange(len(order))
-        index.append((hashes, at))
-        if not quantized and len(index) > 2:
-            index[-3] = None
         if w < L:
+            at = np.empty_like(order)
+            at[order] = np.arange(len(order))
+            index.append((hashes, at))
+            if not quantized and len(index) > 2:
+                index[-3] = None
             # the last letter of each new row; its inverse leads back
             first = first[order]
             letter = first % per_row
@@ -389,37 +395,58 @@ def _candidates(spec: GroupSpec, frontier: np.ndarray, gen_rows: np.ndarray,
 
 
 def _hash_groups(h: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Sort `h` in place; return the first candidate of each equal-hash
-    group, the group hashes, and whether a group holds different rows.  Its
+    """Sort `h` in place and keep its first entry of each equal-hash group
+    at its front; return the first candidate of each group, the group
+    hashes (a view of `h`), and whether a group holds different rows.
+
+    One np.sort of the keys (h & ~low) | i, i the candidate index in the low
+    b bits, gives the order: equal hashes keep ascending index, so each
+    group starts at its first candidate.  Two different hashes may share the
+    64 - b bit prefix; a stable argsort of the gathered hashes then puts
+    them back in order, which costs little on nearly sorted values.  Its
     candidate-length temporaries are freed on return."""
-    order = np.argsort(h)
+    low = np.uint64((1 << (len(h) - 1).bit_length()) - 1)
+    keys = h & ~low
+    keys |= np.arange(len(h), dtype=np.uint64)
+    keys.sort()
+    keys &= low
+    order = keys.view(np.intp)
     h[...] = h[order]
+    if np.any(h[1:] < h[:-1]):
+        fix = np.argsort(h, kind="stable")
+        order = order[fix]
+        h[...] = h[fix]
     head = np.r_[True, h[1:] != h[:-1]]
     repeat = np.flatnonzero(~head)
     clash = not np.array_equal(rows(order[repeat]), rows(order[repeat - 1]))
-    groups = np.flatnonzero(head)
-    return np.minimum.reduceat(order, groups), h[groups], clash
+    k = np.count_nonzero(head)
+    order[:k] = order[head]
+    h[:k] = h[head]
+    return order[:k], h[:k], clash
 
 
 def _fresh_rows(h: np.ndarray, rows, known, known_keys) -> tuple[np.ndarray, np.ndarray]:
     """First occurrences of the distinct candidates that no known set holds:
     candidate indices and row hashes, in ascending hash order.  `h` holds the
-    candidates' row hashes and is sorted in place; rows(i) gives the key rows
-    of candidates i.  `known` lists (sorted hashes, fetch) pairs, fetch(i)
-    giving the key rows behind sorted positions i.  Rows are compared in full
-    within equal-hash groups and on hash hits; if two different rows share a
-    hash, the level is deduplicated instead by one pass that keeps each
-    candidate row neither known_keys() nor an earlier candidate holds."""
+    candidates' row hashes and is sorted and compacted in place; rows(i)
+    gives the key rows of candidates i.  `known` lists (sorted hashes, fetch)
+    pairs, fetch(i) giving the key rows behind sorted positions i.  Each
+    known set's hashes are searched among the candidates' group hashes: a
+    growing ball's known levels hold fewer rows than its candidates.  Rows
+    are compared in full within equal-hash groups and on hash hits; if two
+    different rows share a hash, the level is deduplicated instead by one
+    pass that keeps each candidate row neither known_keys() nor an earlier
+    candidate holds."""
     count = len(h)
     first, h, clash = _hash_groups(h, rows)
     fresh = np.ones(len(first), dtype=bool)
     for sorted_h, fetch in known:
-        at = np.searchsorted(sorted_h, h)
-        np.minimum(at, len(sorted_h) - 1, out=at)
-        hit = sorted_h[at] == h
-        clash |= not np.array_equal(rows(first[hit]), fetch(at[hit]))
-        fresh &= ~hit
-        del at, hit  # candidate-length: gone before the fresh rows are taken
+        at = np.searchsorted(h, sorted_h)
+        np.minimum(at, len(h) - 1, out=at)
+        hit = h[at] == sorted_h
+        at = at[hit]
+        clash |= not np.array_equal(rows(first[at]), fetch(np.flatnonzero(hit)))
+        fresh[at] = False
     if not clash:
         return first[fresh], h[fresh]
     keys = rows(np.arange(count))

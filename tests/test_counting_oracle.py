@@ -15,8 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from orbispec import (GeneratorSet, GroupElement, GroupSpec, KIND_RIEMANNIAN,
-                      build_root_system, counting_curve, enumerate_ball)
+from orbispec import (GeneratorSet, GroupElement, GroupSpec, KIND_MIXED, KIND_POLYHEDRAL,
+                      KIND_RIEMANNIAN, build_root_system, counting_curve, enumerate_ball)
 from orbispec.exponents import trust_radius
 
 from conftest import orthonormal_sym2_generators, sanov_generators
@@ -59,14 +59,14 @@ def _sanov(a, b, c, d):
     return b % 2 == 0 and c % 2 == 0 and a % 4 == 1 and d % 4 == 1
 
 
-def _pin_below_trust_radius(ball, keep, scale=1.0):
+def _pin_below_trust_radius(ball, keep, scale=1.0, kind=KIND_RIEMANNIAN, s=None):
     """Counts at every 0.25 step from 0 up to the trust radius equal the
-    oracle's at radius R / scale, for a group whose distances are `scale`
-    times those of its SL(2,Z) preimage; the step at 0 holds the elements at
-    distance exactly zero."""
+    oracle's at radius R / scale, for a group whose distances of the given
+    kind are `scale` times the Riemannian ones of its SL(2,Z) preimage; the
+    step at 0 holds the elements at distance exactly zero."""
     rs = build_root_system(ball.spec)
     radii = np.arange(0.0, trust_radius(ball, rs), 0.25)
-    curve = counting_curve(ball, rs, KIND_RIEMANNIAN, radii=radii)
+    curve = counting_curve(ball, rs, kind, s=s, radii=radii)
     np.testing.assert_array_equal(curve.counts, oracle_counts(radii / scale, keep))
     return radii, curve.counts
 
@@ -109,11 +109,15 @@ def test_modular_group_counts_match_the_oracle():
     assert radii[-1] >= 3.0 and counts[0] == 4
 
 
-def test_orthonormal_sym2_counts_match_the_oracle():
+@pytest.mark.parametrize("kind, s", [(KIND_RIEMANNIAN, None), (KIND_POLYHEDRAL, None),
+                                     (KIND_MIXED, 1.0)])
+def test_orthonormal_sym2_counts_match_the_oracle(kind, s):
     """The float orthonormal sym2 image of Gamma(2) in SL(3,R) doubles every
     Gamma(2) distance, so its counts at R are the Sanov counts at R / 2, on
-    all 33 steps of its L=9 trust radius."""
+    all 33 steps of its L=9 trust radius.  Its Cartan projections (2h, 0, -2h)
+    lie along rho, so d' equals d, and so does the mixed distance at
+    s = 1 < ||rho|| = sqrt(2), which is d'."""
     radii, counts = _pin_below_trust_radius(enumerate_ball(orthonormal_sym2_generators(), 9),
-                                            _sanov, scale=2.0)
+                                            _sanov, scale=2.0, kind=kind, s=s)
     assert len(radii) == 33 and radii[-1] == 8.0
     assert counts[0] == 1 and counts[-1] == 133

@@ -316,6 +316,34 @@ def _product_ball():
     return enumerate_ball(GeneratorSet.from_elements([a, b]), 5)
 
 
+def _unipotent(n, lower):
+    """I with 2 in every entry above the diagonal, or below it."""
+    return tuple(tuple(1 if i == j else 2 if (i > j) == lower and i != j else 0
+                       for j in range(n)) for i in range(n))
+
+
+def _hyperbolic(n):
+    """[[2, 1], [1, 1]] in the top corner of the n x n identity."""
+    return tuple(tuple([[2, 1], [1, 1]][i][j] if max(i, j) < 2 else int(i == j)
+                       for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("sizes", [(2,), (3,), (2, 2), (3, 3)])
+@pytest.mark.parametrize("based", [False, True])
+def test_distance_is_the_row_norm_bit_for_bit(sizes, based):
+    """d, folded left to right over the chamber columns, equals
+    np.linalg.norm(axis=1) byte for byte on 2, 3, 4 and 6 columns, at the
+    identity and at a base point."""
+    spec = GroupSpec.product(sizes) if len(sizes) > 1 else GroupSpec.sl(sizes[0])
+    a = GroupElement(spec, tuple(_unipotent(n, k % 2) for k, n in enumerate(sizes)))
+    b = GroupElement(spec, tuple(_unipotent(n, 1 - k % 2) for k, n in enumerate(sizes)))
+    x = GroupElement(spec, tuple(map(_hyperbolic, sizes))) if based else None
+    table = distance_table(enumerate_ball(GeneratorSet.from_elements([a, b]), 6),
+                           build_root_system(spec), x)
+    assert table.chamber.shape[1] == sum(sizes)
+    assert table.d.tobytes() == np.linalg.norm(table.chamber, axis=1).tobytes()
+
+
 def test_distance_table_rejects_root_system_of_another_group():
     """SL(4) has the ambient dimension of SL(2) x SL(2) but other roots."""
     ball = _product_ball()

@@ -581,24 +581,46 @@ def _far_conjugated_modular_group():
          for m in (np.array([[0, -1], [1, 0]]), np.array([[1, 1], [0, 1]]))])
 
 
+_row_hashes = orbit._row_hashes
+
+
+def _low_32_bits(keys):
+    """The row hash cut to its low 32 bits: a level of fewer than 2**32
+    candidates then sorts every hash on one shared (zero) prefix."""
+    return _row_hashes(keys) & np.uint64(2**32 - 1)
+
+
+def _modular_group():
+    spec = GroupSpec.sl(2)
+    return GeneratorSet.from_elements([GroupElement(spec, (((0, -1), (1, 0)),)),
+                                       GroupElement(spec, (((1, 1), (0, 1)),))])
+
+
 @pytest.mark.parametrize("weak_hash", [
     lambda keys: np.zeros(len(keys), dtype=np.uint64),
     lambda keys: np.fromiter(map(hash, keys[:, 0].tolist()), dtype=np.int64,
                              count=len(keys)).view(np.uint64),
-], ids=["constant", "first-column"])
+    _low_32_bits,
+], ids=["constant", "first-column", "low-32-bits"])
 @pytest.mark.parametrize("make_gens, L", [(sanov_generators, 6), (_cube_rotations, 10),
                                           (_sym2_float_generators, 4),
                                           (_rational_generators, 4),
-                                          (_far_conjugated_modular_group, 6)])
+                                          (_far_conjugated_modular_group, 6),
+                                          (_modular_group, 8),
+                                          (orthonormal_sym2_generators, 6)])
 def test_hash_collisions_fall_back_to_identical_balls(make_gens, L, weak_hash, monkeypatch):
     """Hashes that collide for different rows change nothing, on int rows
     and on object rows of fractions or big ints: the verified rows expose
-    every clash and the first-occurrence fallback gives the same ball."""
+    every clash and the first-occurrence fallback gives the same ball.
+    Hashes that differ only in their low 32 bits share the prefix by which
+    candidates are grouped, and are sorted again into the same ball: on
+    <S, T>, with its relations, too."""
     ref = enumerate_ball(make_gens(), L)
     monkeypatch.setattr(orbit, "_row_hashes", weak_hash)
     ball = enumerate_ball(make_gens(), L)
     assert ball.growth_per_level == ref.growth_per_level
     assert ball.exhausted == ref.exhausted
+    assert [lvl.dtype for lvl in ball._levels] == [lvl.dtype for lvl in ref._levels]
     assert [lvl.tolist() for lvl in ball._levels] == [lvl.tolist() for lvl in ref._levels]
     assert ball.float_entry_matrix().tobytes() == ref.float_entry_matrix().tobytes()
 

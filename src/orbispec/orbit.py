@@ -3,19 +3,20 @@
 Elements are gathered level by level in word length with exact deduplication,
 by one walk whatever the arithmetic.  A generating set is integral when every
 entry of every element, inverses included, is an integer: every exact-int
-set, and every float set whose entries are integer-valued (GroupElement.inverse
-takes those inverses as exact adjugates).  An integral ball runs one path
-whatever its arithmetic label, and its rows are their own keys.  Each level
-is stored as int32 while n * max|frontier| * max|generator| stays below
-2**31, else as int64, its products formed in int64; from the level where
-that bound reaches 2**62 (checked first), levels are object rows of exact
-Python ints.  The bound starts from max|generator|, so a set whose products
-could pass int64 at once is on object rows from level 1.  Levels keep the dtype they were made with across that switch, and the
-last two levels are hashed again as object rows there.  Exact-rational sets
-walk on object rows of fractions from level 0.  With a symmetric generating
-set and exact products the word length of a product gamma*g differs from
-that of gamma by at most one, so a candidate is new precisely when it avoids
-the previous two levels.  Exact-int int32/int64 levels are stored in
+set, and every float set whose entries are integer-valued
+(GroupElement.inverse takes those inverses as exact adjugates).  An integral
+ball runs one path whatever its arithmetic label, and its rows are their own
+keys.  Each level is stored as int32 while n * max|frontier| * max|generator|
+stays below 2**31, else as int64, its products formed in int64; from the
+level where that bound reaches 2**62 (checked first), levels are object rows
+of exact Python ints.  The bound starts from max|generator|, so a set whose
+products could pass int64 at once is on object rows from level 1.  Levels
+keep the dtype they were made with across that switch, and the last two
+levels are hashed again as object rows there.  Exact-rational sets walk on
+object rows of fractions from level 0.  With a symmetric generating set and
+exact products the word length of a product gamma*g differs from that of
+gamma by at most one, so a candidate is new precisely when it avoids the
+previous two levels.  Exact-int int32/int64 levels are stored in
 lexicographic row order, every other level in the order in which candidates
 first occur, and float levels still fail with NumericalError once an entry
 passes MAX_FLOAT_ENTRY.
@@ -23,38 +24,38 @@ passes MAX_FLOAT_ENTRY.
 Other float sets are multiplied in float64, and every earlier level is
 searched, since rounding noise does not respect word-length metrics.  Their
 entries are quantized to a 1e-9 grid (documented risk: distinct elements
-closer than the quantum collapse) and each entry is keyed by two int64
-words.
+closer than the quantum collapse) and each entry is keyed by two int64 words.
 
 Every level finds its keys by 64-bit row hashes: a multiply-xor hash of
-integer key rows, and Python's tuple hash of object rows.  The candidates
-are grouped by equal hash with one np.sort of their hashes' high bits, the
+integer key rows, and Python's tuple hash of object rows.  The candidates are
+grouped by equal hash with one np.sort of their hashes' high bits, the
 candidate index filling the low bits, so each group starts at its first
 candidate; hashes that share those high bits are then sorted again.  Each
-known level's sorted hashes, fewer in a growing ball than the next level's
-candidates, are then searched among the group hashes.  Full key rows are
-compared within every equal-hash group and on every hash hit; a level
-where two different rows share a hash is deduplicated by one
-first-occurrence pass over whole rows instead.  The last level gets no
-hash index and no letters, since no later level reads them.
+level a candidate may meet is kept as one record, its rows, their sorted
+hashes and the level row behind each hash; those hashes, fewer in a growing
+ball than the next level's candidates, are searched among the group hashes.
+Full key rows are compared within every equal-hash group and on every hash
+hit; a level where two different rows share a hash is deduplicated by one
+first-occurrence pass over whole rows instead.  The last level gets no hash
+index and no letters, since no later level reads them.
 
 For each frontier row the enumerator keeps the inverse of its last letter,
 the generator by which the row was first reached, permuted with the level;
 `GeneratorSet.inverse` paired each generator with its inverse when it built
 the set.  From level 2 on, a row's product with that inverse is its parent,
-always old, and is dropped from its block before it is keyed or hashed, so
-a frontier row yields |S| - 1 candidates.  In float mode that product is the parent up to rounding, which
-the full-history check would have found old unless the rounding moved it
-into another quantum cell.  A level whose rows yield no candidates (no
-generators, or one involution from level 2 on) ends the walk as exhausted.
-Candidates are formed, keyed and hashed _BLOCK_ROWS rows at a time into one
-compressed candidate array, frontier-major and generator-ascending; full
-key rows are formed only for the rows compared.  A candidate thus costs its
-m entries (4 or 8 bytes each, plus the Python objects an object row points
-to) and its 8-byte hash for the level, plus about
-four 8-byte indices while the level is deduplicated; keys and int64
-product temporaries live for one block only.  The ball keeps the level
-arrays as they are made, with no stacked copy.
+always old, and is dropped from its block before it is keyed or hashed, so a
+frontier row yields |S| - 1 candidates.  In float mode that product is the
+parent up to rounding, which the full-history check would have found old
+unless the rounding moved it into another quantum cell.  A level whose rows
+yield no candidates (no generators, or one involution from level 2 on) ends
+the walk as exhausted.  Candidates are formed, keyed and hashed _BLOCK_ROWS
+rows at a time into one compressed candidate array, frontier-major and
+generator-ascending; full key rows are formed only for the rows compared.  A
+candidate thus costs its m entries (4 or 8 bytes each, plus the Python
+objects an object row points to) and its 8-byte hash for the level, plus
+about four 8-byte indices while the level is deduplicated; keys and int64
+product temporaries live for one block only.  The ball keeps the level arrays
+as they are made, with no stacked copy.
 """
 
 from __future__ import annotations
@@ -166,7 +167,8 @@ class OrbitBall:
     products could pass int64; earlier levels keep their dtype.  Levels of
     any other float set are float64, and those of a rational set object
     rows of fractions.  Element i is row i of the levels taken in
-    order; they are never stacked into one array.
+    order: element(i) builds it, and float_row_blocks() gives the float64
+    image a block at a time; the levels are never stacked into one array.
     The levels are the one record of word length: the ball keeps no
     per-element word lengths.  The ball holds no Cartan data; the distance
     table of each base-point pair is cached in `tables`.
@@ -189,11 +191,6 @@ class OrbitBall:
             if i < len(lvl):
                 return GroupElement.from_flat(self.spec, lvl[i].tolist(), w)
             i -= len(lvl)
-
-    def iter_elements(self):
-        for w, lvl in enumerate(self._levels):
-            for row in lvl:
-                yield GroupElement.from_flat(self.spec, row.tolist(), w)
 
     def level_sums(self, terms: np.ndarray) -> np.ndarray:
         """Sum of one term per element over each word-length level,
@@ -220,10 +217,6 @@ class OrbitBall:
                     yield lvl[lo:lo + _BLOCK_ROWS].astype(float, copy=False)
                 except OverflowError as exc:
                     raise NumericalError("entries too large for a float image") from exc
-
-    def float_entry_matrix(self) -> np.ndarray:
-        """Float64 image of all the entries, one (N, m) array."""
-        return np.concatenate(list(self.float_row_blocks()))
 
 
 def enumerate_ball(gens: GeneratorSet, max_word_length: int,
@@ -257,8 +250,9 @@ def enumerate_ball(gens: GeneratorSet, max_word_length: int,
     identity = np.array([GroupElement.identity(spec).flat_entries()],
                         dtype=float if quantized else np.int32 if integral else object)
     levels = [identity]
-    # per level: its sorted row hashes and the level row behind each
-    index = [_hash_index(keys_of(identity))]
+    # per level a candidate may meet: its rows, their sorted row hashes and
+    # the level row behind each
+    known = [(identity, *_hash_index(keys_of(identity)))]
     # per frontier row: the generator whose product is the row's parent
     skip = None
     total = 1
@@ -281,18 +275,11 @@ def enumerate_ball(gens: GeneratorSet, max_word_length: int,
                 # here, with the last two levels hashed again as object rows so
                 # that candidates can meet them
                 level_dtype = np.dtype(object)
-                index[-2:] = [_hash_index(lvl.astype(object)) for lvl in levels[-2:]]
+                known = [(lvl, *_hash_index(lvl.astype(object))) for lvl, _, _ in known]
             else:
                 level_dtype = np.dtype(np.int32 if bound < _INT32_SAFE else np.int64)
         cand, h = _candidates(spec, frontier, gen_rows, skip, keys_of, level_dtype)
-        # exact products make the ball's relations hold exactly and, the set
-        # being symmetric, a candidate is new when the last two levels lack
-        # it; float rounding noise does not respect word length
-        known = range(0 if quantized else max(len(levels) - 2, 0), len(levels))
-        fetch = [(index[k][0], lambda i, k=k: keys_of(np.take(levels[k], index[k][1][i], axis=0)))
-                 for k in known]
-        first, hashes = _fresh_rows(h, lambda i: keys_of(np.take(cand, i, axis=0)), fetch,
-                                    lambda: keys_of(np.vstack([levels[k] for k in known])))
+        first, hashes = _fresh_rows(h, cand, known, keys_of)
         del h
         if len(first) == 0:
             exhausted = True
@@ -317,9 +304,12 @@ def enumerate_ball(gens: GeneratorSet, max_word_length: int,
         if w < L:
             at = np.empty_like(order)
             at[order] = np.arange(len(order))
-            index.append((hashes, at))
-            if not quantized and len(index) > 2:
-                index[-3] = None
+            known.append((levels[-1], hashes, at))
+            # exact products make the ball's relations hold exactly and, the
+            # set being symmetric, a candidate is new when the last two levels
+            # lack it; float rounding noise does not respect word length
+            if not quantized:
+                del known[:-2]
             # the last letter of each new row; its inverse leads back
             first = first[order]
             letter = first % per_row
@@ -394,10 +384,10 @@ def _candidates(spec: GroupSpec, frontier: np.ndarray, gen_rows: np.ndarray,
     return cand, h
 
 
-def _hash_groups(h: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray, bool]:
+def _hash_groups(h: np.ndarray, cand: np.ndarray, keys_of) -> tuple[np.ndarray, np.ndarray, bool]:
     """Sort `h` in place and keep its first entry of each equal-hash group
     at its front; return the first candidate of each group, the group
-    hashes (a view of `h`), and whether a group holds different rows.
+    hashes (a view of `h`), and whether a group holds different key rows.
 
     One np.sort of the keys (h & ~low) | i, i the candidate index in the low
     b bits, gives the order: equal hashes keep ascending index, so each
@@ -418,39 +408,41 @@ def _hash_groups(h: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray, bool]:
         h[...] = h[fix]
     head = np.r_[True, h[1:] != h[:-1]]
     repeat = np.flatnonzero(~head)
-    clash = not np.array_equal(rows(order[repeat]), rows(order[repeat - 1]))
+    clash = not np.array_equal(keys_of(np.take(cand, order[repeat], axis=0)),
+                               keys_of(np.take(cand, order[repeat - 1], axis=0)))
     k = np.count_nonzero(head)
     order[:k] = order[head]
     h[:k] = h[head]
     return order[:k], h[:k], clash
 
 
-def _fresh_rows(h: np.ndarray, rows, known, known_keys) -> tuple[np.ndarray, np.ndarray]:
-    """First occurrences of the distinct candidates that no known set holds:
-    candidate indices and row hashes, in ascending hash order.  `h` holds the
-    candidates' row hashes and is sorted and compacted in place; rows(i)
-    gives the key rows of candidates i.  `known` lists (sorted hashes, fetch)
-    pairs, fetch(i) giving the key rows behind sorted positions i.  Each
-    known set's hashes are searched among the candidates' group hashes: a
-    growing ball's known levels hold fewer rows than its candidates.  Rows
-    are compared in full within equal-hash groups and on hash hits; if two
-    different rows share a hash, the level is deduplicated instead by one
-    pass that keeps each candidate row neither known_keys() nor an earlier
-    candidate holds."""
-    count = len(h)
-    first, h, clash = _hash_groups(h, rows)
+def _fresh_rows(h: np.ndarray, cand: np.ndarray, known, keys_of) -> tuple[np.ndarray, np.ndarray]:
+    """First occurrences of the distinct candidates that no known level
+    holds: candidate indices and row hashes, in ascending hash order.  `h`
+    holds the hashes of the key rows of `cand` and is sorted and compacted
+    in place.  `known` lists one (rows, sorted hashes, level row behind each
+    hash) record per level a candidate may meet, and keys_of turns rows of
+    either into key rows.  Each known level's hashes are searched among the
+    candidates' group hashes: a growing ball's known levels hold fewer rows
+    than its candidates.  Key rows are compared in full within equal-hash
+    groups and on hash hits; if two different key rows share a hash, the
+    level is deduplicated instead by one pass that keeps each candidate
+    whose key row neither a known level nor an earlier candidate holds."""
+    first, h, clash = _hash_groups(h, cand, keys_of)
     fresh = np.ones(len(first), dtype=bool)
-    for sorted_h, fetch in known:
+    for rows, sorted_h, level_row in known:
         at = np.searchsorted(h, sorted_h)
         np.minimum(at, len(h) - 1, out=at)
         hit = h[at] == sorted_h
         at = at[hit]
-        clash |= not np.array_equal(rows(first[at]), fetch(np.flatnonzero(hit)))
+        clash |= not np.array_equal(keys_of(np.take(cand, first[at], axis=0)),
+                                    keys_of(np.take(rows, level_row[hit], axis=0)))
         fresh[at] = False
     if not clash:
         return first[fresh], h[fresh]
-    keys = rows(np.arange(count))
-    seen, first = set(map(tuple, known_keys().tolist())), []
+    keys = keys_of(cand)
+    known_keys = keys_of(np.vstack([rows for rows, _, _ in known]))
+    seen, first = set(map(tuple, known_keys.tolist())), []
     for i, row in enumerate(map(tuple, keys.tolist())):
         if row not in seen:
             seen.add(row)

@@ -97,6 +97,16 @@ def dict_walk(gens: GeneratorSet, L: int) -> OrbitBall:
     return OrbitBall(spec, L, [np.array(lvl, dtype=object) for lvl in levels], exhausted)
 
 
+def ball_elements(ball):
+    """Every element of a ball as a GroupElement, in element order."""
+    return map(ball.element, range(len(ball)))
+
+
+def float_image(ball) -> np.ndarray:
+    """The float64 entries of a whole ball, one (N, m) array in element order."""
+    return np.concatenate(list(ball.float_row_blocks()))
+
+
 def word_lengths(ball) -> np.ndarray:
     """The word length of each element of a ball, built from its level sizes."""
     return np.repeat(np.arange(len(ball.growth_per_level)), ball.growth_per_level)

@@ -17,7 +17,7 @@ import pytest
 
 from orbispec import (GeneratorSet, GroupElement, GroupSpec, KIND_MIXED, KIND_POLYHEDRAL,
                       KIND_RIEMANNIAN, build_root_system, counting_curve, enumerate_ball)
-from orbispec.exponents import trust_radius
+from orbispec.exponents import completeness_radius, trust_radius
 
 from conftest import orthonormal_sym2_generators, sanov_generators
 
@@ -30,11 +30,10 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return g, v, u - (a // b) * v
 
 
-def oracle_counts(radii, keep) -> np.ndarray:
-    """N(R) at each radius over the det-1 integer matrices (a, b, c, d) for
-    which keep(a, b, c, d) holds, in exact integer arithmetic."""
-    bounds = 2.0 * np.cosh(math.sqrt(2.0) * np.asarray(radii, dtype=float))
-    bound = float(bounds.max())
+def oracle_norms(bound: float, keep) -> np.ndarray:
+    """The sorted norms q = a^2 + b^2 + c^2 + d^2 <= bound of the det-1
+    integer matrices (a, b, c, d) for which keep(a, b, c, d) holds, in exact
+    integer arithmetic."""
     m = math.isqrt(int(bound))
     norms = []
     for a in range(-m, m + 1):
@@ -52,7 +51,14 @@ def oracle_counts(radii, keep) -> np.ndarray:
                     if keep(a, b0 + k * a, c, d0 + k * c):
                         norms.append(q)
                     k += step
-    return np.searchsorted(np.sort(np.array(norms)), bounds, side="right")
+    return np.sort(np.array(norms))
+
+
+def oracle_counts(radii, keep) -> np.ndarray:
+    """N(R) at each radius over the det-1 integer matrices for which
+    keep(a, b, c, d) holds."""
+    bounds = 2.0 * np.cosh(math.sqrt(2.0) * np.asarray(radii, dtype=float))
+    return np.searchsorted(oracle_norms(float(bounds.max()), keep), bounds, side="right")
 
 
 def _sanov(a, b, c, d):
@@ -121,3 +127,60 @@ def test_orthonormal_sym2_counts_match_the_oracle(kind, s):
                                             _sanov, scale=2.0, kind=kind, s=s)
     assert len(radii) == 33 and radii[-1] == 8.0
     assert counts[0] == 1 and counts[-1] == 133
+
+
+def _sanov_pair_counts(radii, of_parts) -> np.ndarray:
+    """N(R) at each radius over pairs of Sanov elements at distance
+    of_parts(d1, d2), each d_i = arccosh(q_i / 2) / sqrt(2) from the oracle's
+    norms.  Every kind below grows with each d_i and is at least
+    d_i / sqrt(2), so a pair within R is made of elements with
+    d_i <= sqrt(2) R, that is q_i <= 2 cosh(2 R), each of whose pairs with
+    the identity lies within R."""
+    top = radii[-1]
+    d = np.arccosh(oracle_norms(2.0 * math.cosh(2.0 * top), _sanov) / 2.0) / math.sqrt(2.0)
+    d = d[of_parts(d, 0.0) <= top]
+    pairs = of_parts(d[:, None], d[None, :]).ravel()
+    return np.searchsorted(np.sort(pairs), radii, side="right")
+
+
+def _riemannian_parts(d1, d2):
+    return np.sqrt(d1 * d1 + d2 * d2)
+
+
+def _polyhedral_parts(d1, d2):
+    return (d1 + d2) / math.sqrt(2.0)
+
+
+def _mixed_parts(d1, d2):
+    return _polyhedral_parts(d1, d2) + 0.5 * _riemannian_parts(d1, d2)
+
+
+@pytest.mark.parametrize("depth, size, steps", [(8, 139_969, [16, 12, 16]),
+                                                (9, 472_393, [17, 12, 17])],
+                         ids=["L8", "L9"])
+def test_product_lattice_counts_match_sanov_pair_counts(depth, size, steps):
+    """Gamma(2) x Gamma(2) in SL(2) x SL(2), generated by (a, e), (b, e),
+    (e, a) and (e, b).  An element (g1, g2) lies at Riemannian distance
+    d = sqrt(d1^2 + d2^2) and polyhedral distance d' = (d1 + d2) / sqrt(2),
+    d_i the Sanov distance of g_i, and at mixed distance d' + d / 2 for
+    s = 1.5 > ||rho|| = 1.  Each kind's counts are the oracle's pair counts
+    on every 0.25 step from 0 up to its own completeness radius, capped at
+    the trust radius.  A polyhedral ball of radius R reaches d up to
+    sqrt(2) R, so its counts part from the pair counts beyond that radius
+    (past 2.78 at L = 8) and are not pinned up to the trust radius."""
+    spec = GroupSpec.product((2, 2))
+    eye, a, b = ((1, 0), (0, 1)), ((1, 2), (0, 1)), ((1, 0), (2, 1))
+    ball = enumerate_ball(GeneratorSet.from_elements(
+        [GroupElement(spec, blocks) for blocks in ((a, eye), (b, eye), (eye, a), (eye, b))]),
+        depth)
+    assert len(ball) == size
+    rs = build_root_system(spec)
+    assert rs.rho_norm == pytest.approx(1.0)
+    t = trust_radius(ball, rs)
+    for (kind, s, of_parts), count in zip(((KIND_RIEMANNIAN, None, _riemannian_parts),
+                                           (KIND_POLYHEDRAL, None, _polyhedral_parts),
+                                           (KIND_MIXED, 1.5, _mixed_parts)), steps):
+        radii = np.arange(0.0, min(completeness_radius(ball, rs, kind, s), t), 0.25)
+        assert len(radii) == count
+        curve = counting_curve(ball, rs, kind, s=s, radii=radii)
+        np.testing.assert_array_equal(curve.counts, _sanov_pair_counts(radii, of_parts))

@@ -15,7 +15,8 @@ from orbispec import (GroupElement, GroupSpec, KIND_MIXED, KIND_POLYHEDRAL,
 from orbispec.exponents import (KINDS, ZERO_DISTANCE, completeness_radius, distance_table,
                                 relative_chamber_matrix)
 
-from conftest import cyclic_hyperbolic_generator, sanov_generators, word_lengths
+from conftest import (ball_elements, cyclic_hyperbolic_generator, float_image, sanov_generators,
+                      word_lengths)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -285,7 +286,7 @@ def test_distance_table_matches_per_element_oracles(sanov_rs, arithmetic):
     ball, x, y = _based_ball_and_points(5, arithmetic)
     table = distance_table(ball, sanov_rs, x, y)
     assert table.d.shape == table.dprime.shape == (len(ball),)
-    for i, g in enumerate(ball.iter_elements()):
+    for i, g in enumerate(ball_elements(ball)):
         assert table.d[i] == pytest.approx(distance_riemannian(g @ y, x), abs=1e-12)
         assert table.dprime[i] == pytest.approx(
             distance_polyhedral(sanov_rs, g @ y, x), abs=1e-12)
@@ -406,7 +407,7 @@ def test_base_point_is_inverted_exactly(sanov_rs):
     ball = enumerate_ball(GeneratorSet.from_elements([m]), 12)
     x = GroupElement(spec, (((19601, 55440), (6930, 19601)),))
     assert x == m @ m @ m @ m @ m @ m
-    want = [distance_riemannian(g, x) for g in ball.iter_elements()]
+    want = [distance_riemannian(g, x) for g in ball_elements(ball)]
     np.testing.assert_allclose(distance_table(ball, sanov_rs, x).d, want, rtol=0, atol=1e-12)
 
 
@@ -495,7 +496,7 @@ def test_relative_chamber_matrix_matches_einsum_bytes(sanov_rs, monkeypatch):
 
     monkeypatch.setattr(exponents, "log_singular_values", recorded)
     ball, x, y = _based_ball_and_points(8)
-    ball_stack = ball.float_entry_matrix().reshape(-1, 2, 2)
+    ball_stack = float_image(ball).reshape(-1, 2, 2)
     for px, py in ((x, None), (None, y), (x, y)):
         seen.clear()
         got = exponents.relative_chamber_matrix(ball, px, py)

@@ -11,16 +11,16 @@ from orbispec import (GeneratorSet, GroupElement, GroupSpec, NumericalError,
                       trust_radius)
 from orbispec.exponents import distance_table, relative_chamber_matrix
 
-from conftest import (cyclic_hyperbolic_generator, dict_walk, orthonormal_sym2_generators,
-                      sanov_generators)
+from conftest import (ball_elements, cyclic_hyperbolic_generator, dict_walk, float_image,
+                      orthonormal_sym2_generators, sanov_generators)
 
 SQRT2 = np.sqrt(2.0)
 
 
 def ball_key_set(ball):
     if ball.spec.arithmetic == "float":
-        return {tuple(np.round(row / 1e-9).astype(np.int64)) for row in ball.float_entry_matrix()}
-    return {g.flat_entries() for g in ball.iter_elements()}
+        return {tuple(np.round(row / 1e-9).astype(np.int64)) for row in float_image(ball)}
+    return {g.flat_entries() for g in ball_elements(ball)}
 
 
 def test_cyclic_ball_counts_and_trust():
@@ -80,23 +80,23 @@ def test_non_symmetric_set_is_closed_under_inverses():
 def test_dedup_idempotence():
     deep = enumerate_ball(sanov_generators(), 5)
     shallow = enumerate_ball(sanov_generators(), 4)
-    deep_keys = {g.flat_entries() for g in deep.iter_elements() if g.word_length <= 4}
+    deep_keys = {g.flat_entries() for g in ball_elements(deep) if g.word_length <= 4}
     assert deep_keys == ball_key_set(shallow)
 
 
 def test_inverse_closure_preserves_word_length():
     ball = enumerate_ball(sanov_generators(), 4)
-    lengths = {g.flat_entries(): g.word_length for g in ball.iter_elements()}
-    for g in ball.iter_elements():
+    lengths = {g.flat_entries(): g.word_length for g in ball_elements(ball)}
+    for g in ball_elements(ball):
         inv_key = g.inverse().flat_entries()
         assert lengths[inv_key] == g.word_length
 
 
 def test_ball_closed_under_stored_word_length():
     ball = enumerate_ball(sanov_generators(), 3)
-    keys = {g.flat_entries(): g.word_length for g in ball.iter_elements()}
+    keys = {g.flat_entries(): g.word_length for g in ball_elements(ball)}
     gens = sanov_generators()
-    for g in ball.iter_elements():
+    for g in ball_elements(ball):
         if g.word_length >= 3:
             continue
         for h in gens.elements:
@@ -249,7 +249,7 @@ def _sym2_float_generators():
 
 def _levels(ball):
     bounds = np.cumsum([0] + ball.growth_per_level)
-    rows = ball.float_entry_matrix()
+    rows = float_image(ball)
     return [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
@@ -326,9 +326,9 @@ def _record_searched_levels(monkeypatch) -> list[int]:
     searched = []
     fresh_rows = orbit._fresh_rows
 
-    def recording(h, rows, known, known_keys):
+    def recording(h, cand, known, keys_of):
         searched.append(len(known))
-        return fresh_rows(h, rows, known, known_keys)
+        return fresh_rows(h, cand, known, keys_of)
 
     monkeypatch.setattr(orbit, "_fresh_rows", recording)
     return searched
@@ -430,7 +430,7 @@ def test_float_ball_elements_with_large_integer_entries_are_valid():
         [GroupElement(GroupSpec.sl(2, arithmetic), (((3, 8), (1, 3)),))]), 16)
         for arithmetic in ("float", "exact-int")]
     got = {tuple(map(int, balls[0].element(i).flat_entries())) for i in range(len(balls[0]))}
-    assert got == {e.flat_entries() for e in balls[1].iter_elements()}
+    assert got == {e.flat_entries() for e in ball_elements(balls[1])}
     assert len(got) == 33
 
 
@@ -480,16 +480,17 @@ def test_float_enumeration_peak_below_two_level_key_arrays(monkeypatch):
     frontier = ball.growth_per_level[L - 1]
     key_array = frontier * len(gens.elements) * 2 * ball.spec.entry_count * 8
     assert peak < 2 * key_array
-    assert ball.float_entry_matrix().tobytes() == ref.float_entry_matrix().tobytes()
+    assert float_image(ball).tobytes() == float_image(ref).tobytes()
 
 
 @pytest.mark.parametrize("make_gens, L", [(sanov_generators, 8), (_sym2_float_generators, 7)])
 @pytest.mark.parametrize("block_rows", [orbit._BLOCK_ROWS, 64])
-def test_parent_products_are_never_formed(make_gens, L, block_rows, monkeypatch):
+def test_parent_products_are_never_hashed(make_gens, L, block_rows, monkeypatch):
     """From level 2 on a row's product with the inverse of its last letter
-    is its parent: the ball hashes |S| - 1 candidates per frontier row,
-    however the rows fall into blocks, in int64 and in float mode, and is
-    still the ball of the dictionary walk."""
+    is its parent, which is formed with its block and dropped before it is
+    hashed: the ball hashes |S| - 1 candidates per frontier row, however the
+    rows fall into blocks, in int64 and in float mode, and is still the ball
+    of the dictionary walk.  The count is of hashed rows, not of products."""
     gens = make_gens()
     hashed = []
 
@@ -622,7 +623,7 @@ def test_hash_collisions_fall_back_to_identical_balls(make_gens, L, weak_hash, m
     assert ball.exhausted == ref.exhausted
     assert [lvl.dtype for lvl in ball._levels] == [lvl.dtype for lvl in ref._levels]
     assert [lvl.tolist() for lvl in ball._levels] == [lvl.tolist() for lvl in ref._levels]
-    assert ball.float_entry_matrix().tobytes() == ref.float_entry_matrix().tobytes()
+    assert float_image(ball).tobytes() == float_image(ref).tobytes()
 
 
 def test_exact_determinant_survives_large_entries():
@@ -632,7 +633,7 @@ def test_exact_determinant_survives_large_entries():
     g = GroupElement(GroupSpec.sl(2), (((3, 8), (1, 3)),))
     ball = enumerate_ball(GeneratorSet.from_elements([g]), 12)
     expect = [0.5 * math.acosh(sum(x * x for x in e.flat_entries()) / 2)
-              for e in ball.iter_elements()]
+              for e in ball_elements(ball)]
     np.testing.assert_allclose(relative_chamber_matrix(ball)[:, 0], expect, rtol=1e-15,
                                atol=0)
 
@@ -664,7 +665,7 @@ def test_int_ball_levels_climb_from_int32_to_int64():
 
     def rows_by_element(b):
         return {e.flat_entries(): row.tobytes()
-                for e, row in zip(b.iter_elements(), relative_chamber_matrix(b))}
+                for e, row in zip(ball_elements(b), relative_chamber_matrix(b))}
 
     assert rows_by_element(ball) == rows_by_element(dict_walk(gens, L))
 
@@ -729,7 +730,7 @@ def test_rational_ball_elements_are_exact_products():
         for g in frontier:
             words.setdefault(g.flat_entries(), w)
     assert len(ball) == len(words)
-    for g in ball.iter_elements():
+    for g in ball_elements(ball):
         assert all(type(x) is Fraction for x in g.flat_entries())
         assert words[g.flat_entries()] == g.word_length
     assert [lvl.tolist() for lvl in ball._levels] == \
@@ -738,8 +739,8 @@ def test_rational_ball_elements_are_exact_products():
 
 def test_rational_ball_float_image_converts_each_entry():
     ball = enumerate_ball(_rational_generators(), 3)
-    expect = np.array([[float(x) for x in g.flat_entries()] for g in ball.iter_elements()])
-    assert ball.float_entry_matrix().tobytes() == expect.tobytes()
+    expect = np.array([[float(x) for x in g.flat_entries()] for g in ball_elements(ball)])
+    assert float_image(ball).tobytes() == expect.tobytes()
 
 
 def test_oversized_int_ball_has_no_float_image():
@@ -747,7 +748,7 @@ def test_oversized_int_ball_has_no_float_image():
     ball = enumerate_ball(GeneratorSet.from_elements([g]), 2)
     assert ball.element(len(ball) - 1).word_length == 2
     with pytest.raises(NumericalError, match="entries too large for a float image"):
-        ball.float_entry_matrix()
+        list(ball.float_row_blocks())
 
 
 @pytest.mark.parametrize("arithmetic, L, int64_safe, switch",

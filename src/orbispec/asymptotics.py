@@ -266,16 +266,15 @@ def heat_bound(rs: RootSystemData, case: str, *, t: float, delta_second: float,
                s: float | None = None, s1: float | None = None,
                s2: float | None = None, eps: float | None = None,
                psecond: float | None = None, psecond_x: float | None = None,
-               psecond_y: float | None = None,
-               pseudo_dim: float | None = None) -> float:
+               psecond_y: float | None = None) -> float:
     """Evaluate one of the three heat-kernel bound expressions on the
     diagonal (distance zero, where each Gaussian factor exp(-d^2/...) is 1).
 
     The Poincare factors are supplied as (truncated) partial sums, so the
     result under-estimates the true bound and is reported as such.  Case
-    'i' needs delta_second < s < ||rho|| and a pseudo-dimension D
-    (defaulting to rank + 2 * #reduced roots, the long-time heat decay
-    exponent); case 'ii' needs ||rho|| <= delta_second < 2||rho|| and
+    'i' needs delta_second < s < ||rho|| and takes the pseudo-dimension
+    D = rank + 2 * #reduced roots, the long-time heat decay exponent; case
+    'ii' needs ||rho|| <= delta_second < 2||rho|| and
     delta_second - ||rho|| < s1 < s2 < ||rho||; case 'iii' needs
     s > delta_second, eps > 0, and the two diagonal partial sums.
     """
@@ -291,7 +290,7 @@ def heat_bound(rs: RootSystemData, case: str, *, t: float, delta_second: float,
             raise ValueError(
                 f"case 'i' needs delta_second < s < ||rho||, got {delta_second}, {s}, {rho}"
             )
-        D = pseudo_dim if pseudo_dim is not None else rs.rank + 2 * len(rs.positive_roots)
+        D = rs.rank + 2 * len(rs.positive_roots)
         return base * (1.0 + t) ** ((n - D) / 2.0) * math.exp(-rho**2 * t) * psecond
     if case == "ii":
         if s1 is None or s2 is None or psecond is None:

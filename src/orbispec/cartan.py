@@ -116,10 +116,10 @@ class GroupElement:
         object.__setattr__(self, "blocks", tuple(coerced))
 
     @classmethod
-    def identity(cls, spec: GroupSpec, word_length: int | None = 0) -> "GroupElement":
+    def identity(cls, spec: GroupSpec) -> "GroupElement":
         cast = float if spec.arithmetic == "float" else int
         return cls(spec, tuple(tuple(tuple(cast(i == j) for j in range(n)) for i in range(n))
-                               for n in spec.sizes), word_length)
+                               for n in spec.sizes), 0)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if self.spec != other.spec:
@@ -165,15 +165,14 @@ def stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sum(a[..., j, None] * b[..., None, j, :] for j in range(a.shape[-1]))
 
 
-def log_singular_values(stack: np.ndarray, det: float | None = None) -> np.ndarray:
+def log_singular_values(stack: np.ndarray) -> np.ndarray:
     """Per-matrix log singular values, sorted non-increasingly and recentred
-    to sum zero, for a (..., n, n) float stack.
+    to sum zero, for a (..., n, n) float stack of determinant-one matrices.
 
-    For 2x2 matrices the Frobenius norm q and determinant give the exact
-    closed form arccosh(q / (2|det|)) / 2, avoiding millions of LAPACK calls
-    in orbit-scale batches.  Blocks of group elements have determinant 1,
-    so the package passes det=1.0: ad - bc in float64 cancels once entries
-    pass ~1e8.  With det=None |det| is computed, for raw stacks only.
+    For 2x2 matrices the squared Frobenius norm q gives the exact closed
+    form arccosh(q / 2) / 2, avoiding millions of LAPACK calls in
+    orbit-scale batches; it takes the determinant to be 1 rather than
+    computing ad - bc, which cancels in float64 once entries pass ~1e8.
     """
     stack = np.asarray(stack, dtype=float)
     # two reductions and no stack-sized copy: NaN propagates through both
@@ -188,11 +187,7 @@ def log_singular_values(stack: np.ndarray, det: float | None = None) -> np.ndarr
     if n == 2:
         a, b = stack[..., 0, 0], stack[..., 0, 1]
         c, d = stack[..., 1, 0], stack[..., 1, 1]
-        if det is None:
-            det = np.abs(a * d - b * c)
-            if np.any(det <= 0):
-                raise NumericalError("singular 2x2 block")
-        q = (a * a + b * b + c * c + d * d) / (2.0 * det)
+        q = (a * a + b * b + c * c + d * d) / 2.0
         h = 0.5 * np.arccosh(np.maximum(q, 1.0))
         return np.stack([h, -h], axis=-1)
     sv = np.linalg.svd(stack, compute_uv=False)
@@ -204,7 +199,7 @@ def log_singular_values(stack: np.ndarray, det: float | None = None) -> np.ndarr
 
 def cartan_projection(g: GroupElement) -> ChamberVector:
     """Chamber component of g in the K exp(a+) K decomposition."""
-    coords = np.concatenate([log_singular_values(block[None], det=1.0)[0]
+    coords = np.concatenate([log_singular_values(block[None])[0]
                              for block in g.float_blocks()])
     return ChamberVector(g.spec, coords)
 

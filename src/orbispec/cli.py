@@ -65,6 +65,7 @@ output files (all floats printed with 12 significant digits):
   volumes.csv               family, regime, radius, volume
   green_series.csv          zeta, level, partial_sum, verdict
   heat_bounds.csv           case, t, s, s1, s2, eps, pseudo_dim, value
+                            (pseudo_dim is always empty)
 
 exit codes: 0 success, 1 config or usage error, 2 unsupported group,
             3 resource cap exceeded, 4 numerical failure
@@ -292,7 +293,8 @@ def _green(config, rs, ball, triple, out) -> dict:
     if zetas is None:
         crit = triple.delta_second.value - rs.rho_norm
         if crit > 0.05:
-            zetas = [max(crit + d, 0.01) for d in (-0.2, -0.1, 0.0, 0.1, 0.2)]
+            # crit at most 0.11 floors two values at 0.01: keep it once
+            zetas = list(dict.fromkeys(max(crit + d, 0.01) for d in (-0.2, -0.1, 0.0, 0.1, 0.2)))
         else:
             zetas = [0.1, 0.5, 1.0]
     rows, summary = [], []

@@ -107,7 +107,7 @@ def relative_chamber_matrix(ball: OrbitBall, x=None, y=None) -> np.ndarray:
             if y_blocks is not None:
                 # einsum is faster on this stack-first form than a sum of products
                 m = np.einsum("nij,jk->nik", m, y_blocks[k])
-            chamber[start:stop, cols] = log_singular_values(m, det=1.0)
+            chamber[start:stop, cols] = log_singular_values(m)
         start = stop
     return chamber
 
@@ -116,8 +116,8 @@ def relative_chamber_matrix(ball: OrbitBall, x=None, y=None) -> np.ndarray:
 class DistanceTable:
     """Read-only chamber matrix of x^-1 gamma y over a ball, with each
     element's distances d and d' and the trust-radius shift d(x,e) + d(y,e).
-    `derived` holds what other layers compute once from the table, such as
-    the zeta-free factors of the Green series."""
+    `derived` holds what other layers compute once from the table: the
+    zeta-free factors of the Green series."""
 
     chamber: np.ndarray
     d: np.ndarray
@@ -147,6 +147,10 @@ def distance_table(ball: OrbitBall, rs: RootSystemData, x=None, y=None) -> Dista
     if rs.spec.sizes != ball.spec.sizes:
         raise ValueError(f"root system of blocks {rs.spec.sizes} does not fit a ball "
                          f"of blocks {ball.spec.sizes}")
+    for g in (x, y):
+        if g is not None and g.spec.sizes != ball.spec.sizes:
+            raise ValueError(f"base point of blocks {g.spec.sizes} does not fit a ball "
+                             f"of blocks {ball.spec.sizes}")
     table = ball.tables.get((x, y))
     if table is None:
         chamber = relative_chamber_matrix(ball, x, y)
@@ -198,18 +202,12 @@ def _torsion_mask(ball: OrbitBall, rs: RootSystemData,
                   include_torsion: bool) -> np.ndarray | None:
     """Mask selecting elements kept for counting; drops non-identity
     elements whose own Cartan projection vanishes (the stabilizer of the
-    base point) when include_torsion is False.  Computed once per ball and
-    kept with its base-point-free distance table."""
+    base point) when include_torsion is False.  None when it keeps all."""
     if include_torsion:
         return None
-    table = distance_table(ball, rs)
-    if "torsion" not in table.derived:
-        drop = table.d < ZERO_DISTANCE
-        drop[0] = False  # row 0 is the identity
-        keep = ~drop
-        keep.flags.writeable = False
-        table.derived["torsion"] = keep if drop.any() else None
-    return table.derived["torsion"]
+    keep = distance_table(ball, rs).d >= ZERO_DISTANCE
+    keep[0] = True  # row 0 is the identity
+    return None if keep.all() else keep
 
 
 def counting_curve(ball: OrbitBall, rs: RootSystemData, kind: str,
@@ -354,7 +352,7 @@ def exponent_triple(ball: OrbitBall, rs: RootSystemData, x=None, y=None,
     delta_prime = estimate_exponent(curve_p, window_fraction, rs.rho_norm)
 
     if delta_prime.value <= rs.rho_norm:
-        delta_second = replace(delta_prime)
+        delta_second = delta_prime
     else:
         # the stable order of the elements within the last radius is the
         # prefix of the whole ball's, so each sum is the whole ball's cumsum

@@ -16,6 +16,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+# estimate noise per exponent that consistency_check allows for
+EST_TOL = 0.05
+
 
 @dataclass(frozen=True)
 class SpectrumReport:
@@ -89,15 +92,14 @@ def lambda0_lower_polyhedral(rho_norm: float, delta_prime: float) -> float:
 
 
 def consistency_check(rho_norm: float, rho_min: float, delta: float,
-                      delta_prime: float, delta_second: float,
-                      est_tol: float = 0.05) -> SpectrumReport:
+                      delta_prime: float, delta_second: float) -> SpectrumReport:
     """Cross-check the three spectral statements on one exponent triple.
 
     The exact value must land in the intersection of the two-sided interval
     with the polyhedral lower half-line; the bounds are not mutually nested
     (the polyhedral lower bound can be weaker than the Riemannian one when
     delta_prime far exceeds delta), hence intersection rather than nesting.
-    Estimate noise of est_tol per exponent is propagated exactly through the
+    Estimate noise of EST_TOL per exponent is propagated exactly through the
     monotone closed forms by loosening each bound at a shifted exponent.
     Each estimate is clipped once, so an out-of-range one warns once.
     """
@@ -112,9 +114,9 @@ def consistency_check(rho_norm: float, rho_min: float, delta: float,
     tight_lo = max(lower2, lower3)
 
     # every exponent is an estimate; loosen each formula at the raw estimate
-    # +- est_tol, back in range (all are non-increasing, so this is exact)
+    # +- EST_TOL, back in range (all are non-increasing, so this is exact)
     def shifted(value, sign):
-        return min(max(value + sign * est_tol, 0.0), 2 * rho_norm)
+        return min(max(value + sign * EST_TOL, 0.0), 2 * rho_norm)
 
     loose_lo = max(_two_sided(rho_norm, rho_min, shifted(delta, 1))[0],
                    _quadratic(rho_norm, shifted(delta_prime, 1), rho_norm))

@@ -253,12 +253,9 @@ def test_green_sums_bit_identical_to_inline_envelope(monkeypatch):
 
 
 def test_heat_bound_case_i_trivial(rs2):
-    """Trivial group, x = y, t = 1, pseudo-dimension n: every factor but
-    e^{-||rho||^2 t} collapses to one."""
-    val = heat_bound(rs2, "i", t=1.0, delta_second=0.0, s=0.5 * rs2.rho_norm,
-                     psecond=1.0, pseudo_dim=rs2.dim_x)
-    assert val == pytest.approx(math.exp(-rs2.rho_norm**2))
-    # default pseudo-dimension is rank + 2 * #reduced roots = 3 for SL(2)
+    """Trivial group, x = y, t = 1: every factor but e^{-||rho||^2 t} and
+    2^{(n - D)/2} collapses to one."""
+    # the pseudo-dimension is rank + 2 * #reduced roots = 3 for SL(2)
     val_default = heat_bound(rs2, "i", t=1.0, delta_second=0.0,
                              s=0.5 * rs2.rho_norm, psecond=1.0)
     assert val_default == pytest.approx(math.exp(-rs2.rho_norm**2) * 2 ** -0.5)

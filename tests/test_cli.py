@@ -5,12 +5,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import orbispec
-from orbispec import cli, exponents
+from orbispec import build_root_system, cli, enumerate_ball, exponents
 from orbispec.cli import ANALYSES, main
+from orbispec.exponents import ExponentEstimate, ExponentTriple
+
+from conftest import sanov_generators
 
 SQRT2 = 2.0 ** 0.5
 
@@ -125,6 +129,19 @@ def test_volume_green_heatbound_analyses(tmp_path):
     assert (out / "heat_bounds.csv").exists()
     rate = report["volume_fits"]["polyhedral_large"]["exponential_rate"]
     assert rate == pytest.approx(2 / SQRT2, abs=0.1)  # 2 * ||rho|| for SL(2)
+
+
+def test_default_green_zetas_are_distinct(tmp_path):
+    """At crit = delta'' - ||rho|| = 0.08 two default zetas floor at 0.01:
+    the job sums and writes that zeta once."""
+    ball = enumerate_ball(sanov_generators(), 4)
+    rs = build_root_system(ball.spec)
+    est = ExponentEstimate(rs.rho_norm + 0.08, (0.0, 1.0), 0.0, complete=True)
+    config = SimpleNamespace(green_zetas=None, base_x=None, base_y=None)
+    summary = cli._green(config, rs, ball, ExponentTriple(est, est, est), tmp_path)["green"]
+    assert [entry["zeta"] for entry in summary] == pytest.approx([0.01, 0.08, 0.18, 0.28])
+    rows = (tmp_path / "green_series.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4 * len(ball.growth_per_level)
 
 
 def test_window_fraction_from_config(tmp_path):

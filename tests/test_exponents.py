@@ -249,29 +249,6 @@ def test_torsion_exclusion_in_counting():
     assert with_t.counts[1] - no_t.counts[1] == with_t.counts[0] - 1
 
 
-def test_torsion_mask_computed_once_per_ball(monkeypatch):
-    """The torsion mask is kept with the ball's base-point-free table: later
-    counting curves, at base points too, reuse it without recomputing."""
-    from orbispec import exponents
-    spec = GroupSpec.sl(2)
-    rs = build_root_system(spec)
-    rot = GroupElement(spec, (((0, 1), (-1, 0)),))
-    shear = GroupElement(spec, (((1, 2), (0, 1)),))
-    x = GroupElement(spec, (((2, 1), (1, 1)),))
-    ball = enumerate_ball(GeneratorSet.from_elements([rot, shear]), 4)
-    radii = np.array([0.0, 1.0, 4.0])
-    first = counting_curve(ball, rs, KIND_RIEMANNIAN, radii=radii, include_torsion=False)
-    mask = exponents._torsion_mask(ball, rs, False)
-    assert mask is not None and not mask.flags.writeable
-    # a recomputed mask would now drop every element but the identity
-    monkeypatch.setattr(exponents, "ZERO_DISTANCE", math.inf)
-    again = counting_curve(ball, rs, KIND_RIEMANNIAN, radii=radii, include_torsion=False)
-    np.testing.assert_array_equal(again.counts, first.counts)
-    assert first.counts[-1] > 1
-    counting_curve(ball, rs, KIND_POLYHEDRAL, x=x, radii=radii, include_torsion=False)
-    assert exponents._torsion_mask(ball, rs, False) is mask
-
-
 def _based_ball_and_points(depth, arithmetic="exact-int"):
     spec = GroupSpec.sl(2, arithmetic)
     x = GroupElement(spec, (((2, 1), (1, 1)),))
@@ -358,6 +335,22 @@ def test_distance_table_rejects_root_system_of_another_group():
     # root data depends on the blocks alone, not on the arithmetic mode
     float_rs = build_root_system(GroupSpec.product((2, 2), "float"))
     assert distance_table(ball, float_rs) is distance_table(ball, rs)
+
+
+@pytest.mark.parametrize("sizes, blocks",
+                         [((2, 2), (((2, 1), (1, 1)),) * 2),
+                          ((3,), (((2, 1, 0), (1, 1, 0), (0, 0, 1)),))],
+                         ids=["sl2xsl2", "sl3"])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_distance_table_rejects_base_point_of_another_group(sanov_rs, sizes, blocks, side):
+    """An SL(2) x SL(2) point on an SL(2) ball would count its first block
+    alone, and an SL(3) point does not multiply 2x2 blocks: both are refused
+    before anything is built."""
+    point = GroupElement(GroupSpec.product(sizes), blocks)
+    ball = enumerate_ball(sanov_generators(), 3)
+    with pytest.raises(ValueError, match="base point"):
+        distance_table(ball, sanov_rs, **{side: point})
+    assert ball.tables == {}
 
 
 def test_distance_table_cache_stays_clean_for_the_right_root_system():
@@ -483,9 +476,9 @@ def test_relative_chamber_matrix_matches_einsum_bytes(sanov_rs, monkeypatch):
 
     seen = []
 
-    def recorded(stack, det=None):
+    def recorded(stack):
         seen.append(stack)
-        return log_singular_values(stack, det=det)
+        return log_singular_values(stack)
 
     def assert_blocks_match(want):
         assert sum(map(len, seen)) == len(want)
@@ -503,7 +496,7 @@ def test_relative_chamber_matrix_matches_einsum_bytes(sanov_rs, monkeypatch):
         want = reference(ball_stack, px, py)
         assert len(seen) == len(ball.growth_per_level)  # one block per level
         assert_blocks_match(want)
-        assert got.tobytes() == log_singular_values(want, det=1.0).tobytes()
+        assert got.tobytes() == log_singular_values(want).tobytes()
 
     rng = np.random.default_rng(3)
     stack = rng.standard_normal((4000, 2, 2))

@@ -151,7 +151,7 @@ def test_consistency_lattice_endpoint():
 
 def test_consistency_flags_violations():
     # delta_second far above what the classical lower bound tolerates
-    rep = consistency_check(1.0, 0.9, 1.0, 2.0, 1.9, est_tol=0.01)
+    rep = consistency_check(1.0, 0.9, 1.0, 2.0, 1.9)
     assert not rep.consistent
     assert rep.lambda0_exact is None
     assert rep.notes

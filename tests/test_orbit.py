@@ -326,9 +326,9 @@ def _record_searched_levels(monkeypatch) -> list[int]:
     searched = []
     fresh_rows = orbit._fresh_rows
 
-    def recording(h, cand, known, keys_of):
+    def recording(h, cand, known, keys_of, last):
         searched.append(len(known))
-        return fresh_rows(h, cand, known, keys_of)
+        return fresh_rows(h, cand, known, keys_of, last)
 
     monkeypatch.setattr(orbit, "_fresh_rows", recording)
     return searched
@@ -336,14 +336,18 @@ def _record_searched_levels(monkeypatch) -> list[int]:
 
 def test_float_levels_keep_first_occurrence_order(monkeypatch):
     """Each float level holds the candidates whose key no earlier level
-    holds, in the order the candidates first occur.  On a 0.4 quantum the
-    rotation meets keys more than two levels old, which only the float
+    holds, in the order the candidates first occur, gathered at once from
+    candidates formed in one block or in many 64-row ones.  On a 0.4 quantum
+    the rotation meets keys more than two levels old, which only the float
     path's full-history check catches: its entries are not integers, so
     each of its levels is checked against every earlier one."""
     searched = _record_searched_levels(monkeypatch)
-    for make_gens, L, quantum in ((_sym2_float_generators, 5, orbit._FLOAT_QUANTUM),
-                                  (_float_rotation, 12, 0.4)):
+    for make_gens, L, quantum, block_rows in (
+            (_sym2_float_generators, 5, orbit._FLOAT_QUANTUM, orbit._BLOCK_ROWS),
+            (_sym2_float_generators, 5, orbit._FLOAT_QUANTUM, 64),
+            (_float_rotation, 12, 0.4, orbit._BLOCK_ROWS)):
         monkeypatch.setattr(orbit, "_FLOAT_QUANTUM", quantum)
+        monkeypatch.setattr(orbit, "_BLOCK_ROWS", block_rows)
         gens = make_gens()
         searched.clear()
         ball = enumerate_ball(gens, L)
@@ -684,6 +688,22 @@ def test_exact_enumeration_peak_below_two_int64_images(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * len(ball) * ball.spec.entry_count * 8
+
+
+def test_exact_enumeration_peak_per_element(monkeypatch):
+    """The walk builds nothing it never reads: the last level gets no row
+    hashes, so with 4096-row blocks the L=10 Sanov ball's traced peak stays
+    below 48 bytes per element (45.9 measured; 51.2 while the last level
+    kept an 8-byte hash per element)."""
+    import tracemalloc
+    monkeypatch.setattr(orbit, "_BLOCK_ROWS", 4096)
+    tracemalloc.start()
+    try:
+        ball = enumerate_ball(sanov_generators(), 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * len(ball)
 
 
 def test_chamber_matrix_peak_below_one_float_image(monkeypatch):

@@ -15,7 +15,7 @@ from .exponents import (CountingCurve, ExponentEstimate, ExponentTriple,
                         counting_curve, delta_second_bisection,
                         estimate_exponent, exponent_triple,
                         level_partial_sums, poincare_partial_sum,
-                        trust_radius)
+                        pressure_exponent, trust_radius)
 from .liecore import (ChamberVector, Factor, GroupSpec, RootSystemData,
                       build_root_system)
 from .orbit import GeneratorSet, OrbitBall, enumerate_ball
@@ -39,6 +39,7 @@ __all__ = [
     "green_asymptotic", "green_series_diagnostic", "heat_bound",
     "lambda0_characterization", "lambda0_lower_polyhedral",
     "lambda0_two_sided_bounds", "level_partial_sums", "log_singular_values",
-    "poincare_partial_sum", "polyhedral_ball_volume", "relative_position",
+    "poincare_partial_sum", "polyhedral_ball_volume", "pressure_exponent",
+    "relative_position",
     "trust_radius",
 ]

@@ -6,14 +6,20 @@ estimates the critical exponent of the matching Poincare series.  Exponents
 for the three distance kinds are reported together: the Riemannian and
 polyhedral ones come from plain counting slopes, the mixed one from the
 slope of the e^{-||rho|| d_polyhedral}-weighted counting sum (the two agree
-for series convergence by summation by parts, and the weighted slope stays
-stable at truncated range where tail-convergence heuristics do not).
+for series convergence by summation by parts).
+
+`pressure_exponent` reads each exponent from every element instead: it
+groups the Poincare series by word length and returns the zero of the
+pressure, the growth rate in w of the level sums S_w(s), fitted over the
+last levels of the ball.  `delta_second_bisection`, the report's mixed
+diagnostic, is its mixed-kind value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -42,9 +48,16 @@ ZERO_DISTANCE = 1e-12
 # slack in the ordering check delta <= delta'' <= delta'
 ORDER_TOL = 0.05
 
-# delta_second_bisection: relative tail increment counted as convergent, halvings
-BISECTION_REL_TOL = 1e-3
-BISECTION_STEPS = 50
+# pressure_exponent: levels of the (1, w) slope fit and of the (1, w, log w)
+# fit, the relative half-width of the latter's bracket around the slope zero,
+# the low end of the slope's bracket, the width the final root search stops
+# at and the relative width enough for the slope zero that centres the bracket
+SLOPE_LEVELS = 4
+PRESSURE_LEVELS = 5
+PRESSURE_BRACKET = 0.3
+PRESSURE_LOW = 1e-9
+PRESSURE_XTOL = 1e-12
+SLOPE_RTOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -69,6 +82,10 @@ class ExponentEstimate:
     residual: float
     complete: bool
     in_range: bool = True
+
+
+# the estimate of a group whose series converges at every s > 0
+_ZERO = ExponentEstimate(0.0, (0.0, 0.0), 0.0, complete=True)
 
 
 @dataclass(frozen=True)
@@ -341,8 +358,7 @@ def exponent_triple(ball: OrbitBall, rs: RootSystemData, x=None, y=None,
     within the last radius, whose sort is cheap on a large ball.
     """
     if ball.exhausted:
-        zero = ExponentEstimate(0.0, (0.0, 0.0), 0.0, complete=True)
-        return ExponentTriple(zero, zero, zero)
+        return ExponentTriple(_ZERO, _ZERO, _ZERO)
 
     curve_d = counting_curve(ball, rs, KIND_RIEMANNIAN, x=x, y=y,
                              radii_step=radii_step, include_torsion=include_torsion)
@@ -370,44 +386,119 @@ def exponent_triple(ball: OrbitBall, rs: RootSystemData, x=None, y=None,
     return ExponentTriple(delta, delta_second, delta_prime)
 
 
-def delta_second_bisection(ball: OrbitBall, rs: RootSystemData) -> float:
-    """Series-convergence bisection for the mixed exponent (diagnostic).
+def _level_fit(w: np.ndarray, log_w: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Design matrix of a least-squares fit of log S_w on (1, w), or on
+    (1, w, log w), over the word lengths w, and its pseudo-inverse: row 1
+    of the latter maps log S_w to the fit's w-coefficient."""
+    design = np.column_stack([np.ones_like(w), w] + ([np.log(w)] if log_w else []))
+    return design, np.linalg.pinv(design)
 
-    Declares the mixed partial sum convergent at s when the relative tail
-    increments of the last two word-length levels fall below
-    BISECTION_REL_TOL, and returns the infimum of apparent convergence after
-    BISECTION_STEPS halvings of the bracket.  At truncated range this
-    systematically overshoots near the critical parameter, so callers should
-    prefer the slope-based estimate and clip this value to its bracket.
+
+def _bracketed_zero(f, a: float, fa: float, b: float, fb: float, rtol: float = 0.0) -> float:
+    """Zero of f between 0 < a and b, where fa and fb differ in sign, by
+    Illinois regula falsi.  The bracket shrinks to PRESSURE_XTOL plus rtol
+    times its lower end, and the last point evaluated is returned."""
+    x = a if abs(fa) < abs(fb) else b
+    side = 0
+    while abs(b - a) > PRESSURE_XTOL + rtol * min(a, b):
+        x = (a * fb - b * fa) / (fb - fa)
+        fx = f(x)
+        if fx == 0:
+            break
+        if (fx > 0) == (fa > 0):
+            a, fa = x, fx
+            if side < 0:
+                fb /= 2
+            side = -1
+        else:
+            b, fb = x, fx
+            if side > 0:
+                fa /= 2
+            side = 1
+    return x
+
+
+def pressure_exponent(ball: OrbitBall, rs: RootSystemData, kind: str,
+                      x=None, y=None) -> ExponentEstimate:
+    """Critical exponent of one distance kind as the zero of the word-length
+    pressure P(s) = lim (1/w) log S_w(s), where S_w(s) sums exp(-D_s) over
+    the elements of word length w and D_s is s d, s d' or the mixed
+    distance at s (Bowen's formula: the Poincare series converges where
+    P < 0 and diverges where P > 0).
+
+    A first stage finds the zero z of the slope of log S_w on (1, w) over
+    the last SLOPE_LEVELS levels, within [PRESSURE_LOW, 2||rho|| + 1].  The
+    estimate is the zero of the w-coefficient of a (1, w, log w) fit over
+    the last PRESSURE_LEVELS levels within z (1 -+ PRESSURE_BRACKET): the
+    log w term takes up the power-law decay that cusps give S_w.  Its window
+    is those word lengths and its residual that fit's RMS.  Edge rules,
+    none of which raises: an exhausted ball or one with fewer than two
+    levels past the identity gives 0, and so does a slope <= 0 at
+    PRESSURE_LOW; a slope >= 0 at 2||rho|| + 1 gives that end; a ball of two
+    to four levels gives the (1, w) zero over the levels it has, and so does
+    a (1, w, log w) coefficient of one sign on the bracket.
     """
-    if ball.exhausted:
-        return 0.0
-    table = distance_table(ball, rs)
-    rho_norm, d, dprime = table.rho_norm, table.d, table.dprime
-    # the mixed terms exp(-rho d' - (s - rho) d) for s > rho, exp(-s d')
-    # otherwise: those of level_partial_sums up to the sign of zero
-    neg_rho_dprime = -rho_norm * dprime
+    if kind not in KINDS:
+        raise ValueError(f"unknown distance kind {kind!r}")
+    levels = len(ball.growth_per_level) - 1
+    if ball.exhausted or levels < 2:
+        return _ZERO
+    table = distance_table(ball, rs, x, y)
+    rho_norm = table.rho_norm
+    dist = table.d if kind == KIND_RIEMANNIAN else table.dprime
+    # the mixed terms exp(-rho d' - (s - rho) d) for s > rho, exp(-s d') otherwise
+    neg_rho_dprime = -rho_norm * table.dprime if kind == KIND_MIXED else None
+    log_sums: dict[float, np.ndarray] = {}
 
-    def apparently_convergent(s: float) -> bool:
-        if s > rho_norm:
-            terms = np.multiply(s - rho_norm, d)
-            np.subtract(neg_rho_dprime, terms, out=terms)
-        else:
-            terms = np.multiply(-s, dprime)
-        sums = np.cumsum(ball.level_sums(np.exp(terms, out=terms)))
-        if len(sums) < 3:
-            return True
-        inc = np.diff(sums)
-        rel = inc[-2:] / sums[-2:].clip(min=np.finfo(float).tiny)
-        return bool(np.all(rel < BISECTION_REL_TOL))
+    def log_level_sums(s: float) -> np.ndarray:
+        if s not in log_sums:
+            if neg_rho_dprime is not None and s > rho_norm:
+                terms = np.multiply(s - rho_norm, table.d)
+                np.subtract(neg_rho_dprime, terms, out=terms)
+            else:
+                terms = np.multiply(-s, dist)
+            log_sums[s] = np.log(ball.level_sums(np.exp(terms, out=terms)))
+        return log_sums[s]
 
-    lo, hi = 1e-9, 2 * rs.rho_norm + 1.0
-    if not apparently_convergent(hi):
-        return hi
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if apparently_convergent(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    w = np.arange(1.0, levels + 1.0)
+    fits = [_level_fit(w[-SLOPE_LEVELS:], log_w=False)]
+    if levels >= PRESSURE_LEVELS:
+        fits.append(_level_fit(w[-PRESSURE_LEVELS:], log_w=True))
+
+    def w_coefficient(fit, s: float) -> float:
+        pinv = fit[1]
+        return float(pinv[1] @ log_level_sums(s)[-pinv.shape[1]:])
+
+    def estimate(fit, s: float) -> ExponentEstimate:
+        design, pinv = fit
+        logs = log_level_sums(s)[-len(design):]
+        resid = float(np.sqrt(np.mean((design @ (pinv @ logs) - logs) ** 2)))
+        window = (float(design[0, 1]), float(design[-1, 1]))
+        return ExponentEstimate(s, window, resid, complete=True,
+                                in_range=_in_range(s, rho_norm))
+
+    slope = fits[0]
+    lo, hi = PRESSURE_LOW, 2 * rho_norm + 1.0
+    f_lo = w_coefficient(slope, lo)
+    if not f_lo > 0:
+        return _ZERO
+    f_hi = w_coefficient(slope, hi)
+    if f_hi >= 0:
+        return estimate(slope, hi)
+    z = _bracketed_zero(partial(w_coefficient, slope), lo, f_lo, hi, f_hi, SLOPE_RTOL)
+    a, b = (1 - PRESSURE_BRACKET) * z, (1 + PRESSURE_BRACKET) * z
+    # the (1, w, log w) fit where the ball has its levels, else the slope's
+    # own zero to the final width, from log sums cached at a and b
+    for fit in reversed(fits):
+        f_a, f_b = w_coefficient(fit, a), w_coefficient(fit, b)
+        if (f_a > 0) != (f_b > 0):
+            s = _bracketed_zero(partial(w_coefficient, fit), a, f_a, b, f_b)
+            return estimate(fit, s)
+    return estimate(slope, z)
+
+
+def delta_second_bisection(ball: OrbitBall, rs: RootSystemData) -> float:
+    """The mixed exponent as the word-length pressure zero of the
+    base-point-free table (`pressure_exponent`), a diagnostic beside the
+    counting fit of `exponent_triple`."""
+    return pressure_exponent(ball, rs, KIND_MIXED).value

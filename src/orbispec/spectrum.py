@@ -101,13 +101,20 @@ def consistency_check(rho_norm: float, rho_min: float, delta: float,
     delta_prime far exceeds delta), hence intersection rather than nesting.
     Estimate noise of EST_TOL per exponent is propagated exactly through the
     monotone closed forms by loosening each bound at a shifted exponent.
-    Each estimate is clipped once, so an out-of-range one warns once.
+    Each estimate is clipped once, so an out-of-range one warns once and
+    leaves one note with its name, raw value and range.
     """
     _check_rho_min(rho_norm, rho_min)
     notes = []
-    d = clip_exponent(delta, rho_norm, "delta")
-    dp = clip_exponent(delta_prime, rho_norm, "delta_prime")
-    ds = clip_exponent(delta_second, rho_norm, "delta_second")
+
+    def clipped(value, name):
+        if value < 0.0 or value > 2.0 * rho_norm:
+            notes.append(f"{name} estimate {value:.6g} clipped into [0, {2.0 * rho_norm:.6g}]")
+        return clip_exponent(value, rho_norm, name)
+
+    d = clipped(delta, "delta")
+    dp = clipped(delta_prime, "delta_prime")
+    ds = clipped(delta_second, "delta_second")
     lam_exact = _quadratic(rho_norm, ds, rho_norm)
     lower2, upper2 = _two_sided(rho_norm, rho_min, d)
     lower3 = _quadratic(rho_norm, dp, rho_norm)

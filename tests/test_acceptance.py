@@ -1,7 +1,8 @@
 """Acceptance suite.
 
 One test per acceptance criterion, each printing a `[criterion N] PASS/FAIL`
-line and asserting the stated tolerances and runtime budgets.  Run with
+line and asserting the stated tolerances and runtime budgets, and beside
+them the pressure-zero estimates pinned to known exponents.  Run with
 `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
@@ -11,16 +12,17 @@ import time
 import numpy as np
 import pytest
 
-from orbispec import (GeneratorSet, GroupElement, GroupSpec, build_root_system,
+from orbispec import (GeneratorSet, GroupElement, GroupSpec, KIND_MIXED,
+                      KIND_POLYHEDRAL, KIND_RIEMANNIAN, build_root_system,
                       classical_ball_volume, consistency_check, enumerate_ball,
                       exponent_triple, fit_ball_volume, green_series_diagnostic,
                       lambda0_characterization, lambda0_lower_polyhedral,
                       lambda0_two_sided_bounds, log_singular_values,
-                      polyhedral_ball_volume, trust_radius)
+                      polyhedral_ball_volume, pressure_exponent, trust_radius)
 
 from orbispec.exponents import distance_table
 
-from conftest import random_sl3_words, sanov_generators
+from conftest import orthonormal_sym2_generators, random_sl3_words, sanov_generators
 
 SQRT2 = math.sqrt(2.0)
 
@@ -171,6 +173,42 @@ def test_criterion_5_product_separation():
               f"interval [{lo2:.3f}, {hi2:.3f}] of width {hi2 - lo2:.3f} >= "
               f"0.25: the characterization improves on it")],
             time.monotonic() - t0, 60.0)
+
+
+def test_pressure_zeros_match_known_exponents():
+    """Word-length pressure zeros beside criteria 3 and 5, for every kind:
+    within 0.03 of the truth at L = 8 for Gamma(2), the criterion-5 group
+    Gamma(2) x {e} (sqrt(2), 1 + 1/sqrt(2) and 2) and the orthonormal sym2
+    (sqrt(2)/2); within 0.05 for Gamma(2) x Gamma(2) (2) at L = 8; within
+    0.03 on Gamma(2) at L = 11 based at x = [[1,2],[0,1]], y = [[1,0],[2,1]].
+    All of them together take under 2 s."""
+    t0 = time.monotonic()
+    spec2, spec22 = GroupSpec.sl(2), GroupSpec.product((2, 2))
+    eye, a, b = ((1, 0), (0, 1)), ((1, 2), (0, 1)), ((1, 0), (2, 1))
+
+    def gens22(*blocks):
+        return GeneratorSet.from_elements([GroupElement(spec22, bl) for bl in blocks])
+
+    cases = [
+        ("Gamma(2)", sanov_generators(), 8, (SQRT2,) * 3, 0.03, ()),
+        ("Gamma(2) x {e}", gens22((a, eye), (b, eye)), 8, (SQRT2, 1 + 1 / SQRT2, 2.0), 0.03, ()),
+        ("orthonormal sym2", orthonormal_sym2_generators(), 8, (1 / SQRT2,) * 3, 0.03, ()),
+        ("Gamma(2) x Gamma(2)", gens22((a, eye), (b, eye), (eye, a), (eye, b)), 8,
+         (2.0,) * 3, 0.05, ()),
+        ("Gamma(2) at (x, y)", sanov_generators(), 11, (SQRT2,) * 3, 0.03,
+         (GroupElement(spec2, (a,)), GroupElement(spec2, (b,)))),
+    ]
+    bad = []
+    for name, gens, depth, truths, tol, base in cases:
+        ball = enumerate_ball(gens, depth)
+        rs = build_root_system(ball.spec)
+        for kind, truth in zip((KIND_RIEMANNIAN, KIND_MIXED, KIND_POLYHEDRAL), truths):
+            value = pressure_exponent(ball, rs, kind, *base).value
+            if abs(value - truth) > tol:
+                bad.append(f"{name} {kind}: {value:.4f} != {truth:.4f} +- {tol}")
+    elapsed = time.monotonic() - t0
+    assert not bad, bad
+    assert elapsed < 2.0, f"runtime {elapsed:.2f}s >= 2s"
 
 
 def test_criterion_6_volume_asymptotics():

@@ -10,7 +10,8 @@ from types import SimpleNamespace
 import pytest
 
 import orbispec
-from orbispec import build_root_system, cli, enumerate_ball, exponents
+from orbispec import (KIND_MIXED, build_root_system, cli, enumerate_ball, exponents,
+                      pressure_exponent)
 from orbispec.cli import ANALYSES, main
 from orbispec.exponents import ExponentEstimate, ExponentTriple
 
@@ -340,6 +341,39 @@ def test_base_points_accepted(tmp_path):
     assert main(["--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["exponents"]["delta"]["value"] > 0
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_short_balls_report_the_mixed_diagnostic(tmp_path, depth):
+    """cli.run reports the pressure-zero diagnostic on balls of one to four
+    levels past the identity without raising: 0 below two levels, else the
+    library's (1, w) zero over the levels the ball has."""
+    cfg = cli.load_config(write_config(tmp_path, sanov_config(max_word_length=depth,
+                                                              radii_step=0.02)))
+    assert cli.run(cfg, tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    ball = enumerate_ball(sanov_generators(), depth)
+    expected = pressure_exponent(ball, build_root_system(ball.spec), KIND_MIXED).value
+    assert report["exponents"]["mixed_bisection_diagnostic"] == expected
+    assert (expected == 0.0) == (depth == 1)
+
+
+def test_clipped_estimates_leave_notes(tmp_path):
+    """The golden gamma2-all job fits delta = 1.5241 > 2||rho|| = sqrt(2):
+    each clipped estimate leaves one note with its name, raw value and range
+    beside its UserWarning."""
+    cfg = write_config(tmp_path, sanov_config())
+    with pytest.warns(UserWarning, match="clipping"):
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    exps = report["exponents"]
+    clipped = [name for name in ("delta", "delta_prime", "delta_second")
+               if exps[name]["value"] > SQRT2]
+    assert "delta" in clipped
+    assert exps["delta"]["value"] == pytest.approx(1.5241, abs=1e-4)
+    assert list(report["spectrum"]["notes"][:len(clipped)]) == [
+        f"{name} estimate {exps[name]['value']:.6g} clipped into [0, {SQRT2:.6g}]"
+        for name in clipped]
 
 
 # Imports orbispec, runs one step and prints whether scipy got loaded.

@@ -10,7 +10,7 @@ from orbispec import (GroupElement, GroupSpec, KIND_MIXED, KIND_POLYHEDRAL,
                       KIND_RIEMANNIAN, build_root_system, counting_curve,
                       delta_second_bisection, enumerate_ball, estimate_exponent,
                       exponent_triple, green_series_diagnostic, level_partial_sums,
-                      poincare_partial_sum, GeneratorSet)
+                      poincare_partial_sum, pressure_exponent, GeneratorSet, OrbitBall)
 
 from orbispec.exponents import (KINDS, ZERO_DISTANCE, completeness_radius, distance_table,
                                 relative_chamber_matrix)
@@ -203,12 +203,14 @@ def test_base_point_independence(sanov_rs):
 
 
 def test_bisection_diagnostic_brackets(sanov_rs):
-    """The tail-threshold bisection overshoots at truncated range but stays
-    above the slope estimate and inside [0, 2||rho|| + 1]."""
+    """The mixed-exponent diagnostic, the word-length pressure zero, lies
+    within 0.03 of the truth sqrt(2) on the Sanov ball at L = 8 (the
+    tail-threshold bisection it replaced returned its bracket end, 2.4142),
+    inside [0, 2||rho|| + 1]."""
     ball = enumerate_ball(sanov_generators(), 8)
     triple = exponent_triple(ball, sanov_rs)
     raw = delta_second_bisection(ball, sanov_rs)
-    assert raw >= triple.delta_second.value - 0.1
+    assert abs(raw - SQRT2) <= 0.03
     assert 0.0 <= raw <= 2 * sanov_rs.rho_norm + 1.0
     clipped = min(max(raw, triple.delta.value), triple.delta_prime.value)
     assert triple.delta.value - 1e-12 <= clipped <= triple.delta_prime.value + 1e-12
@@ -217,6 +219,119 @@ def test_bisection_diagnostic_brackets(sanov_rs):
 def test_bisection_trivial_group(cyclic_rs):
     ball = enumerate_ball(GeneratorSet.trivial(GroupSpec.sl(2, "float")), 2)
     assert delta_second_bisection(ball, cyclic_rs) == 0.0
+
+
+def test_bisection_pass_budget(sanov_rs, monkeypatch):
+    """The diagnostic takes at most 24 level-sum passes over Gamma(2) at
+    L = 8; the 50-halving bisection it replaced took 51."""
+    ball = enumerate_ball(sanov_generators(), 8)
+    distance_table(ball, sanov_rs)
+    calls = []
+    level_sums = OrbitBall.level_sums
+    monkeypatch.setattr(OrbitBall, "level_sums",
+                        lambda self, terms: calls.append(1) or level_sums(self, terms))
+    delta_second_bisection(ball, sanov_rs)
+    assert 0 < len(calls) <= 24
+
+
+def _level_log_sums(ball, rs, kind, s):
+    """log S_w(s) for w = 0..L, summed level by level with np.bincount."""
+    dist = distance_table(ball, rs).of_kind(kind, s)
+    terms = np.exp(-dist if kind == KIND_MIXED else -s * dist)
+    return np.log(np.bincount(word_lengths(ball), weights=terms))
+
+
+def _w_coefficient(log_sums, levels, log_w):
+    """The w-coefficient of a least-squares fit of log S_w on (1, w) or
+    (1, w, log w) over the last `levels` word lengths."""
+    w = np.arange(len(log_sums), dtype=float)[-levels:]
+    cols = [np.ones_like(w), w] + ([np.log(w)] if log_w else [])
+    coef, *_ = np.linalg.lstsq(np.column_stack(cols), log_sums[-levels:], rcond=None)
+    return coef[1]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pressure_zero_of_the_log_w_fit(sanov_rs, sanov_ball_8, kind):
+    """On the Sanov ball at L = 8 the estimate zeroes the w-coefficient of
+    the (1, w, log w) fit over word lengths 4..8, recomputed here with
+    bincount and lstsq; its window is those word lengths and its residual
+    that fit's RMS."""
+    est = pressure_exponent(sanov_ball_8, sanov_rs, kind)
+    log_sums = _level_log_sums(sanov_ball_8, sanov_rs, kind, est.value)
+    assert abs(_w_coefficient(log_sums, 5, log_w=True)) <= 1e-9
+    assert est.window == (4.0, 8.0)
+    w = np.arange(4.0, 9.0)
+    design = np.column_stack([np.ones_like(w), w, np.log(w)])
+    coef, *_ = np.linalg.lstsq(design, log_sums[4:], rcond=None)
+    assert est.residual == pytest.approx(np.sqrt(np.mean((design @ coef - log_sums[4:]) ** 2)),
+                                         rel=1e-6, abs=1e-12)
+    assert est.complete and est.in_range
+
+
+@pytest.mark.parametrize("generators,depth", [
+    ([((0, -1), (1, -1))], 3),
+    ([((2, 1), (1, 1))], 8),
+    ([((1, 2), (0, 1)), ((1, 0), (2, 1))], 1),
+], ids=["exhausted", "cyclic", "one-level"])
+def test_pressure_zero_is_zero(sanov_rs, generators, depth):
+    """An exhausted ball (an element of order 3), a ball with fewer than two
+    levels past the identity, and <[[2,1],[1,1]]>, each of whose levels holds
+    two elements so that log S_w falls with w at every s > 0 (a slope <= 0
+    at the bracket's low end), give 0."""
+    ball = enumerate_ball(GeneratorSet.from_elements(
+        [GroupElement(GroupSpec.sl(2), (g,)) for g in generators]), depth)
+    for kind in KINDS:
+        assert pressure_exponent(ball, sanov_rs, kind).value == 0.0
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_pressure_zero_of_a_short_ball_is_the_slope_zero(sanov_rs, depth):
+    """A ball with two to four levels past the identity gives the zero of
+    the (1, w) slope over all of them."""
+    ball = enumerate_ball(sanov_generators(), depth)
+    est = pressure_exponent(ball, sanov_rs, KIND_RIEMANNIAN)
+    log_sums = _level_log_sums(ball, sanov_rs, KIND_RIEMANNIAN, est.value)
+    assert abs(_w_coefficient(log_sums, depth, log_w=False)) <= 1e-9
+    assert est.window == (1.0, float(depth))
+    assert 1.0 < est.value < SQRT2
+
+
+def test_pressure_zero_falls_back_to_the_slope_zero(sanov_rs):
+    """On the golden torsion ball at L = 7 the (1, w, log w) coefficient
+    keeps one sign on [0.7 z, 1.3 z], z the zero of the (1, w) slope over
+    the last 4 levels: the estimate is z, to the final tolerance."""
+    spec = GroupSpec.sl(2)
+    ball = enumerate_ball(GeneratorSet.from_elements(
+        [GroupElement(spec, (((0, 1), (-1, 0)),)), GroupElement(spec, (((1, 2), (0, 1)),))]), 7)
+    est = pressure_exponent(ball, sanov_rs, KIND_MIXED)
+    z = est.value
+    assert abs(_w_coefficient(_level_log_sums(ball, sanov_rs, KIND_MIXED, z), 4,
+                              log_w=False)) <= 1e-9
+    assert est.window == (4.0, 7.0)
+    assert z == pytest.approx(1.280, abs=1e-3)
+    ends = [_w_coefficient(_level_log_sums(ball, sanov_rs, KIND_MIXED, s), 5, log_w=True)
+            for s in (0.7 * z, 1.3 * z)]
+    assert (ends[0] > 0) == (ends[1] > 0)
+
+
+def test_pressure_zero_past_the_bracket_is_its_end():
+    """Rotations by arccos(3/5) about two axes generate a free subgroup of
+    SO(3): every element lies at distance 0, so the level sums grow at every
+    s and the estimate is the bracket end 2||rho|| + 1, out of range."""
+    spec = GroupSpec.sl(3, "float")
+    c, s = 0.6, 0.8
+    rotations = [(((1, 0, 0), (0, c, -s), (0, s, c)),), (((c, -s, 0), (s, c, 0), (0, 0, 1)),)]
+    ball = enumerate_ball(GeneratorSet.from_elements(
+        [GroupElement(spec, blocks) for blocks in rotations]), 6)
+    assert ball.growth_per_level == [1, 4, 12, 36, 108, 324, 972]
+    rs = build_root_system(spec)
+    est = pressure_exponent(ball, rs, KIND_MIXED)
+    assert est.value == 2 * rs.rho_norm + 1 and not est.in_range
+
+
+def test_pressure_exponent_rejects_a_bad_kind(sanov_rs, sanov_ball_8):
+    with pytest.raises(ValueError, match="unknown distance kind"):
+        pressure_exponent(sanov_ball_8, sanov_rs, "bogus")
 
 
 @pytest.mark.parametrize("kind,s,match", [("bogus", None, "unknown distance kind"),

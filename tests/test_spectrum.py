@@ -181,6 +181,16 @@ def test_consistency_clips_each_exponent_once():
                                                            "delta_second"]
 
 
+def test_consistency_notes_each_clipped_exponent():
+    rho = 1 / SQRT2  # 2 ||rho|| = 1.414
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = consistency_check(rho, rho, 2.341, -0.02, 1.2)
+    assert rep.notes[:2] == ("delta estimate 2.341 clipped into [0, 1.41421]",
+                             "delta_prime estimate -0.02 clipped into [0, 1.41421]")
+    assert not any("delta_second" in note for note in rep.notes)
+
+
 def test_characterization_inside_intersection_on_grid():
     rng = np.random.default_rng(42)
     for rho, rmin, d, dp, ds in admissible_tuples(rng, 200):

@@ -320,7 +320,14 @@ def estimate_exponent(curve: CountingCurve,
                       window_fraction: float = DEFAULT_WINDOW_FRACTION,
                       rho_norm: float | None = None) -> ExponentEstimate:
     """Least-squares slope of log N_R against R over the upper window
-    [window_fraction * R_max, R_max] of the trusted radius range."""
+    [window_fraction * R_max, R_max] of the trusted radius range.
+
+    Raises ValueError when the count at R_max is no higher than at the
+    curve's first radius, as for zero counts: the curve then counted no
+    orbit point past its first radius up to the window's top (on default
+    radii, starting at radii_step, none at positive distance unless one
+    lies within the first step), and its slope 0 says nothing.  A flat
+    window above counted points still fits."""
     if not 0 < window_fraction <= 1:
         raise ValueError("window_fraction must lie in (0, 1]")
     r_max = float(curve.radii.max(initial=0.0))
@@ -328,7 +335,11 @@ def estimate_exponent(curve: CountingCurve,
         r_max = min(r_max, curve.completeness_radius)
     lo = window_fraction * r_max
     sel = (curve.radii >= lo - 1e-12) & (curve.radii <= r_max + 1e-12)
-    value, resid = _fit_window(curve.radii[sel], curve.counts[sel].astype(float))
+    counts = curve.counts[sel].astype(float)
+    value, resid = _fit_window(curve.radii[sel], counts)
+    if counts[-1] <= curve.counts[0]:
+        raise ValueError(f"no orbit point counted between radius {curve.radii[0]:.6g} "
+                         f"and the window's top {r_max:.6g}")
     return ExponentEstimate(value, (float(lo), float(r_max)), resid,
                             complete=curve.complete,
                             in_range=rho_norm is None or _in_range(value, rho_norm))

@@ -196,16 +196,17 @@ class OrbitBall:
     def level_sums(self, terms: np.ndarray) -> np.ndarray:
         """Sum of one term per element over each word-length level,
         overwriting `terms`.  Each level is a contiguous slice added in
-        element order from 0.0, bit for bit as np.bincount adds it, without
-        bincount's intp copy of the word lengths."""
-        sums = np.zeros(len(self.growth_per_level))
-        start = 0
-        for k, n in enumerate(self.growth_per_level):
-            if n:
-                seg = terms[start:start + n]
-                sums[k] += np.cumsum(seg, out=seg)[-1]
-            start += n
-        return sums
+        element order from +0.0, ((0.0 + t0) + t1) + ..., bit for bit as
+        np.bincount adds it.  One np.subtract.reduceat reads every level
+        once the first term of each is negated in place: numpy sums float
+        add reductions pairwise, which moves bits, but subtract reduces in
+        order, and (-a) - b = -(a + b) exactly in round-to-nearest.  0.0
+        minus each result is then the sum from +0.0 (an all-zero level
+        gives +0.0).  The walk makes no empty level, which reduceat would
+        misread."""
+        starts = np.cumsum([0] + self.growth_per_level[:-1])
+        terms[starts] = -terms[starts]
+        return 0.0 - np.subtract.reduceat(terms, starts)
 
     def float_row_blocks(self):
         """Float64 images of the entries in element order, at most

@@ -8,6 +8,7 @@ import pytest
 from orbispec import (GroupElement, GroupSpec, NumericalError, build_root_system,
                       cartan_projection, distance_mixed, distance_polyhedral,
                       distance_riemannian, log_singular_values, relative_position)
+from orbispec.cartan import stack_product
 
 from conftest import random_sl3_words
 
@@ -255,3 +256,39 @@ def test_entry_checks_on_either_sign(n, bad, message):
     with pytest.raises(NumericalError, match=message):
         log_singular_values(stack)
     assert log_singular_values(np.empty((0, n, n))).shape == (0, n)
+
+
+def _broadcast_sum_product(a, b):
+    """The broadcast sum stack_product replaced: each entry adds its n
+    products over j to the integer 0, so it starts at +0.0."""
+    return sum(a[..., j, None] * b[..., None, j, :] for j in range(a.shape[-1]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("form", ["fixed-left", "walk"])
+def test_stack_product_matches_the_broadcast_sum_bit_for_bit(n, form):
+    """Both call forms: a fixed left factor (the base-point table's x^-1
+    gamma) and the walk's (nf, 1, n, n) frontier times (ng, n, n) generators.
+    Entries are non-integral, from 1e-3 to 1e9 of either sign, with rows of
+    +0.0 and -0.0, so that some entries are sums of -0.0 products only and
+    must come out +0.0."""
+    rng = np.random.default_rng(13 + n)
+
+    def entries(*lead):
+        x = 10.0 ** rng.uniform(-3, 9, size=lead + (n, n))
+        return x * rng.choice([-1.0, 1.0], size=x.shape)
+
+    if form == "fixed-left":
+        a, b = entries(), entries(600)
+        a[0] = -0.0
+        a[1] = 0.0
+    else:
+        a, b = entries(80, 1), entries(7)
+        a[:20, :, 0] = -0.0
+        a[20:40, :, n - 1] = 0.0
+    want = _broadcast_sum_product(a, b)
+    assert ((want == 0) & ~np.signbit(want)).any()  # +0.0 sums of -0.0 products
+    got = stack_product(a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert got.tobytes() == want.tobytes()

@@ -343,11 +343,23 @@ def test_base_points_accepted(tmp_path):
     assert report["exponents"]["delta"]["value"] > 0
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("radii_step", [0.1, 0.02])
+def test_fit_that_counts_no_orbit_point_exits_1(tmp_path, capsys, radii_step):
+    """Gamma(2) at L=1 counts only the identity up to its trust radius: the
+    exponent fits fail, so no lambda0 is reported."""
+    cfg = write_config(tmp_path, sanov_config(max_word_length=1, radii_step=radii_step))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    assert "cannot fit exponents" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
 def test_short_balls_report_the_mixed_diagnostic(tmp_path, depth):
-    """cli.run reports the pressure-zero diagnostic on balls of one to four
-    levels past the identity without raising: 0 below two levels, else the
-    library's (1, w) zero over the levels the ball has."""
+    """cli.run reports the pressure-zero diagnostic on balls of two to four
+    levels past the identity without raising: the library's (1, w) zero
+    over the levels the ball has.  A ball of one level fails its exponent
+    fits first (test_fit_that_counts_no_orbit_point_exits_1)."""
     cfg = cli.load_config(write_config(tmp_path, sanov_config(max_word_length=depth,
                                                               radii_step=0.02)))
     assert cli.run(cfg, tmp_path / "out") == 0
@@ -355,7 +367,7 @@ def test_short_balls_report_the_mixed_diagnostic(tmp_path, depth):
     ball = enumerate_ball(sanov_generators(), depth)
     expected = pressure_exponent(ball, build_root_system(ball.spec), KIND_MIXED).value
     assert report["exponents"]["mixed_bisection_diagnostic"] == expected
-    assert (expected == 0.0) == (depth == 1)
+    assert expected > 0.0
 
 
 def test_clipped_estimates_leave_notes(tmp_path):

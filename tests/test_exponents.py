@@ -169,6 +169,31 @@ def test_estimate_exponent_rejects_zero_counts(cyclic_rs):
         estimate_exponent(broken)
 
 
+def test_estimate_exponent_rejects_a_curve_that_counts_no_orbit_point(sanov_rs):
+    """Gamma(2) at L=1: the trust radius 1.246 is the generators' distance,
+    so every radius of the window counts the identity alone and the flat
+    count would fit slope 0."""
+    ball = enumerate_ball(sanov_generators(), 1)
+    curve = counting_curve(ball, sanov_rs, KIND_RIEMANNIAN, radii_step=0.1)
+    assert set(curve.counts) == {1}
+    with pytest.raises(ValueError, match="no orbit point counted"):
+        estimate_exponent(curve)
+    with pytest.raises(ValueError, match="no orbit point counted"):
+        exponent_triple(ball, sanov_rs, radii_step=0.1)
+
+
+def test_estimate_exponent_flat_window_above_counted_points(cyclic_rs):
+    """The cyclic group at L=10 with window fraction 0.9: each radius of the
+    window [12.6, 14], 12.75 to 14, counts the same 19 elements, 18 of them
+    at positive distance: the flat count still fits, at slope 0."""
+    ball = enumerate_ball(cyclic_hyperbolic_generator(), 10)
+    curve = counting_curve(ball, cyclic_rs, KIND_RIEMANNIAN)
+    est = estimate_exponent(curve, window_fraction=0.9)
+    assert est.window == pytest.approx((12.6, 14.0))
+    assert set(curve.counts[curve.radii >= 12.6]) == {19}
+    assert abs(est.value) <= 1e-12
+
+
 def test_exponent_triple_trivial_group(cyclic_rs):
     ball = enumerate_ball(GeneratorSet.trivial(GroupSpec.sl(2, "float")), 3)
     triple = exponent_triple(ball, cyclic_rs)

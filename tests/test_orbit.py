@@ -816,3 +816,47 @@ def test_relations_across_the_switch_to_object_rows(arithmetic, monkeypatch):
 def test_generic_walk_enforces_element_cap():
     with pytest.raises(ResourceLimitError, match="exceeds 20 elements at word length 3"):
         enumerate_ball(_rational_generators(), 4, max_elements=20)
+
+
+def _left_fold_level_sums(sizes, terms):
+    """Each level's terms added one at a time to +0.0 in Python floats."""
+    sums, start = [], 0
+    for n in sizes:
+        total = 0.0
+        for t in terms[start:start + n].tolist():
+            total += t
+        sums.append(total)
+        start += n
+    return np.array(sums)
+
+
+def test_level_sums_are_the_left_fold_bit_for_bit():
+    """level_sums adds each level in element order from +0.0.  Terms from
+    1e-8 to 1e8 make a pairwise sum (np.add.reduceat) give other bits, so
+    the pin fails under one."""
+    ball = enumerate_ball(sanov_generators(), 8)
+    sizes = ball.growth_per_level
+    terms = 10.0 ** np.random.default_rng(7).uniform(-8, 8, len(ball))
+    want = _left_fold_level_sums(sizes, terms)
+    pairwise = np.add.reduceat(terms, np.cumsum([0] + sizes[:-1]))
+    assert pairwise.tobytes() != want.tobytes()
+    assert ball.level_sums(terms.copy()).tobytes() == want.tobytes()
+
+
+def test_level_sums_edge_levels():
+    """The identity's ball; a level of +0.0 terms (the Green series' skipped
+    identity) and one of -0.0 terms, each summing to +0.0; terms that cancel
+    to +0.0; an infinite term."""
+    ball = enumerate_ball(sanov_generators(), 0)
+    assert ball.level_sums(np.array([0.25])).tobytes() == np.array([0.25]).tobytes()
+
+    ball = enumerate_ball(sanov_generators(), 3)
+    assert ball.growth_per_level == [1, 4, 12, 36]
+    terms = np.concatenate([[0.0], [1.5, -1.5, 0.75, -0.75], np.full(12, -0.0),
+                            np.linspace(0.1, 3.5, 36)])
+    terms[20] = np.inf
+    want = _left_fold_level_sums(ball.growth_per_level, terms)
+    got = ball.level_sums(terms.copy())
+    assert got.tobytes() == want.tobytes()
+    assert list(got[:3]) == [0.0, 0.0, 0.0] and not np.signbit(got[:3]).any()
+    assert got[3] == np.inf

@@ -16,9 +16,10 @@ levels are hashed again as object rows there.  Exact-rational sets walk on
 object rows of fractions from level 0.  With a symmetric generating set and
 exact products the word length of a product gamma*g differs from that of
 gamma by at most one, so a candidate is new precisely when it avoids the
-previous two levels.  Exact-int int32/int64 levels are stored in
-lexicographic row order, every other level in the order in which candidates
-first occur, and float levels still fail with NumericalError once an entry
+previous two levels.  Every level is stored in the order in which its
+candidates first occur, frontier-major and generator-ascending, so the
+exact-int and float balls of one integral set hold the same rows in the
+same order; float levels still fail with NumericalError once an entry
 passes MAX_FLOAT_ENTRY.
 
 Other float sets are multiplied in float64, and every earlier level is
@@ -55,7 +56,7 @@ candidate thus costs its m entries (4 or 8 bytes each, plus the Python
 objects an object row points to) and its 8-byte hash for the level, plus
 about four 8-byte indices while the level is deduplicated; keys and int64
 product temporaries live for one block only.  The L=10 walk of Gamma(2)
-peaks near 46 traced bytes per element.  The ball keeps the level arrays as
+peaks near 43 traced bytes per element.  The ball keeps the level arrays as
 they are made, with no stacked copy.
 """
 
@@ -167,8 +168,10 @@ class OrbitBall:
     are int32, then int64, then dtype=object rows of Python ints once
     products could pass int64; earlier levels keep their dtype.  Levels of
     any other float set are float64, and those of a rational set object
-    rows of fractions.  Element i is row i of the levels taken in
-    order: element(i) builds it, and float_row_blocks() gives the float64
+    rows of fractions.  Each level holds its rows in the order the walk
+    first reached them, frontier-major and generator-ascending, in every
+    arithmetic.  Element i is row i of the levels taken in order:
+    element(i) builds it, and float_row_blocks() gives the float64
     image a block at a time; the levels are never stacked into one array.
     The levels are the one record of word length: the ball keeps no
     per-element word lengths.  The ball holds no Cartan data; the distance
@@ -291,24 +294,23 @@ def enumerate_ball(gens: GeneratorSet, max_word_length: int,
             raise ResourceLimitError(
                 f"orbit ball exceeds {cap} elements at word length {w}"
             )
+        # the level's rows in the order their candidates first occur; each
+        # hash's level row is the running count of fresh candidates up to it
+        fresh = np.zeros(len(cand), dtype=bool)
+        fresh[first] = True
+        rows = np.flatnonzero(fresh)
+        if w < L:
+            at = np.cumsum(fresh, dtype=np.intp)[first] - 1
         # drop the step's largest arrays once used: at the last level they
-        # would otherwise stay alive beside the finished ball; a lex level's
-        # sort keys are formed once the candidates are freed
-        if spec.arithmetic == "exact-int" and level_dtype != object:
-            cand = np.take(cand, first, axis=0)
-            order = _lex_order(cand)
-            levels.append(np.take(cand, order, axis=0))
-        else:
-            order = np.argsort(first)
-            levels.append(np.take(cand, first[order], axis=0))
+        # would otherwise stay alive beside the finished ball
+        del first, fresh
+        levels.append(np.take(cand, rows, axis=0))
         del cand
         if integral:
             top = max(-int(levels[-1].min()), int(levels[-1].max()))
             if spec.arithmetic == "float":
                 _check_float_entries(top)
         if w < L:
-            at = np.empty_like(order)
-            at[order] = np.arange(len(order))
             known.append((levels[-1], hashes, at))
             # exact products make the ball's relations hold exactly and, the
             # set being symmetric, a candidate is new when the last two levels
@@ -316,10 +318,9 @@ def enumerate_ball(gens: GeneratorSet, max_word_length: int,
             if not quantized:
                 del known[:-2]
             # the last letter of each new row; its inverse leads back
-            first = first[order]
-            letter = first % per_row
+            letter = rows % per_row
             if skip is not None:
-                letter += letter >= skip[first // per_row]
+                letter += letter >= skip[rows // per_row]
             skip = inverse[letter]
     return OrbitBall(spec, L, levels, exhausted)
 
@@ -461,36 +462,3 @@ def _fresh_rows(h: np.ndarray, cand: np.ndarray, known, keys_of,
     order = np.argsort(h)
     return first[order], h[order]
 
-
-def _lex_order(rows: np.ndarray) -> np.ndarray:
-    """Permutation putting distinct int32 or int64 rows in lexicographic order.
-
-    Runs of columns are packed into uint64 mixed-radix keys.  One argsort of
-    the leading key orders the rows; only the positions that tie on it are
-    then reordered by the remaining keys, with the leading key (constant on a
-    tie run, rising from run to run) as np.lexsort's last, primary key.  The
-    rows are distinct, so the order is unique."""
-    lo, m = int(rows.min()), rows.shape[1]
-    span = int(rows.max()) - lo + 1
-    width = max([w for w in range(1, m + 1) if span ** w <= 2 ** 64], default=1)
-
-    def packed(cols):
-        key = np.zeros(len(cols), dtype=np.uint64)
-        for col in cols.T:
-            key *= np.uint64(span)
-            # an int64 lo widens an int32 column, which overflows past 2**31
-            key += (col - np.int64(lo)).view(np.uint64)
-        return key
-
-    lead = packed(rows[:, :width])
-    order = np.argsort(lead)
-    if width >= m:
-        return order
-    lead = lead[order]
-    tie = lead[1:] == lead[:-1]
-    at = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
-    sub = order[at]
-    tail = np.take(rows, sub, axis=0)
-    keys = [packed(tail[:, j:j + width]) for j in range(width, m, width)]
-    order[at] = sub[np.lexsort(keys[::-1] + [lead[at]])]
-    return order

@@ -117,7 +117,7 @@ def test_criterion_3_lattice_endpoint(congruence_ball_14):
              (abs(delta - SQRT2) <= 0.15 * SQRT2,
               f"delta {delta:.4f} within 15% of sqrt(2) = {SQRT2:.4f}"),
              (lam <= 0.1, f"lambda0 {lam:.4f} <= 0.1 from the clipped estimate")],
-            build_time + (time.monotonic() - t0), 45.0)
+            build_time + (time.monotonic() - t0), 30.0)
 
 
 def test_criterion_4_polynomial_growth_endpoint():

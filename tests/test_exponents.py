@@ -212,19 +212,40 @@ def test_exponent_triple_rank_one_agreement(sanov_rs):
     assert triple.ordered()
 
 
-def test_base_point_independence(sanov_rs):
+@pytest.fixture(scope="module")
+def based_sanov_11(sanov_rs):
+    """The Sanov ball at L = 11 with the base points x = [[1,2],[0,1]] and
+    y = [[1,0],[2,1]]."""
+    spec = sanov_rs.spec
+    return (enumerate_ball(sanov_generators(), 11), GroupElement(spec, (((1, 2), (0, 1)),)),
+            GroupElement(spec, (((1, 0), (2, 1)),)))
+
+
+def test_base_point_independence(sanov_rs, based_sanov_11):
     """Basing the count at (x, y) != (e, e) shifts the trusted window but not
     the fitted exponent beyond fit noise."""
-    ball = enumerate_ball(sanov_generators(), 11)
-    spec = sanov_rs.spec
-    x = GroupElement(spec, (((1, 2), (0, 1)),))
-    y = GroupElement(spec, (((1, 0), (2, 1)),))
+    ball, x, y = based_sanov_11
     t0 = exponent_triple(ball, sanov_rs, radii_step=0.1)
     t1 = exponent_triple(ball, sanov_rs, x=x, y=y, radii_step=0.1)
     tol = 2 * (t0.delta.residual + t1.delta.residual) + 0.05
     assert abs(t0.delta.value - t1.delta.value) <= tol
     tolp = 2 * (t0.delta_prime.residual + t1.delta_prime.residual) + 0.05
     assert abs(t0.delta_prime.value - t1.delta_prime.value) <= tolp
+
+
+def test_based_counting_fits_fail_where_the_pressure_zero_holds(sanov_rs, based_sanov_11):
+    """With base points x, y every counting fit leaves the range [0, 2||rho||]
+    (each reads 2.341, against sqrt(2)), while the word-length pressure zero
+    at (x, y) stays within 0.02 of the one at (e, e) (1.4288 against
+    1.4228): the pressure zero tells 1.40 from 2.34, which the tolerance
+    above does not."""
+    ball, x, y = based_sanov_11
+    triple = exponent_triple(ball, sanov_rs, x=x, y=y, radii_step=0.1)
+    for est in (triple.delta, triple.delta_second, triple.delta_prime):
+        assert not est.in_range
+    based = pressure_exponent(ball, sanov_rs, KIND_RIEMANNIAN, x, y).value
+    free = pressure_exponent(ball, sanov_rs, KIND_RIEMANNIAN).value
+    assert abs(based - free) <= 0.02
 
 
 def test_bisection_diagnostic_brackets(sanov_rs):

@@ -5,8 +5,12 @@ the job writes; the report.json digests are those of the earlier reports with
 `parameters.threads` removed with the `--threads` option (each time
 re-serialized with indent=2, sort_keys=True and a trailing newline).  They
 were re-recorded once more when `mixed_bisection_diagnostic` became the
-word-length pressure zero and clipped estimates began to leave notes; no CSV
-digest moved.  Together
+word-length pressure zero and clipped estimates began to leave notes, and
+again, for the five exact-int cases, when exact-int levels went from
+lexicographic to first-occurrence row order: level sums then add in another
+order, so `exponents.mixed_bisection_diagnostic` moved by at most 6.8e-14
+and `green[*].trend_slope` by at most 4.2e-15, and nothing else did.  No
+CSV digest moved either time.  Together
 the cases run all eight analyses, base points (x, y), a torsion generator
 with and without --include-torsion-in-counting, float SL(3), and heat-bound
 cases i, ii and iii."""
@@ -78,7 +82,7 @@ DIGESTS = {
         "projections.csv":
             "017deb4115d1758ac8620c18e6f3881d7517201a3750efba36b941fc3e89e63c",
         "report.json":
-            "ff79351951b54eab42fb3a1d5b9435c6afa0229fe346c55a7d1e20d58d40944f",
+            "beeee7dc12d89c7defea7bf94e2cdcd6aa81b443edf0f48c608624af83f8ec28",
         "volumes.csv":
             "b731f7cd08e4d5877866f4d11622a292701a9a7dcf3bb1bb2a2f4729b6df78c6",
     },
@@ -100,7 +104,7 @@ DIGESTS = {
         "projections.csv":
             "017deb4115d1758ac8620c18e6f3881d7517201a3750efba36b941fc3e89e63c",
         "report.json":
-            "8d85c9f157fdffeb7a6f62a0eed62395cefcb8bc8207706419aa11a42e04a0b2",
+            "ba582f1de4c6a82d4677e09d84521297d742a7966a5839f084497521fa4408f7",
     },
     "gamma3-heat-ii": {
         "counting_mixed.csv":
@@ -118,7 +122,7 @@ DIGESTS = {
         "partial_sums.csv":
             "5d213ad419407edb36fd8068bd0ecf6d13d46e2828f7b17b1e603b60d3b40b8f",
         "report.json":
-            "8790b79d34d53b31065d108a2eedbb9f3ea286f009215e074cfc455eaee57c3a",
+            "3e3e02fa211b0866e94b74c4a4c47d2cc0d1c6aae0210b8d327863d07ddb3de8",
     },
     "sl3-float": {
         "counting_mixed.csv":
@@ -152,7 +156,7 @@ DIGESTS = {
         "partial_sums.csv":
             "d9ba6ef8fb7486f3e23b34cad73658e0b2664ba0e7d70f7694599339893668c5",
         "report.json":
-            "4ed56dd243d8c0d94bad028c6da561ca223c2b502b323c5dfa9bd2e0b1d18c6d",
+            "6ccd5e20c07a37e21fb9e44f031a2b83d1b18125df16d0dddb3f97cec775fcb1",
     },
     "torsion-included": {
         "counting_mixed.csv":
@@ -166,7 +170,7 @@ DIGESTS = {
         "partial_sums.csv":
             "d9ba6ef8fb7486f3e23b34cad73658e0b2664ba0e7d70f7694599339893668c5",
         "report.json":
-            "d1eeb688c013d3835c4b6d30d4e26a0123a175a3118b4c59a7c25ea93fb182e8",
+            "1084ca16abc0730fb72753447b44259b8ced2039348632e2dd2ba3cfa7028fc2",
     },
 }
 

@@ -264,6 +264,12 @@ def _conjugated_sanov():
          for m in ([[1, 2], [0, 1]], [[1, 0], [2, 1]])])
 
 
+def _modular_group(arithmetic="exact-int"):
+    spec = GroupSpec.sl(2, arithmetic)
+    return GeneratorSet.from_elements([GroupElement(spec, (((0, -1), (1, 0)),)),
+                                       GroupElement(spec, (((1, 1), (0, 1)),))])
+
+
 INT_CASES = [(sanov_generators, 8), (_elementary_sl3, 4), (_product_generators, 7),
              (_cube_rotations, 10), (_conjugated_sanov, 8)]
 
@@ -288,10 +294,11 @@ def test_int_levels_match_exact_dict_walk(make_gens, L):
 
 @pytest.mark.parametrize("make_gens, L", [
     (lambda arithmetic: sanov_generators(GroupSpec.sl(2, arithmetic)), 8),
-    (_elementary_sl3, 4)], ids=["sanov", "elementary-sl3"])
+    (_elementary_sl3, 4), (_modular_group, 12)], ids=["sanov", "elementary-sl3", "modular"])
 def test_exact_int_and_float_balls_of_an_integral_set_are_equal(make_gens, L):
     """One integral generating set gives the same int levels, row for row,
-    whether it is labelled exact-int or float."""
+    whether it is labelled exact-int or float; <S, T> = SL(2,Z) adds torsion,
+    whose relations lead candidates back to the previous two levels."""
     exact = enumerate_ball(make_gens("exact-int"), L)
     flt = enumerate_ball(make_gens("float"), L)
     assert exact.growth_per_level == flt.growth_per_level
@@ -581,12 +588,6 @@ def _low_32_bits(keys):
     return _row_hashes(keys) & np.uint64(2**32 - 1)
 
 
-def _modular_group():
-    spec = GroupSpec.sl(2)
-    return GeneratorSet.from_elements([GroupElement(spec, (((0, -1), (1, 0)),)),
-                                       GroupElement(spec, (((1, 1), (0, 1)),))])
-
-
 @pytest.mark.parametrize("weak_hash", [
     lambda keys: np.zeros(len(keys), dtype=np.uint64),
     lambda keys: np.fromiter(map(hash, keys[:, 0].tolist()), dtype=np.int64,
@@ -798,6 +799,26 @@ def test_relations_across_the_switch_to_object_rows(arithmetic, monkeypatch):
     assert len(ball) == 3932
     assert [_level_set(lvl) for lvl in ball._levels] == \
         [_level_set(lvl) for lvl in dict_walk(gens, 12)._levels]
+
+
+@pytest.mark.parametrize("arithmetic", ["exact-int", "float"])
+def test_levels_keep_first_occurrence_order_through_int64_and_object_rows(arithmetic,
+                                                                          monkeypatch):
+    """With the int32 switch lowered to 2**3 and the int64 switch to 2**5,
+    the SL(2,Z) ball's levels go from int32 through int64 to object rows, and
+    every level, in each storage, holds the dictionary walk's rows in the
+    order that walk first meets them."""
+    monkeypatch.setattr(orbit, "_INT32_SAFE", 2**3)
+    monkeypatch.setattr(orbit, "_INT64_SAFE", 2**5)
+    gens = _modular_group(arithmetic)
+    ball = enumerate_ball(gens, 12)
+    dtypes = [lvl.dtype for lvl in ball._levels]
+    assert [d for i, d in enumerate(dtypes) if d not in dtypes[:i]] == \
+        [np.dtype(np.int32), np.dtype(np.int64), np.dtype(object)]
+    oracle = dict_walk(gens, 12)
+    assert ball.growth_per_level == oracle.growth_per_level
+    for got, want in zip(ball._levels, oracle._levels):
+        assert np.array_equal(got, want)
 
 
 def test_generic_walk_enforces_element_cap():

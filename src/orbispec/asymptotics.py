@@ -15,8 +15,8 @@ import numpy as np
 from .errors import ResourceLimitError
 # relative_chamber_matrix stays bound here, unused, because perfbench/spans.py
 # wraps it by module name to count distance-table builds
-from .exponents import (ZERO_DISTANCE, DistanceTable, distance_table,  # noqa: F401
-                        relative_chamber_matrix)
+from .exponents import (ZERO_DISTANCE, DistanceTable, _least_squares,  # noqa: F401
+                        distance_table, relative_chamber_matrix)
 from .liecore import ChamberVector, RootSystemData
 from .orbit import OrbitBall
 
@@ -153,7 +153,8 @@ def fit_ball_volume(rs: RootSystemData, which: str = "polyhedral",
     Large regime: log V against (r, log r) jointly, estimating the
     exponential rate (expected 2*||rho||) and the polynomial prefactor
     degree, which separates the polyhedral (rank - 1) and classical
-    ((rank - 1)/2) ball families.
+    ((rank - 1)/2) ball families.  Raises ValueError when fewer distinct
+    radii than the fit's two or three coefficients cannot determine it.
     """
     volume = {"polyhedral": polyhedral_ball_volume, "classical": classical_ball_volume}.get(which)
     if volume is None:
@@ -165,8 +166,7 @@ def fit_ball_volume(rs: RootSystemData, which: str = "polyhedral",
     radii = np.asarray(radii, dtype=float)
     logv = np.log([volume(rs, r) for r in radii])
     small = regime == "small"
-    columns = [np.ones_like(radii)] + ([] if small else [radii]) + [np.log(radii)]
-    coef, *_ = np.linalg.lstsq(np.vstack(columns).T, logv, rcond=None)
+    coef, _ = _least_squares(logv, *([] if small else [radii]), np.log(radii))
     return VolumeFit(radii, logv, 0.0 if small else float(coef[1]), float(coef[-1]), regime)
 
 
@@ -250,9 +250,8 @@ def green_series_diagnostic(ball: OrbitBall, rs: RootSystemData, zeta: float,
     if partial[-1] <= 0 or positive.sum() < 3:
         return GreenSeriesDiagnostic(zeta, partial, "converging", -math.inf)
     rel_last = increments[-1] / partial[-1]
-    k = min(GREEN_TREND_LEVELS, int(positive.sum()))
-    recent = np.flatnonzero(positive)[-k:]
-    slope = float(np.polyfit(recent.astype(float), np.log(increments[recent]), 1)[0])
+    recent = np.flatnonzero(positive)[-GREEN_TREND_LEVELS:]
+    slope = float(_least_squares(np.log(increments[recent]), recent.astype(float))[0][1])
     if rel_last < GREEN_STRONG_REL_TOL or slope < -GREEN_TREND_TOL:
         verdict = "converging"
     elif slope > GREEN_TREND_TOL:

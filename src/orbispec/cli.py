@@ -277,7 +277,10 @@ def _volume(config, rs, ball, triple, out) -> dict:
     for family in ("polyhedral", "classical"):
         for regime, radii in (("small", config.volume_radii_small),
                               ("large", config.volume_radii_large)):
-            fit = fit_ball_volume(rs, family, regime, np.asarray(radii))
+            try:
+                fit = fit_ball_volume(rs, family, regime, np.asarray(radii))
+            except ValueError as exc:
+                raise ConfigError(f"volume_radii_{regime}: {exc}") from exc
             fits[f"{family}_{regime}"] = {
                 "exponential_rate": fit.fitted_exponential_rate,
                 "polynomial_degree": fit.fitted_polynomial_degree,

@@ -301,19 +301,17 @@ def level_partial_sums(ball: OrbitBall, rs: RootSystemData, kind: str,
     return np.cumsum(ball.level_sums(_series_terms(ball, rs, kind, s, x, y)))
 
 
-def _fit_window(r: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    """Least-squares line through (r, log values) over a fit window: its
-    slope and RMS residual."""
-    if r.size < MIN_WINDOW_POINTS:
-        raise ValueError(
-            f"need at least {MIN_WINDOW_POINTS} samples in the fit window, got {r.size}"
-        )
-    if np.any(values <= 0):
-        raise ValueError("zero counts inside the fit window")
-    logv = np.log(values)
-    design = np.vstack([np.ones_like(r), r]).T
-    coef, *_ = np.linalg.lstsq(design, logv, rcond=None)
-    return float(coef[1]), float(np.sqrt(np.mean((design @ coef - logv) ** 2)))
+def _least_squares(samples: np.ndarray, *columns) -> tuple[np.ndarray, float]:
+    """The one least-squares fit behind every estimate: coefficients of the
+    samples on a constant and the given columns, by np.linalg.lstsq, and
+    the fit's RMS residual.  Raises ValueError when the design's rank is
+    below its column count, so that the samples cannot determine them."""
+    design = np.vstack([np.ones_like(samples), *columns]).T
+    coef, _, rank, _ = np.linalg.lstsq(design, samples, rcond=None)
+    if rank < design.shape[1]:
+        raise ValueError(f"a design of rank {rank} cannot determine {design.shape[1]} "
+                         "fit coefficients")
+    return coef, float(np.sqrt(np.mean((design @ coef - samples) ** 2)))
 
 
 def estimate_exponent(curve: CountingCurve,
@@ -335,8 +333,15 @@ def estimate_exponent(curve: CountingCurve,
         r_max = min(r_max, curve.completeness_radius)
     lo = window_fraction * r_max
     sel = (curve.radii >= lo - 1e-12) & (curve.radii <= r_max + 1e-12)
-    counts = curve.counts[sel].astype(float)
-    value, resid = _fit_window(curve.radii[sel], counts)
+    r, counts = curve.radii[sel], curve.counts[sel].astype(float)
+    if r.size < MIN_WINDOW_POINTS:
+        raise ValueError(
+            f"need at least {MIN_WINDOW_POINTS} samples in the fit window, got {r.size}"
+        )
+    if np.any(counts <= 0):
+        raise ValueError("zero counts inside the fit window")
+    coef, resid = _least_squares(np.log(counts), r)
+    value = float(coef[1])
     if counts[-1] <= curve.counts[0]:
         raise ValueError(f"no orbit point counted between radius {curve.radii[0]:.6g} "
                          f"and the window's top {r_max:.6g}")
@@ -395,14 +400,6 @@ def exponent_triple(ball: OrbitBall, rs: RootSystemData, x=None, y=None,
         value = min(max(rs.rho_norm + fit.value, lo), hi)
         delta_second = replace(fit, value=value, in_range=_in_range(value, rs.rho_norm))
     return ExponentTriple(delta, delta_second, delta_prime)
-
-
-def _level_fit(w: np.ndarray, log_w: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Design matrix of a least-squares fit of log S_w on (1, w), or on
-    (1, w, log w), over the word lengths w, and its pseudo-inverse: row 1
-    of the latter maps log S_w to the fit's w-coefficient."""
-    design = np.column_stack([np.ones_like(w), w] + ([np.log(w)] if log_w else []))
-    return design, np.linalg.pinv(design)
 
 
 def _bracketed_zero(f, a: float, fa: float, b: float, fb: float, rtol: float = 0.0) -> float:
@@ -472,20 +469,20 @@ def pressure_exponent(ball: OrbitBall, rs: RootSystemData, kind: str,
         return log_sums[s]
 
     w = np.arange(1.0, levels + 1.0)
-    fits = [_level_fit(w[-SLOPE_LEVELS:], log_w=False)]
+    # the columns past the constant of the (1, w) and (1, w, log w) fits
+    fits = [[w[-SLOPE_LEVELS:]]]
     if levels >= PRESSURE_LEVELS:
-        fits.append(_level_fit(w[-PRESSURE_LEVELS:], log_w=True))
+        fits.append([w[-PRESSURE_LEVELS:], np.log(w[-PRESSURE_LEVELS:])])
+
+    def level_fit(fit, s: float) -> tuple[np.ndarray, float]:
+        return _least_squares(log_level_sums(s)[-len(fit[0]):], *fit)
 
     def w_coefficient(fit, s: float) -> float:
-        pinv = fit[1]
-        return float(pinv[1] @ log_level_sums(s)[-pinv.shape[1]:])
+        return float(level_fit(fit, s)[0][1])
 
     def estimate(fit, s: float) -> ExponentEstimate:
-        design, pinv = fit
-        logs = log_level_sums(s)[-len(design):]
-        resid = float(np.sqrt(np.mean((design @ (pinv @ logs) - logs) ** 2)))
-        window = (float(design[0, 1]), float(design[-1, 1]))
-        return ExponentEstimate(s, window, resid, complete=True,
+        window = (float(fit[0][0]), float(fit[0][-1]))
+        return ExponentEstimate(s, window, level_fit(fit, s)[1], complete=True,
                                 in_range=_in_range(s, rho_norm))
 
     slope = fits[0]

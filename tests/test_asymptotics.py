@@ -95,6 +95,18 @@ def test_large_radius_rates_and_degrees(rs3):
     assert poly.fitted_polynomial_degree > clas.fitted_polynomial_degree + 0.2
 
 
+@pytest.mark.parametrize("regime, radii", [("large", [10.0]), ("large", [10.0, 20.0]),
+                                           ("large", [10.0, 10.0, 10.0]), ("small", [0.1])])
+def test_volume_fit_refuses_radii_that_cannot_determine_it(rs2, regime, radii):
+    """The large fit has three coefficients and the small one two: fewer
+    distinct radii leave the fit undetermined, and least squares would
+    return one of its many solutions (through the single radius 10 a rate
+    of 1.23 and a degree of 0.28, where the truth is 2||rho|| = 1.41 and
+    0)."""
+    with pytest.raises(ValueError, match="cannot determine"):
+        fit_ball_volume(rs2, "polyhedral", regime, radii)
+
+
 def test_volume_quadrature_rank_cap():
     rs4 = build_root_system(GroupSpec.product((2, 2, 2, 2), "float"))
     with pytest.raises(ValueError, match="rank"):
@@ -250,6 +262,29 @@ def test_green_sums_bit_identical_to_inline_envelope(monkeypatch):
             green_series_diagnostic(ball, rs, zeta, x=base)
     assert builds == []
     assert len(sanov.tables) == 2
+
+
+def test_green_trend_slope_is_the_lstsq_slope(monkeypatch):
+    """The trend slope is, bit for bit, the slope of np.linalg.lstsq on
+    (1, w) over the last GREEN_TREND_LEVELS or fewer levels w whose
+    increment is positive, read from the increments the diagnostic sums."""
+    spec = GroupSpec.sl(2)
+    rs = build_root_system(spec)
+    ball = enumerate_ball(sanov_generators(spec), 8)
+    increments = []
+    level_sums = type(ball).level_sums
+    monkeypatch.setattr(type(ball), "level_sums",
+                        lambda self, terms: increments.append(level_sums(self, terms))
+                        or increments[-1])
+    for zeta in (0.3, 0.5, 1.0, 2.0):
+        increments.clear()
+        diag = green_series_diagnostic(ball, rs, zeta)
+        (inc,) = increments
+        recent = np.flatnonzero(inc > 0)[-asymptotics.GREEN_TREND_LEVELS:]
+        w = recent.astype(float)
+        coef, *_ = np.linalg.lstsq(np.column_stack([np.ones_like(w), w]),
+                                   np.log(inc[recent]), rcond=None)
+        assert diag.trend_slope == coef[1], zeta
 
 
 def test_heat_bound_case_i_trivial(rs2):

@@ -1,11 +1,13 @@
 """The benchmark's hold on the library: `perfbench/` wraps orbispec names by
 module attribute, so renaming or dropping one of them breaks the benchmark
 without breaking the library.  Each workload runs here once, traced, at
-the smoke word length, through the harness's own job-spec and child-process
-functions.  The harness's float workload is meant to exercise integral float
-enumeration, so its generating sets must stay integer-valued."""
+the smoke word length, and once at its benchmark word length against
+perfbench/reference.json, through the harness's own job-spec, child-process
+and check functions.  The harness's float workload is meant to exercise
+integral float enumeration, so its generating sets must stay integer-valued."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +55,23 @@ def test_traced_lib_job_projects_the_ball_once(run_module, tmp_path, monkeypatch
     assert sum(s["name"] == "exponents.relative_chamber_matrix" for s in spans) == 1
     rows = [s["rows"] for s in spans if s["name"] == "cartan.log_singular_values"]
     assert sum(rows) == sum(payload["result"]["levels"])
+
+
+@pytest.mark.parametrize("name", ["gamma2-lib-L12", "gamma2-cli-base-L11",
+                                  "hitchin3-float-cli-L11"])
+def test_seed_zero_job_matches_the_reference(run_module, name, tmp_path, monkeypatch):
+    """At its benchmark word length, seed 0 of each workload reproduces the
+    exponent triple and the CSV digests in perfbench/reference.json, as the
+    harness's own check reads them."""
+    monkeypatch.setattr(run_module, "OUT", tmp_path)
+    monkeypatch.chdir(ROOT)
+    L = run_module.WORKLOADS[name]["L"]
+    spec_path, spec = run_module.write_job_spec(name, 0, "reference", L, False, False)
+    payload, error = run_module.run_child(spec_path, run_module.CHILD_TIMEOUT_S)
+    assert error == ""
+    outputs = run_module.collect_outputs(name, payload, Path(spec["out"]))
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    assert run_module.check(name, 0, L, outputs, reference) == []
 
 
 def test_hitchin_generating_sets_are_integral(run_module):

@@ -132,6 +132,18 @@ def test_volume_green_heatbound_analyses(tmp_path):
     assert rate == pytest.approx(2 / SQRT2, abs=0.1)  # 2 * ||rho|| for SL(2)
 
 
+@pytest.mark.parametrize("key, radii", [("volume_radii_large", [10.0]),
+                                        ("volume_radii_large", [10.0, 20.0]),
+                                        ("volume_radii_small", [0.1])])
+def test_volume_radii_that_cannot_determine_the_fit_are_a_config_error(tmp_path, capsys,
+                                                                       key, radii):
+    cfg = write_config(tmp_path, sanov_config(max_word_length=4, analyses=["volume"],
+                                              **{key: radii}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
 def test_default_green_zetas_are_distinct(tmp_path):
     """At crit = delta'' - ||rho|| = 0.08 two default zetas floor at 0.01:
     the job sums and writes that zeta once."""

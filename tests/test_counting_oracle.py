@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from orbispec import (GeneratorSet, GroupElement, GroupSpec, KIND_MIXED, KIND_POLYHEDRAL,
-                      KIND_RIEMANNIAN, build_root_system, counting_curve, enumerate_ball)
+                      KIND_RIEMANNIAN, build_root_system, counting_curve, enumerate_ball,
+                      exponents)
 from orbispec.exponents import completeness_radius, trust_radius
 
 from conftest import orthonormal_sym2_generators, sanov_generators
@@ -129,18 +130,35 @@ def test_orthonormal_sym2_counts_match_the_oracle(kind, s):
     assert counts[0] == 1 and counts[-1] == 133
 
 
-def _sanov_pair_counts(radii, of_parts) -> np.ndarray:
-    """N(R) at each radius over pairs of Sanov elements at distance
-    of_parts(d1, d2), each d_i = arccosh(q_i / 2) / sqrt(2) from the oracle's
-    norms.  Every kind below grows with each d_i and is at least
-    d_i / sqrt(2), so a pair within R is made of elements with
-    d_i <= sqrt(2) R, that is q_i <= 2 cosh(2 R), each of whose pairs with
-    the identity lies within R."""
-    top = radii[-1]
+def _sanov_pairs(top, of_parts) -> tuple[np.ndarray, np.ndarray]:
+    """The Sanov distances d1 (a column) and d2 (a row) whose pairs can lie
+    within `top` at distance of_parts(d1, d2), each d_i = arccosh(q_i / 2) /
+    sqrt(2) from the oracle's norms.  Every kind below grows with each d_i
+    and is at least d_i / sqrt(2), so a pair within R is made of elements
+    with d_i <= sqrt(2) R, that is q_i <= 2 cosh(2 R), each of whose pairs
+    with the identity lies within R."""
     d = np.arccosh(oracle_norms(2.0 * math.cosh(2.0 * top), _sanov) / 2.0) / math.sqrt(2.0)
     d = d[of_parts(d, 0.0) <= top]
-    pairs = of_parts(d[:, None], d[None, :]).ravel()
+    return d[:, None], d[None, :]
+
+
+def _sanov_pair_counts(radii, of_parts) -> np.ndarray:
+    """N(R) at each radius over pairs of Sanov elements at distance
+    of_parts(d1, d2)."""
+    pairs = of_parts(*_sanov_pairs(radii[-1], of_parts)).ravel()
     return np.searchsorted(np.sort(pairs), radii, side="right")
+
+
+def _sanov_pair_sums(radii) -> np.ndarray:
+    """M_R at each radius: the sum of exp(-||rho|| d') = exp(-(d1 + d2) /
+    sqrt(2)) over pairs of Sanov elements at Riemannian distance at most
+    R."""
+    d1, d2 = _sanov_pairs(radii[-1], _riemannian_parts)
+    dist = _riemannian_parts(d1, d2).ravel()
+    order = np.argsort(dist)
+    sums = np.zeros(dist.size + 1)
+    np.cumsum(np.exp(-_polyhedral_parts(d1, d2)).ravel()[order], out=sums[1:])
+    return sums[np.searchsorted(dist[order], radii, side="right")]
 
 
 def _riemannian_parts(d1, d2):
@@ -155,12 +173,21 @@ def _mixed_parts(d1, d2):
     return _polyhedral_parts(d1, d2) + 0.5 * _riemannian_parts(d1, d2)
 
 
+def _product_lattice(depth):
+    """The ball of Gamma(2) x Gamma(2) in SL(2) x SL(2) to the given word
+    length, generated by (a, e), (b, e), (e, a) and (e, b)."""
+    spec = GroupSpec.product((2, 2))
+    eye, a, b = ((1, 0), (0, 1)), ((1, 2), (0, 1)), ((1, 0), (2, 1))
+    return enumerate_ball(GeneratorSet.from_elements(
+        [GroupElement(spec, blocks) for blocks in ((a, eye), (b, eye), (eye, a), (eye, b))]),
+        depth)
+
+
 @pytest.mark.parametrize("depth, size, steps", [(8, 139_969, [16, 12, 16]),
                                                 (9, 472_393, [17, 12, 17])],
                          ids=["L8", "L9"])
 def test_product_lattice_counts_match_sanov_pair_counts(depth, size, steps):
-    """Gamma(2) x Gamma(2) in SL(2) x SL(2), generated by (a, e), (b, e),
-    (e, a) and (e, b).  An element (g1, g2) lies at Riemannian distance
+    """On Gamma(2) x Gamma(2), an element (g1, g2) lies at Riemannian distance
     d = sqrt(d1^2 + d2^2) and polyhedral distance d' = (d1 + d2) / sqrt(2),
     d_i the Sanov distance of g_i, and at mixed distance d' + d / 2 for
     s = 1.5 > ||rho|| = 1.  Each kind's counts are the oracle's pair counts
@@ -168,13 +195,9 @@ def test_product_lattice_counts_match_sanov_pair_counts(depth, size, steps):
     the trust radius.  A polyhedral ball of radius R reaches d up to
     sqrt(2) R, so its counts part from the pair counts beyond that radius
     (past 2.78 at L = 8) and are not pinned up to the trust radius."""
-    spec = GroupSpec.product((2, 2))
-    eye, a, b = ((1, 0), (0, 1)), ((1, 2), (0, 1)), ((1, 0), (2, 1))
-    ball = enumerate_ball(GeneratorSet.from_elements(
-        [GroupElement(spec, blocks) for blocks in ((a, eye), (b, eye), (eye, a), (eye, b))]),
-        depth)
+    ball = _product_lattice(depth)
     assert len(ball) == size
-    rs = build_root_system(spec)
+    rs = build_root_system(ball.spec)
     assert rs.rho_norm == pytest.approx(1.0)
     t = trust_radius(ball, rs)
     for (kind, s, of_parts), count in zip(((KIND_RIEMANNIAN, None, _riemannian_parts),
@@ -184,3 +207,22 @@ def test_product_lattice_counts_match_sanov_pair_counts(depth, size, steps):
         assert len(radii) == count
         curve = counting_curve(ball, rs, kind, s=s, radii=radii)
         np.testing.assert_array_equal(curve.counts, _sanov_pair_counts(radii, of_parts))
+
+
+@pytest.mark.parametrize("depth, steps", [(8, 15), (9, 16)], ids=["L8", "L9"])
+def test_product_lattice_mixed_sums_match_sanov_pair_sums(depth, steps, monkeypatch):
+    """delta' (2.40 at L = 8) exceeds ||rho|| = 1 on Gamma(2) x Gamma(2), so
+    exponent_triple fits delta'' to the weighted sums M_R of exp(-||rho||
+    d') over the elements with d <= R, at delta's radii up to the trust
+    radius.  Those sums are the oracle's pair sums to 1e-12 relative."""
+    ball = _product_lattice(depth)
+    rs = build_root_system(ball.spec)
+    curves = []
+    estimate = exponents.estimate_exponent
+    monkeypatch.setattr(exponents, "estimate_exponent",
+                        lambda curve, *args: curves.append(curve) or estimate(curve, *args))
+    triple = exponents.exponent_triple(ball, rs)
+    assert triple.delta_prime.value > rs.rho_norm and len(curves) == 3
+    sums = curves[-1]
+    assert sums.radii[-1] <= trust_radius(ball, rs) and len(sums.radii) == steps
+    np.testing.assert_allclose(sums.counts, _sanov_pair_sums(sums.radii), rtol=1e-12, atol=0)

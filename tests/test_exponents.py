@@ -300,17 +300,18 @@ def _w_coefficient(log_sums, levels, log_w):
 def test_pressure_zero_of_the_log_w_fit(sanov_rs, sanov_ball_8, kind):
     """On the Sanov ball at L = 8 the estimate zeroes the w-coefficient of
     the (1, w, log w) fit over word lengths 4..8, recomputed here with
-    bincount and lstsq; its window is those word lengths and its residual
-    that fit's RMS."""
+    bincount and lstsq; its window is those word lengths and its residual,
+    bit for bit, the RMS of np.linalg.lstsq's fit at the estimate."""
     est = pressure_exponent(sanov_ball_8, sanov_rs, kind)
     log_sums = _level_log_sums(sanov_ball_8, sanov_rs, kind, est.value)
     assert abs(_w_coefficient(log_sums, 5, log_w=True)) <= 1e-9
     assert est.window == (4.0, 8.0)
     w = np.arange(4.0, 9.0)
-    design = np.column_stack([np.ones_like(w), w, np.log(w)])
+    # the design in column-major order, as the package's fit builds it:
+    # the product design @ coef rounds differently in row-major order
+    design = np.vstack([np.ones_like(w), w, np.log(w)]).T
     coef, *_ = np.linalg.lstsq(design, log_sums[4:], rcond=None)
-    assert est.residual == pytest.approx(np.sqrt(np.mean((design @ coef - log_sums[4:]) ** 2)),
-                                         rel=1e-6, abs=1e-12)
+    assert est.residual == float(np.sqrt(np.mean((design @ coef - log_sums[4:]) ** 2)))
     assert est.complete and est.in_range
 
 

@@ -9,8 +9,12 @@ word-length pressure zero and clipped estimates began to leave notes, and
 again, for the five exact-int cases, when exact-int levels went from
 lexicographic to first-occurrence row order: level sums then add in another
 order, so `exponents.mixed_bisection_diagnostic` moved by at most 6.8e-14
-and `green[*].trend_slope` by at most 4.2e-15, and nothing else did.  No
-CSV digest moved either time.  Together
+and `green[*].trend_slope` by at most 4.2e-15, and nothing else did.  They
+were re-recorded again when every fit went through one np.linalg.lstsq
+routine in place of a pseudo-inverse and np.polyfit: the same two keys
+moved, `mixed_bisection_diagnostic` by at most 2.3e-14 (gamma3-heat-ii) and
+`trend_slope` by at most 1.4e-15 (sl3-float).  No CSV digest moved any of
+these times.  Together
 the cases run all eight analyses, base points (x, y), a torsion generator
 with and without --include-torsion-in-counting, float SL(3), and heat-bound
 cases i, ii and iii."""
@@ -82,7 +86,7 @@ DIGESTS = {
         "projections.csv":
             "017deb4115d1758ac8620c18e6f3881d7517201a3750efba36b941fc3e89e63c",
         "report.json":
-            "beeee7dc12d89c7defea7bf94e2cdcd6aa81b443edf0f48c608624af83f8ec28",
+            "aefe971f40d0b7b77e0321dfc62bebe712cd353be58c446200661f24b4b9d803",
         "volumes.csv":
             "b731f7cd08e4d5877866f4d11622a292701a9a7dcf3bb1bb2a2f4729b6df78c6",
     },
@@ -104,7 +108,7 @@ DIGESTS = {
         "projections.csv":
             "017deb4115d1758ac8620c18e6f3881d7517201a3750efba36b941fc3e89e63c",
         "report.json":
-            "ba582f1de4c6a82d4677e09d84521297d742a7966a5839f084497521fa4408f7",
+            "752759e23d4b05fb318d770c6dced882c6fc6357e70a1a88346e37f0cf0d4ab0",
     },
     "gamma3-heat-ii": {
         "counting_mixed.csv":
@@ -122,7 +126,7 @@ DIGESTS = {
         "partial_sums.csv":
             "5d213ad419407edb36fd8068bd0ecf6d13d46e2828f7b17b1e603b60d3b40b8f",
         "report.json":
-            "3e3e02fa211b0866e94b74c4a4c47d2cc0d1c6aae0210b8d327863d07ddb3de8",
+            "7ee7650afa56645c2e3a4f1a7fb425a38f2ab761f19129169aeed05bbb162ed4",
     },
     "sl3-float": {
         "counting_mixed.csv":
@@ -142,7 +146,7 @@ DIGESTS = {
         "projections.csv":
             "54a6e6a86582fa9cc97e4bd9d98650dce2dec86cca8f5221c20c59000c67dca0",
         "report.json":
-            "313c5c2842ecaea4469ade94d3ba14ee0379b08bb96b244b3f4d561cdba356b9",
+            "b83c58280bc1bef640e66985d9533acb714e6793719719b5032c306194adc8ba",
     },
     "torsion": {
         "counting_mixed.csv":
@@ -156,7 +160,7 @@ DIGESTS = {
         "partial_sums.csv":
             "d9ba6ef8fb7486f3e23b34cad73658e0b2664ba0e7d70f7694599339893668c5",
         "report.json":
-            "6ccd5e20c07a37e21fb9e44f031a2b83d1b18125df16d0dddb3f97cec775fcb1",
+            "f6763e02780ec5a6d5aec2fb0c20f6da48108444d11f3b7fcdedbfcb13498815",
     },
     "torsion-included": {
         "counting_mixed.csv":
@@ -170,7 +174,7 @@ DIGESTS = {
         "partial_sums.csv":
             "d9ba6ef8fb7486f3e23b34cad73658e0b2664ba0e7d70f7694599339893668c5",
         "report.json":
-            "1084ca16abc0730fb72753447b44259b8ced2039348632e2dd2ba3cfa7028fc2",
+            "825df67f289ab5378478c94f00a3feb74a0776c8b2651bf4cd2a8e0d5e591a6b",
     },
 }
 

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import ResourceLimitError
 # relative_chamber_matrix stays bound here, unused, because perfbench/spans.py
 # wraps it by module name to count distance-table builds
-from .exponents import (ZERO_DISTANCE, DistanceTable, _least_squares,  # noqa: F401
-                        distance_table, relative_chamber_matrix)
+from .exponents import (DistanceTable, _least_squares, distance_table,  # noqa: F401
+                        relative_chamber_matrix)
 from .liecore import ChamberVector, RootSystemData
 from .orbit import OrbitBall
 
@@ -31,6 +31,10 @@ QUAD_EPSREL = 1e-7
 GREEN_STRONG_REL_TOL = 1e-3
 GREEN_TREND_TOL = 0.02
 GREEN_TREND_LEVELS = 5
+
+# the Green series skips the terms at distance at most this, where the
+# envelope is singular
+ZERO_DISTANCE = 1e-12
 
 SMALL_RADII_DEFAULT = np.geomspace(0.05, 0.2, 10)
 LARGE_RADII_DEFAULT = np.linspace(10.0, 30.0, 21)

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +52,8 @@ config schema (JSON):
                    %s
   optional keys    radii_step (0.25), window_fraction (0.5), base_points
                    {"x": element, "y": element}, max_elements (1e7),
-                   mixed_s, green_zetas, heat_times, volume_radii_small,
-                   volume_radii_large
+                   mixed_s, green_zetas, heat_times, volume_radii_small
+                   (>= 2 distinct radii), volume_radii_large (>= 3)
 
 output files (all floats printed with 12 significant digits):
   report.json               group, exponent triple, spectral report, fits
@@ -90,7 +91,6 @@ class JobConfig:
     heat_times: tuple[float, ...] | list[float]
     volume_radii_small: tuple[float, ...] | list[float]
     volume_radii_large: tuple[float, ...] | list[float]
-    include_torsion: bool = False
 
 
 def _parse_element(spec: GroupSpec, blocks, what: str) -> GroupElement:
@@ -129,6 +129,14 @@ def _positive_list(what: str, val, spec=None) -> list[float]:
     return [_positive(f"{what} entry", v) for v in val]
 
 
+def _distinct_radii(least: int, what: str, val, spec=None) -> list[float]:
+    radii = _positive_list(what, val)
+    if len(set(radii)) < least:
+        raise ConfigError(f"{what} needs at least {least} distinct radii to determine "
+                          f"its fit, got {len(set(radii))}")
+    return radii
+
+
 def _base_points(what: str, val, spec: GroupSpec) -> tuple:
     if not isinstance(val, dict) or set(val) - {"x", "y"}:
         raise ConfigError(f"{what} must be an object with keys x and/or y")
@@ -146,13 +154,13 @@ _OPTIONAL_KEYS = {
     "mixed_s": (_positive, None),
     "green_zetas": (_positive_list, None),
     "heat_times": (_positive_list, (0.5, 1.0, 2.0, 4.0, 8.0)),
-    "volume_radii_small": (_positive_list, tuple(SMALL_RADII_DEFAULT.tolist())),
-    "volume_radii_large": (_positive_list, tuple(LARGE_RADII_DEFAULT.tolist())),
+    # the small-radii volume fit has two coefficients, the large-radii one three
+    "volume_radii_small": (partial(_distinct_radii, 2), tuple(SMALL_RADII_DEFAULT.tolist())),
+    "volume_radii_large": (partial(_distinct_radii, 3), tuple(LARGE_RADII_DEFAULT.tolist())),
 }
 
 
-def load_config(path: str | Path, include_torsion: bool = False,
-                threads: int = 1) -> JobConfig:
+def load_config(path: str | Path, threads: int = 1) -> JobConfig:
     """Parse and validate a JSON job config.  `_OPTIONAL_KEYS` gives the
     optional keys, their parsing and defaults; null for one of them is an
     error.  `threads` does nothing: `perfbench/job.py` passes `threads=1`,
@@ -209,8 +217,7 @@ def load_config(path: str | Path, include_torsion: bool = False,
                for key, (parse, default) in _OPTIONAL_KEYS.items()}
     base_x, base_y = options.pop("base_points")
     return JobConfig(spec=spec, generators=generators, max_word_length=max_word_length,
-                     analyses=tuple(analyses), base_x=base_x, base_y=base_y,
-                     include_torsion=include_torsion, **options)
+                     analyses=tuple(analyses), base_x=base_x, base_y=base_y, **options)
 
 
 def _fmt(x) -> str:
@@ -254,8 +261,7 @@ def _count(config, rs, ball, triple, out) -> None:
     for kind in (KIND_RIEMANNIAN, KIND_POLYHEDRAL, KIND_MIXED):
         s = (config.mixed_s or rs.rho_norm) if kind == KIND_MIXED else None
         curve = counting_curve(ball, rs, kind, s=s, x=config.base_x, y=config.base_y,
-                               radii_step=config.radii_step,
-                               include_torsion=config.include_torsion)
+                               radii_step=config.radii_step)
         rows = [[r, int(c), curve.complete] for r, c in zip(curve.radii, curve.counts)]
         _write_csv(out / f"counting_{kind}.csv", ["radius", "count", "complete"], rows)
 
@@ -370,7 +376,6 @@ def run(config: JobConfig, out_dir: str | Path = ".") -> int:
             "max_word_length": config.max_word_length,
             "radii_step": config.radii_step,
             "window_fraction": config.window_fraction,
-            "include_torsion_in_counting": config.include_torsion,
         },
         "rho_norm": rs.rho_norm,
         "rho_min": rs.rho_min,
@@ -390,8 +395,7 @@ def run(config: JobConfig, out_dir: str | Path = ".") -> int:
     try:
         triple = exponent_triple(ball, rs, x=config.base_x, y=config.base_y,
                                  radii_step=config.radii_step,
-                                 window_fraction=config.window_fraction,
-                                 include_torsion=config.include_torsion)
+                                 window_fraction=config.window_fraction)
     except ValueError as exc:
         raise ConfigError(
             f"cannot fit exponents over this orbit ball ({exc}); "
@@ -432,14 +436,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to the JSON job config")
     parser.add_argument("--out", default=".", help="output directory (default: .)")
-    parser.add_argument("--include-torsion-in-counting", action="store_true",
-                        help="keep base-point stabilizer elements in counting "
-                             "curves (default: excluded)")
     args = parser.parse_args(argv)
 
     try:
-        return run(load_config(args.config, include_torsion=args.include_torsion_in_counting),
-                   args.out)
+        return run(load_config(args.config), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

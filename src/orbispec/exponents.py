@@ -43,8 +43,6 @@ MAX_RADII = 1_000_000
 # slack applied on top of the 2*||rho|| range bound when flagging estimates
 EXPONENT_RANGE_SLACK = 0.2
 
-ZERO_DISTANCE = 1e-12
-
 # slack in the ordering check delta <= delta'' <= delta'
 ORDER_TOL = 0.05
 
@@ -215,37 +213,23 @@ def completeness_radius(ball: OrbitBall, rs: RootSystemData, kind: str,
     return float(_of_kind(kind, s, rs.rho_norm, rs.rho_min / rs.rho_norm * t, t))
 
 
-def _torsion_mask(ball: OrbitBall, rs: RootSystemData,
-                  include_torsion: bool) -> np.ndarray | None:
-    """Mask selecting elements kept for counting; drops non-identity
-    elements whose own Cartan projection vanishes (the stabilizer of the
-    base point) when include_torsion is False.  None when it keeps all."""
-    if include_torsion:
-        return None
-    keep = distance_table(ball, rs).d >= ZERO_DISTANCE
-    keep[0] = True  # row 0 is the identity
-    return None if keep.all() else keep
-
-
 def counting_curve(ball: OrbitBall, rs: RootSystemData, kind: str,
                    s: float | None = None, x=None, y=None,
                    radii: np.ndarray | None = None,
-                   radii_step: float = DEFAULT_RADII_STEP,
-                   include_torsion: bool = True) -> CountingCurve:
-    """Exact counts N_R = |{gamma : dist(xK, gamma yK) <= R}| over the ball.
+                   radii_step: float = DEFAULT_RADII_STEP) -> CountingCurve:
+    """Exact counts N_R = |{gamma : dist(xK, gamma yK) <= R}| over the ball,
+    every element counted, those that fix a base point too.
 
     Only the elements within the largest radius are sorted: on a ball far
     past its trust radius that is a small share of it."""
     if not 0 < radii_step < math.inf:
         raise ValueError(f"radii_step must be finite and positive, got {radii_step}")
     dist = distance_table(ball, rs, x, y).of_kind(kind, s)
-    mask = _torsion_mask(ball, rs, include_torsion)
     comp = completeness_radius(ball, rs, kind, s, x, y)
     if radii is None:
         top = comp
-        if math.isinf(comp):  # a finite group: count past its farthest kept element
-            kept = True if mask is None else mask
-            top = float(np.max(dist, where=kept, initial=0.0)) + radii_step
+        if math.isinf(comp):  # a finite group: count past its farthest element
+            top = float(dist.max(initial=0.0)) + radii_step
         if top / radii_step > MAX_RADII:
             raise ResourceLimitError(f"counting to radius {top:.6g} in steps of "
                                      f"{radii_step:g} needs over {MAX_RADII} radii")
@@ -258,18 +242,15 @@ def counting_curve(ball: OrbitBall, rs: RootSystemData, kind: str,
             raise ValueError("radii must be finite")
         if np.any(np.diff(radii) < 0):
             raise ValueError("radii must be sorted ascending")
-    counts = np.searchsorted(np.sort(dist[_within(dist, radii, mask)]), radii, side="right")
+    counts = np.searchsorted(np.sort(dist[_within(dist, radii)]), radii, side="right")
     complete = bool(radii.size == 0 or radii[-1] <= comp)
     return CountingCurve(kind, s, radii, counts.astype(np.int64), comp, complete)
 
 
-def _within(dist: np.ndarray, radii: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """Mask of the kept elements (all, or those of the torsion mask) whose
-    distance is at most the largest radius: the only ones a count reads."""
-    keep = dist <= (radii[-1] if radii.size else -math.inf)
-    if mask is not None:
-        keep &= mask
-    return keep
+def _within(dist: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Mask of the elements whose distance is at most the largest radius:
+    the only ones a count reads."""
+    return dist <= (radii[-1] if radii.size else -math.inf)
 
 
 def _series_terms(ball, rs, kind, s, x, y) -> np.ndarray:
@@ -357,8 +338,7 @@ def _in_range(value: float, rho_norm: float) -> bool:
 
 def exponent_triple(ball: OrbitBall, rs: RootSystemData, x=None, y=None,
                     radii_step: float = DEFAULT_RADII_STEP,
-                    window_fraction: float = DEFAULT_WINDOW_FRACTION,
-                    include_torsion: bool = True) -> ExponentTriple:
+                    window_fraction: float = DEFAULT_WINDOW_FRACTION) -> ExponentTriple:
     """Estimate the Riemannian, mixed, and polyhedral critical exponents.
 
     A fully enumerated (finite) group has bounded counting functions, so all
@@ -376,10 +356,8 @@ def exponent_triple(ball: OrbitBall, rs: RootSystemData, x=None, y=None,
     if ball.exhausted:
         return ExponentTriple(_ZERO, _ZERO, _ZERO)
 
-    curve_d = counting_curve(ball, rs, KIND_RIEMANNIAN, x=x, y=y,
-                             radii_step=radii_step, include_torsion=include_torsion)
-    curve_p = counting_curve(ball, rs, KIND_POLYHEDRAL, x=x, y=y,
-                             radii_step=radii_step, include_torsion=include_torsion)
+    curve_d = counting_curve(ball, rs, KIND_RIEMANNIAN, x=x, y=y, radii_step=radii_step)
+    curve_p = counting_curve(ball, rs, KIND_POLYHEDRAL, x=x, y=y, radii_step=radii_step)
     delta = estimate_exponent(curve_d, window_fraction, rs.rho_norm)
     delta_prime = estimate_exponent(curve_p, window_fraction, rs.rho_norm)
 
@@ -389,7 +367,7 @@ def exponent_triple(ball: OrbitBall, rs: RootSystemData, x=None, y=None,
         # the stable order of the elements within the last radius is the
         # prefix of the whole ball's, so each sum is the whole ball's cumsum
         table = distance_table(ball, rs, x, y)
-        keep = _within(table.d, curve_d.radii, _torsion_mask(ball, rs, include_torsion))
+        keep = _within(table.d, curve_d.radii)
         d, dprime = table.d[keep], table.dprime[keep]
         order = np.argsort(d, kind="stable")
         cum = np.zeros(len(d) + 1)  # M_R is 0 below the nearest orbit point

@@ -214,7 +214,7 @@ def _inline_green_sums(ball, rs, zeta, x=None):
     """Partial sums of the Green envelope terms, each written out as the
     envelope formula reads, over the elements at nonzero distance."""
     table = exponents.distance_table(ball, rs, x)
-    keep = table.d > exponents.ZERO_DISTANCE
+    keep = table.d > asymptotics.ZERO_DISTANCE
     keep = slice(None) if keep.all() else keep
     d, dprime, chamber = table.d[keep], table.dprime[keep], table.chamber[keep]
     prefactor = np.ones_like(d)
@@ -245,7 +245,7 @@ def test_green_sums_bit_identical_to_inline_envelope(monkeypatch):
     zetas = (0.3, 1.0 / SQRT2, 1.0, 2.5)
     for ball, base, skipped_levels in cases:
         table = exponents.distance_table(ball, rs, base)
-        skipped = table.d <= exponents.ZERO_DISTANCE
+        skipped = table.d <= asymptotics.ZERO_DISTANCE
         assert sorted(word_lengths(ball)[skipped]) == skipped_levels
         for zeta in zetas:
             got = green_series_diagnostic(ball, rs, zeta, x=base).partial_sums

@@ -7,11 +7,13 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import orbispec
-from orbispec import (KIND_MIXED, build_root_system, cli, enumerate_ball, exponents,
-                      pressure_exponent)
+from orbispec import (KIND_MIXED, GeneratorSet, GroupElement, GroupSpec, build_root_system,
+                      cli, enumerate_ball, exponents, pressure_exponent)
+from orbispec.cartan import distance_riemannian
 from orbispec.cli import ANALYSES, main
 from orbispec.exponents import ExponentEstimate, ExponentTriple
 
@@ -132,16 +134,65 @@ def test_volume_green_heatbound_analyses(tmp_path):
     assert rate == pytest.approx(2 / SQRT2, abs=0.1)  # 2 * ||rho|| for SL(2)
 
 
-@pytest.mark.parametrize("key, radii", [("volume_radii_large", [10.0]),
-                                        ("volume_radii_large", [10.0, 20.0]),
-                                        ("volume_radii_small", [0.1])])
-def test_volume_radii_that_cannot_determine_the_fit_are_a_config_error(tmp_path, capsys,
-                                                                       key, radii):
-    cfg = write_config(tmp_path, sanov_config(max_word_length=4, analyses=["volume"],
-                                              **{key: radii}))
+def test_volume_radii_that_cannot_determine_the_fit_are_a_config_error(tmp_path, capsys):
+    """Three distinct radii too close together pass the config check, and
+    the volume fit's own rank check refuses them."""
+    cfg = write_config(tmp_path, sanov_config(
+        max_word_length=4, analyses=["volume"],
+        volume_radii_large=[10.0, 10.0 + 1e-9, 10.0 + 2e-9]))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
+    assert err.startswith("config error:") and "volume_radii_large" in err
+    assert "rank" in err
+
+
+@pytest.mark.parametrize("key, radii", [("volume_radii_large", [10.0]),
+                                        ("volume_radii_large", [10.0, 20.0]),
+                                        ("volume_radii_large", [10.0, 10.0, 10.0]),
+                                        ("volume_radii_small", [0.1]),
+                                        ("volume_radii_small", [0.1, 0.1])])
+@pytest.mark.parametrize("analyses", [["project", "orbit", "count", "volume"], ["orbit"]])
+def test_undeterminable_volume_radii_are_refused_before_any_work(tmp_path, capsys, key,
+                                                                 radii, analyses):
+    """Fewer distinct radii than a volume fit has coefficients (two small,
+    three large) are refused as the config loads, whether or not volume
+    runs: the job exits 1 naming the key and writes nothing to --out."""
+    cfg = write_config(tmp_path, sanov_config(analyses=analyses, **{key: radii}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+    assert list(out.iterdir()) == []
+
+
+def test_based_count_counts_every_ball_element(tmp_path):
+    """<S, T^2> holds S, -S and -I, which fix the origin but not x: each
+    count of counting_riemannian.csv at base point x is the number of ball
+    elements gamma with d(xK, gamma K) <= R, none left out."""
+    gens = [[[[0, 1], [-1, 0]]], [[[1, 2], [0, 1]]]]
+    x = [[[2, 1], [1, 1]]]
+    cfg = write_config(tmp_path, {
+        "group": {"factors": [{"type": "sl", "n": 2}], "arithmetic": "exact-int"},
+        "generators": gens, "max_word_length": 8, "radii_step": 0.1,
+        "base_points": {"x": x}, "analyses": ["count"],
+    })
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+
+    def element(blocks):
+        return GroupElement(GroupSpec.sl(2), tuple(tuple(map(tuple, b)) for b in blocks))
+
+    ball = enumerate_ball(GeneratorSet.from_elements(list(map(element, gens))), 8)
+    dist = np.sort([distance_riemannian(ball.element(i), element(x))
+                    for i in range(len(ball))])
+    rows = [line.split(",") for line in
+            (out / "counting_riemannian.csv").read_text().splitlines()[1:]]
+    radii = np.array([float(r) for r, _, _ in rows])
+    assert radii.size > 10
+    assert np.abs(dist[:, None] - radii).min() > 1e-9  # no distance on a radius
+    np.testing.assert_array_equal([int(c) for _, c, _ in rows],
+                                  np.searchsorted(dist, radii, side="right"))
 
 
 def test_default_green_zetas_are_distinct(tmp_path):
@@ -297,11 +348,14 @@ def test_bad_json_and_unknown_keys_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["--config", "job.json", "--no-such-flag"], ["--out", "o"],
-                                  ["--config", "job.json", "--threads", "2"]],
-                         ids=["unknown-flag", "missing-config", "removed-threads-flag"])
+                                  ["--config", "job.json", "--threads", "2"],
+                                  ["--config", "job.json", "--include-torsion-in-counting"]],
+                         ids=["unknown-flag", "missing-config", "removed-threads-flag",
+                              "removed-torsion-flag"])
 def test_usage_errors_exit_1(argv, capsys):
     """Exit 2 is reserved for an unsupported group.  orbispec runs
-    single-threaded, so --threads is no longer an option."""
+    single-threaded, so --threads is no longer an option, and every count
+    takes every element, so --include-torsion-in-counting is not either."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
@@ -321,26 +375,6 @@ def test_help_names_every_config_key(capsys):
     out = capsys.readouterr().out
     for key in ["group", "generators", "max_word_length", "analyses", *cli._OPTIONAL_KEYS]:
         assert key in out, key
-
-
-def test_torsion_flag_changes_counting(tmp_path):
-    base = {
-        "group": {"factors": [{"type": "sl", "n": 2}], "arithmetic": "exact-int"},
-        "generators": [
-            [[[0, 1], [-1, 0]]],
-            [[[1, 2], [0, 1]]],
-        ],
-        "max_word_length": 7,
-        "analyses": ["count", "exponent", "lambda0"],
-    }
-    cfg = write_config(tmp_path, base)
-    out_excl, out_incl = tmp_path / "excl", tmp_path / "incl"
-    assert main(["--config", str(cfg), "--out", str(out_excl)]) == 0
-    assert main(["--config", str(cfg), "--out", str(out_incl),
-                 "--include-torsion-in-counting"]) == 0
-    first_excl = (out_excl / "counting_riemannian.csv").read_text().splitlines()[1]
-    first_incl = (out_incl / "counting_riemannian.csv").read_text().splitlines()[1]
-    assert int(first_excl.split(",")[1]) < int(first_incl.split(",")[1])
 
 
 def test_base_points_accepted(tmp_path):

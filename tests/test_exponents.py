@@ -12,7 +12,7 @@ from orbispec import (GroupElement, GroupSpec, KIND_MIXED, KIND_POLYHEDRAL,
                       exponent_triple, green_series_diagnostic, level_partial_sums,
                       poincare_partial_sum, pressure_exponent, GeneratorSet, OrbitBall)
 
-from orbispec.exponents import (KINDS, ZERO_DISTANCE, completeness_radius, distance_table,
+from orbispec.exponents import (KINDS, completeness_radius, distance_table,
                                 relative_chamber_matrix)
 
 from conftest import (ball_elements, cyclic_hyperbolic_generator, float_image, sanov_generators,
@@ -396,21 +396,6 @@ def test_completeness_radius_validates_on_exhausted_ball(sanov_rs, kind, s, matc
             fn(ball, sanov_rs, kind, s)
 
 
-def test_torsion_exclusion_in_counting():
-    """Non-identity stabilizer elements are dropped when requested."""
-    spec = GroupSpec.sl(2)
-    rs = build_root_system(spec)
-    rot = GroupElement(spec, (((0, 1), (-1, 0)),))
-    shear = GroupElement(spec, (((1, 2), (0, 1)),))
-    ball = enumerate_ball(GeneratorSet.from_elements([rot, shear]), 4)
-    radii = np.array([0.0, 1.0])
-    with_t = counting_curve(ball, rs, KIND_RIEMANNIAN, radii=radii, include_torsion=True)
-    no_t = counting_curve(ball, rs, KIND_RIEMANNIAN, radii=radii, include_torsion=False)
-    assert with_t.counts[0] > 1   # -I and friends sit at distance zero
-    assert no_t.counts[0] == 1    # identity retained
-    assert with_t.counts[1] - no_t.counts[1] == with_t.counts[0] - 1
-
-
 def _based_ball_and_points(depth, arithmetic="exact-int"):
     spec = GroupSpec.sl(2, arithmetic)
     x = GroupElement(spec, (((2, 1), (1, 1)),))
@@ -594,16 +579,16 @@ def test_series_and_radii_parameters_must_be_finite_and_positive(sanov_rs, call,
         call(ball, sanov_rs, bad)
 
 
-@pytest.mark.parametrize("include_torsion, count", [(True, 4), (False, 1)])
-def test_default_radii_of_a_finite_group(sanov_rs, include_torsion, count):
+def test_default_radii_of_a_finite_group(sanov_rs):
     """<S> has order 4 and every element fixes the base point: the default
-    radii stop one step past the farthest kept element, at distance 0."""
+    radii stop one step past the farthest element, at distance 0, and count
+    all four."""
     s = GroupElement(GroupSpec.sl(2), (((0, -1), (1, 0)),))
     ball = enumerate_ball(GeneratorSet.from_elements([s]), 3)
     assert ball.exhausted
-    curve = counting_curve(ball, sanov_rs, KIND_RIEMANNIAN, include_torsion=include_torsion)
+    curve = counting_curve(ball, sanov_rs, KIND_RIEMANNIAN)
     np.testing.assert_array_equal(curve.radii, [0.25])
-    np.testing.assert_array_equal(curve.counts, [count])
+    np.testing.assert_array_equal(curve.counts, [4])
     assert curve.complete
 
 
@@ -684,38 +669,27 @@ def _torsion_sanov_ball(depth):
 
 
 def _fit_case(case):
-    """(ball, x, include_torsion) of a named test case."""
+    """(ball, x) of a named test case."""
     if case == "sanov_at_x":
-        ball, x, _ = _based_ball_and_points(8)
-        return ball, x, True
+        return _based_ball_and_points(8)[:2]
     if case == "product":
-        return _product_ball(), None, True
-    return _torsion_sanov_ball(8), None, False
-
-
-def _kept(ball, rs, include_torsion):
-    """The counted elements: all, or all but the non-identity ones at
-    distance zero."""
-    if include_torsion:
-        return np.ones(len(ball), dtype=bool)
-    return ~((distance_table(ball, rs).d < ZERO_DISTANCE) & (word_lengths(ball) > 0))
+        return _product_ball(), None
+    return _torsion_sanov_ball(8), None
 
 
 @pytest.mark.parametrize("case", ["sanov_at_x", "product", "torsion"])
 def test_counting_curve_equals_a_sort_of_the_whole_ball(case):
     """Counting within the last radius gives the counts of a sort of every
-    kept element, at default radii, radii ending on an element's distance or
+    element, at default radii, radii ending on an element's distance or
     past the farthest element, and no radii."""
-    ball, x, include_torsion = _fit_case(case)
+    ball, x = _fit_case(case)
     rs = build_root_system(ball.spec)
-    kept = _kept(ball, rs, include_torsion)
     for kind, s in ((KIND_RIEMANNIAN, None), (KIND_POLYHEDRAL, None),
                     (KIND_MIXED, 1.3 * rs.rho_norm)):
-        dist = np.sort(distance_table(ball, rs, x).of_kind(kind, s)[kept])
+        dist = np.sort(distance_table(ball, rs, x).of_kind(kind, s))
         for radii in (None, np.linspace(0.0, dist[dist.size // 2], 9),
                       np.linspace(0.0, dist[-1] + 1.0, 13), np.array([])):
-            curve = counting_curve(ball, rs, kind, s, x=x, radii=radii,
-                                   include_torsion=include_torsion)
+            curve = counting_curve(ball, rs, kind, s, x=x, radii=radii)
             assert curve.counts.dtype == np.int64
             np.testing.assert_array_equal(
                 curve.counts, np.searchsorted(dist, curve.radii, side="right"))
@@ -724,17 +698,15 @@ def test_counting_curve_equals_a_sort_of_the_whole_ball(case):
 @pytest.mark.parametrize("case", ["sanov_at_x", "torsion"])
 def test_mixed_fit_equals_a_stable_sort_of_the_whole_ball(case):
     """The weighted mixed count summed within the last radius is bit for
-    bit the cumsum over a stable argsort of every kept element."""
-    ball, x, include_torsion = _fit_case(case)
+    bit the cumsum over a stable argsort of every element."""
+    ball, x = _fit_case(case)
     rs = build_root_system(ball.spec)
-    triple = exponent_triple(ball, rs, x=x, radii_step=0.1, include_torsion=include_torsion)
+    triple = exponent_triple(ball, rs, x=x, radii_step=0.1)
     assert triple.delta_prime.value > rs.rho_norm  # the weighted count ran
 
-    curve_d = counting_curve(ball, rs, KIND_RIEMANNIAN, x=x, radii_step=0.1,
-                             include_torsion=include_torsion)
-    kept = _kept(ball, rs, include_torsion)
+    curve_d = counting_curve(ball, rs, KIND_RIEMANNIAN, x=x, radii_step=0.1)
     table = distance_table(ball, rs, x)
-    d, dprime = table.d[kept], table.dprime[kept]
+    d, dprime = table.d, table.dprime
     order = np.argsort(d, kind="stable")
     cum = np.zeros(len(d) + 1)
     np.cumsum(np.exp(-rs.rho_norm * dprime[order]), out=cum[1:])
@@ -753,7 +725,7 @@ def test_level_partial_sums_equal_bincount_sums(case, kind, scale):
     """Level sums of exp(-s dist), with the mixed distance blended as
     min(s, ||rho||) d' + max(s - ||rho||, 0) d, match np.bincount's bit for
     bit, for s below, at and above ||rho||."""
-    ball, x, _ = _fit_case(case)
+    ball, x = _fit_case(case)
     rs = build_root_system(ball.spec)
     table = distance_table(ball, rs, x)
     s = scale * rs.rho_norm
@@ -770,7 +742,7 @@ def test_level_partial_sums_equal_bincount_sums(case, kind, scale):
 @pytest.mark.parametrize("case", ["sanov_at_x", "product"])
 def test_green_partial_sums_equal_bincount_sums(case):
     from orbispec import asymptotics, green_series_diagnostic
-    ball, x, _ = _fit_case(case)
+    ball, x = _fit_case(case)
     rs = build_root_system(ball.spec)
     table = distance_table(ball, rs, x)
     for zeta in (0.25, 1.0):

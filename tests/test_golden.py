@@ -1,23 +1,8 @@
-"""Golden outputs: small fixed CLI jobs must write the same bytes as before
-`cli.run` became a table of analyses.  Each case pins the sha256 of every file
-the job writes; the report.json digests are those of the earlier reports with
-`parameters.seed` removed, the one report key the table dropped, and then
-`parameters.threads` removed with the `--threads` option (each time
-re-serialized with indent=2, sort_keys=True and a trailing newline).  They
-were re-recorded once more when `mixed_bisection_diagnostic` became the
-word-length pressure zero and clipped estimates began to leave notes, and
-again, for the five exact-int cases, when exact-int levels went from
-lexicographic to first-occurrence row order: level sums then add in another
-order, so `exponents.mixed_bisection_diagnostic` moved by at most 6.8e-14
-and `green[*].trend_slope` by at most 4.2e-15, and nothing else did.  They
-were re-recorded again when every fit went through one np.linalg.lstsq
-routine in place of a pseudo-inverse and np.polyfit: the same two keys
-moved, `mixed_bisection_diagnostic` by at most 2.3e-14 (gamma3-heat-ii) and
-`trend_slope` by at most 1.4e-15 (sl3-float).  No CSV digest moved any of
-these times.  Together
-the cases run all eight analyses, base points (x, y), a torsion generator
-with and without --include-torsion-in-counting, float SL(3), and heat-bound
-cases i, ii and iii."""
+"""Golden outputs: small fixed CLI jobs must write the same bytes as
+recorded.  Each case pins the sha256 of every file the job writes.
+Together the cases run all eight analyses, base points (x, y), a group with
+torsion, whose counts take every element, float SL(3), and heat-bound cases
+i, ii and iii.  CHANGES.md says when and why each digest was re-recorded."""
 
 import hashlib
 import json
@@ -33,38 +18,34 @@ GAMMA2 = [[[[1, 2], [0, 1]]], [[[1, 0], [2, 1]]]]
 SYM2_GAMMA2 = [[[[1, 2, 4], [0, 1, 4], [0, 0, 1]]], [[[1, 0, 0], [4, 1, 0], [4, 2, 1]]]]
 
 CASES = {
-    "gamma2-all": ({
+    "gamma2-all": {
         "group": SL2, "generators": GAMMA2, "max_word_length": 8,
         "analyses": ["project", "orbit", "count", "exponent", "lambda0",
                      "volume", "green", "heatbound"],
         "volume_radii_large": [6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0],
-    }, []),
-    "gamma3-heat-ii": ({
+    },
+    "gamma3-heat-ii": {
         "group": SL2, "generators": [[[[1, 3], [0, 1]]], [[[1, 0], [3, 1]]]],
         "max_word_length": 8, "mixed_s": 0.5, "green_zetas": [0.2, 0.6],
         "heat_times": [1.0, 3.0],
         "analyses": ["orbit", "count", "exponent", "lambda0", "green", "heatbound"],
-    }, []),
-    "gamma2-base-xy": ({
+    },
+    "gamma2-base-xy": {
         "group": SL2, "generators": GAMMA2, "max_word_length": 8, "radii_step": 0.1,
         "base_points": {"x": [[[2, 1], [1, 1]]], "y": [[[1, 0], [2, 1]]]},
         "analyses": ["project", "orbit", "count", "exponent", "lambda0", "green",
                      "heatbound"],
-    }, []),
-    "torsion": ({
+    },
+    "torsion": {
         "group": SL2, "generators": [[[[0, 1], [-1, 0]]], [[[1, 2], [0, 1]]]],
         "max_word_length": 7, "analyses": ["orbit", "count", "exponent", "lambda0"],
-    }, []),
-    "torsion-included": ({
-        "group": SL2, "generators": [[[[0, 1], [-1, 0]]], [[[1, 2], [0, 1]]]],
-        "max_word_length": 7, "analyses": ["orbit", "count", "exponent", "lambda0"],
-    }, ["--include-torsion-in-counting"]),
-    "sl3-float": ({
+    },
+    "sl3-float": {
         "group": {"factors": [{"type": "sl", "n": 3}], "arithmetic": "float"},
         "generators": SYM2_GAMMA2, "max_word_length": 8,
         "analyses": ["project", "orbit", "count", "exponent", "lambda0", "green",
                      "heatbound"],
-    }, []),
+    },
 }
 
 DIGESTS = {
@@ -86,7 +67,7 @@ DIGESTS = {
         "projections.csv":
             "017deb4115d1758ac8620c18e6f3881d7517201a3750efba36b941fc3e89e63c",
         "report.json":
-            "aefe971f40d0b7b77e0321dfc62bebe712cd353be58c446200661f24b4b9d803",
+            "46263dbb874b8b354ba3afb935edb14496b50f85b7b503c67694d20c67102a88",
         "volumes.csv":
             "b731f7cd08e4d5877866f4d11622a292701a9a7dcf3bb1bb2a2f4729b6df78c6",
     },
@@ -108,7 +89,7 @@ DIGESTS = {
         "projections.csv":
             "017deb4115d1758ac8620c18e6f3881d7517201a3750efba36b941fc3e89e63c",
         "report.json":
-            "752759e23d4b05fb318d770c6dced882c6fc6357e70a1a88346e37f0cf0d4ab0",
+            "581c73ee1c671893480ee81447c01a0d0aec97d1b99462fa661a2b3f8bfbf29c",
     },
     "gamma3-heat-ii": {
         "counting_mixed.csv":
@@ -126,7 +107,7 @@ DIGESTS = {
         "partial_sums.csv":
             "5d213ad419407edb36fd8068bd0ecf6d13d46e2828f7b17b1e603b60d3b40b8f",
         "report.json":
-            "7ee7650afa56645c2e3a4f1a7fb425a38f2ab761f19129169aeed05bbb162ed4",
+            "6e7bec4cdd048d0167a474265a42ca1fbee1bd1f23e4f5d40922d971ea4a2c05",
     },
     "sl3-float": {
         "counting_mixed.csv":
@@ -146,23 +127,9 @@ DIGESTS = {
         "projections.csv":
             "54a6e6a86582fa9cc97e4bd9d98650dce2dec86cca8f5221c20c59000c67dca0",
         "report.json":
-            "b83c58280bc1bef640e66985d9533acb714e6793719719b5032c306194adc8ba",
+            "ab0f76c2a8e769ebbd7ed13f2b4967e90f0cfeee7b6ad6569acd2518b533a0f4",
     },
     "torsion": {
-        "counting_mixed.csv":
-            "518032d88d0d108be76ddba9fb56473501bb0d00e50f6df46d776200184142a2",
-        "counting_polyhedral.csv":
-            "68aea94bac40116cdd1306071c5118edbedf5c8d2f15235aef8bbfce89fd79cd",
-        "counting_riemannian.csv":
-            "68aea94bac40116cdd1306071c5118edbedf5c8d2f15235aef8bbfce89fd79cd",
-        "orbit_levels.csv":
-            "dc01dfe5ea1f8dee2e3f8bd11956825552d9b44b2a55e9df34b5648838da8a26",
-        "partial_sums.csv":
-            "d9ba6ef8fb7486f3e23b34cad73658e0b2664ba0e7d70f7694599339893668c5",
-        "report.json":
-            "f6763e02780ec5a6d5aec2fb0c20f6da48108444d11f3b7fcdedbfcb13498815",
-    },
-    "torsion-included": {
         "counting_mixed.csv":
             "3a916510be5fe617cb9320968a0d30bccb68ced8faa3d120ad315da209f0747a",
         "counting_polyhedral.csv":
@@ -174,7 +141,7 @@ DIGESTS = {
         "partial_sums.csv":
             "d9ba6ef8fb7486f3e23b34cad73658e0b2664ba0e7d70f7694599339893668c5",
         "report.json":
-            "825df67f289ab5378478c94f00a3feb74a0776c8b2651bf4cd2a8e0d5e591a6b",
+            "37f16fb67e2850f3196a1826882ede416f80db2120101247940bda0a5ec8a4a6",
     },
 }
 
@@ -185,12 +152,12 @@ def sha256(path: Path) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_golden_digests(tmp_path, name):
-    config, flags = CASES[name]
+    config = CASES[name]
     path = tmp_path / "job.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert main(["--config", str(path), "--out", str(out), *flags]) == 0
+    assert main(["--config", str(path), "--out", str(out)]) == 0
     parameters = json.loads((out / "report.json").read_text())["parameters"]
-    assert "seed" not in parameters and "threads" not in parameters
+    assert not {"seed", "threads", "include_torsion_in_counting"} & set(parameters)
     got = {p.name: sha256(p) for p in sorted(out.iterdir())}
     assert got == DIGESTS[name]

@@ -10,7 +10,7 @@ class ConfigError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured resource cap (element count, evaluations) was exceeded."""
+    """A configured resource cap (the element count) was exceeded."""
 
 
 class NumericalError(RuntimeError):

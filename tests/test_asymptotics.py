@@ -1,6 +1,7 @@
 """Volume quadrature, Green envelopes, and heat-bound expressions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.integrate import quad
 from orbispec import (GroupSpec, build_root_system, cartan_density,
                       classical_ball_volume, enumerate_ball, fit_ball_volume,
                       green_asymptotic, green_series_diagnostic, heat_bound,
-                      polyhedral_ball_volume, ResourceLimitError)
+                      polyhedral_ball_volume, NumericalError)
 from orbispec import asymptotics, exponents
 
 from conftest import sanov_generators, word_lengths
@@ -36,17 +37,48 @@ def test_density_examples(rs2, rs3):
 
 def test_rank_one_volumes_match_closed_form(rs2):
     """Chamber coordinate c gives H = c(1,-1)/sqrt(2), so the polyhedral ball
-    of radius r integrates sinh(sqrt(2) c) over [0, r]."""
-    for r in (0.3, 1.0, 4.0, 9.0):
-        want = (math.cosh(SQRT2 * r) - 1.0) / SQRT2
-        assert polyhedral_ball_volume(rs2, r) == pytest.approx(want, rel=1e-6)
+    of radius r integrates sinh(sqrt(2) c) over [0, r], which is
+    (cosh(sqrt(2) r) - 1)/sqrt(2), written without cancellation."""
+    for r in (0.05, 1.0, 10.0, 30.0):
+        want = SQRT2 * math.sinh(r / SQRT2) ** 2
+        assert polyhedral_ball_volume(rs2, r) == pytest.approx(want, rel=1e-12)
         # rank one: the classical ball is the same sublevel set
-        assert classical_ball_volume(rs2, r) == pytest.approx(want, rel=1e-6)
+        assert classical_ball_volume(rs2, r) == pytest.approx(want, rel=1e-12)
+
+
+# (polyhedral, classical) volumes from nested adaptive scipy nquad over the
+# same extreme-ray coordinates, with relative tolerances 1e-7, 1e-9 and 1e-11
+# from the outermost integral in
+NQUAD_VOLUMES = {
+    (3,): {0.05: (3.932113871567851e-08, 3.405107830425307e-08),
+           1.0: (0.18240395735766762, 0.1543770906221774),
+           10.0: (1012306745570.387, 449465155274.7842),
+           30.0: (1.2103226424774858e+37, 2.943666022010677e+36)},
+    (2, 2): {0.05: (2.0847225943011525e-06, 1.563368254510792e-06),
+             1.0: (0.43233235838169376, 0.3109218826852),
+             10.0: (1091621690.1720283, 332788935.80415916),
+             30.0: (8.279553576163711e+26, 1.3771371358846535e+26)},
+    (2, 2, 2): {0.05: (1.658613706482039e-09, 9.212875531174982e-10),
+                1.0: (0.14506636341686194, 0.07533017161524204),
+                10.0: (466171659265.4831, 53906035359.40015),
+                30.0: (9.137167799755575e+33, 3.17764430005653e+32)},
+    (4,): {0.05: (8.02892799310976e-15, 6.20885717130042e-15),
+           1.0: (0.007246274870454207, 0.005409644878325744),
+           10.0: (6.479900852375884e+18, 1.7009870737043328e+18)},
+}
+
+
+@pytest.mark.parametrize("ns,r", [(ns, r) for ns, byr in NQUAD_VOLUMES.items() for r in byr])
+def test_volumes_match_nquad_references(ns, r):
+    rs = build_root_system(GroupSpec.product(ns, "float"))
+    poly, clas = NQUAD_VOLUMES[ns][r]
+    assert polyhedral_ball_volume(rs, r) == pytest.approx(poly, rel=1e-12)
+    assert classical_ball_volume(rs, r) == pytest.approx(clas, rel=1e-12)
 
 
 def test_rank_two_volume_against_independent_quadrature(rs3):
-    """Cross-check the nested chamber quadrature with a hand-built double
-    integral in the same extreme-ray coordinates."""
+    """Cross-check the chamber quadrature with a hand-built double integral
+    in the same extreme-ray coordinates."""
     u1 = np.array([2.0, -1.0, -1.0]) / math.sqrt(6)
     u2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6)
     roots = [np.array([1.0, -1.0, 0.0]), np.array([0.0, 1.0, -1.0]),
@@ -114,23 +146,52 @@ def test_volume_quadrature_rank_cap():
 
 
 @pytest.mark.parametrize("ns,r,want", [
-    ((3,), 2.0, (16.316116470321795, 13.000760939695285)),
-    ((2, 2), 4.0, (2236.2180709530116, 1131.8418653960605)),
-    ((2, 2, 2), 1.0, (0.14506636341686194, 0.07533017161524204)),
-    ((4,), 1.0, (0.007246274870454207, 0.005409644878325744)),
+    ((3,), 2.0, (16.316116470321717, 13.00076093969522)),
+    ((2, 2), 4.0, (2236.2180709530194, 1131.8418653960637)),
+    ((2, 2, 2), 1.0, (0.14506636341686213, 0.0753301716152421)),
+    ((4,), 1.0, (0.007246274870454213, 0.005409644878326701)),
 ], ids=["sl3", "sl2^2", "sl2^3", "sl4"])
 def test_volumes_pinned_to_the_bit(ns, r, want):
-    """The quadrature's tolerances, nesting and summation order fix every
-    bit of a volume, and volumes.csv prints them; a change to any of the
-    three moves these values."""
+    """The node rule and the summation order fix every bit of a volume, and
+    volumes.csv prints them; a change to either moves these values."""
     rs = build_root_system(GroupSpec.product(ns, "float"))
     assert (polyhedral_ball_volume(rs, r), classical_ball_volume(rs, r)) == want
 
 
-def test_quadrature_evaluation_cap(rs3, monkeypatch):
-    monkeypatch.setattr(asymptotics, "QUAD_EVAL_CAP", 50)
-    with pytest.raises(ResourceLimitError, match="quadrature exceeded 50 density evaluations"):
-        polyhedral_ball_volume(rs3, 2.0)
+@pytest.mark.parametrize("ns,r", [((2,), 600.0), ((3,), 300.0)])
+def test_volume_past_float64_is_refused(ns, r):
+    """exp(2 ||rho|| r) overflows float64 at both radii; the volume is
+    refused, not returned as inf."""
+    rs = build_root_system(GroupSpec.product(ns, "float"))
+    for volume in (polyhedral_ball_volume, classical_ball_volume):
+        with pytest.raises(NumericalError, match=f"radius {r} overflows float64"):
+            volume(rs, r)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_volume_memory_stays_bounded():
+    """The largest classical SL(4) volume below float64's limit takes 131^2
+    angular by 131 radial nodes.  One array of the six root arguments over
+    all of them would take 108 MB; running the radial nodes one at a time
+    keeps each array at 131^2 x 6 values, 0.8 MB.  The measured peak is
+    3.9 MB, and the bound allows 2 MB more.  At r = 1e4 the node rule would
+    ask for 870 nodes a direction; the refusal comes before any of them."""
+    rs = build_root_system(GroupSpec.sl(4, "float"))
+    volumes = []
+    assert _traced_peak(lambda: volumes.append(classical_ball_volume(rs, 158.6))) < 6_000_000
+    assert 1e308 < volumes[0] < math.inf
+    with pytest.raises(NumericalError):
+        classical_ball_volume(rs, 158.7)
+    refuse = lambda: pytest.raises(NumericalError, classical_ball_volume, rs, 1e4)  # noqa: E731
+    assert _traced_peak(refuse) < 100_000
 
 
 def test_green_small_branch(rs2, rs3):

@@ -274,6 +274,17 @@ def test_volume_rank_cap_exits_4(tmp_path, capsys):
     assert "volume quadrature supports rank <= 3" in capsys.readouterr().err
 
 
+def test_volume_past_float64_exits_4(tmp_path, capsys):
+    """exp(2 ||rho|| r) overflows float64 at each radius: the job fails
+    rather than write inf volumes and a NaN rate."""
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, sanov_config(
+        max_word_length=4, analyses=["volume"], volume_radii_large=[600, 700, 800]))
+    assert main(["--config", str(cfg), "--out", str(out)]) == 4
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_resource_cap_exits_3(tmp_path):
     for cap in (50, 50.0):  # JSON may spell an integer as a float
         cfg = write_config(tmp_path, sanov_config(max_elements=cap))
@@ -434,9 +445,11 @@ def test_clipped_estimates_leave_notes(tmp_path):
         for name in clipped]
 
 
-# Imports orbispec, runs one step and prints whether scipy got loaded.
-SCIPY_PROBE = """
+# Blocks scipy, imports orbispec, runs one step and prints whether
+# numpy.polynomial got loaded.
+IMPORT_PROBE = """
 import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 import orbispec
 from orbispec import cli
 step = sys.argv[1]
@@ -447,21 +460,23 @@ if step == "help":
         pass
 elif step == "run":
     assert cli.main(["--config", sys.argv[2], "--out", sys.argv[3]]) == 0
-print("scipy" in sys.modules)
+print("numpy.polynomial" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("step,analyses,loads_scipy", [
+@pytest.mark.parametrize("step,analyses,loads_polynomial", [
     ("import", None, False),
     ("help", None, False),
     ("run", [a for a in ANALYSES if a != "volume"], False),
     ("run", list(ANALYSES), True),
 ], ids=["import", "help", "every-analysis-but-volume", "with-volume"])
-def test_scipy_loaded_only_for_volume_quadrature(tmp_path, step, analyses, loads_scipy):
-    """scipy costs about 0.3 s and 50 MB to import, and only the
-    ball-volume quadrature uses it, so nothing else may load it.  Each case
-    runs in a fresh interpreter, where sys.modules starts empty."""
-    argv = [sys.executable, "-c", SCIPY_PROBE, step]
+def test_scipy_never_loaded_numpy_polynomial_only_for_volume(tmp_path, step, analyses,
+                                                            loads_polynomial):
+    """scipy is a test dependency only, so no step may import it.
+    numpy.polynomial costs 2.5-5 ms to import and only the ball-volume
+    quadrature uses it, so nothing else may load it.  Each case runs in a
+    fresh interpreter, where sys.modules starts empty."""
+    argv = [sys.executable, "-c", IMPORT_PROBE, step]
     out = tmp_path / "out"
     if analyses is not None:
         cfg = write_config(tmp_path, sanov_config(
@@ -471,7 +486,7 @@ def test_scipy_loaded_only_for_volume_quadrature(tmp_path, step, analyses, loads
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == str(loads_scipy)
+    assert proc.stdout.splitlines()[-1] == str(loads_polynomial)
     if analyses is not None:
         assert (out / "report.json").exists()
         assert (out / "volumes.csv").exists() == ("volume" in analyses)

@@ -67,7 +67,7 @@ DIGESTS = {
         "projections.csv":
             "017deb4115d1758ac8620c18e6f3881d7517201a3750efba36b941fc3e89e63c",
         "report.json":
-            "46263dbb874b8b354ba3afb935edb14496b50f85b7b503c67694d20c67102a88",
+            "f262b6e9f7f8127438d24ccd52b60e0b0dba418ded60dd5ec2cd556841bd99b7",
         "volumes.csv":
             "b731f7cd08e4d5877866f4d11622a292701a9a7dcf3bb1bb2a2f4729b6df78c6",
     },

@@ -5,6 +5,8 @@ representative expressions are evaluated with constant 1 and all tests and
 fits assert growth rates and polynomial degrees, never absolute values.
 Ball volumes integrate the Cartan density by Gauss-Legendre rules in numpy
 alone, and a volume past float64's range is refused, not returned as inf.
+The Green series weighs a whole distance table in one pass, then zeroes its
+terms at distance zero, where the envelope is singular.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ def _chamber_volume(rs: RootSystemData, r: float, gauge) -> float:
 def polyhedral_ball_volume(rs: RootSystemData, r: float) -> float:
     """Volume (constant-1 normalization) of the polyhedral ball of radius r,
     i.e. the density integral over the chamber cut by <rho, H> <= ||rho|| r."""
-    return _chamber_volume(rs, r, lambda h: h @ rs.rho / rs.rho_norm)
+    return _chamber_volume(rs, r, rs.polyhedral)
 
 
 def classical_ball_volume(rs: RootSystemData, r: float) -> float:
@@ -190,25 +192,22 @@ def green_asymptotic(rs: RootSystemData, zeta: float, H) -> float:
 def _green_factors(table: DistanceTable, rs: RootSystemData) -> tuple[np.ndarray, np.ndarray]:
     """The zeta-free factors of the Green envelope terms over a distance
     table, built on first use and kept with the table: the weight
-    prefactor * d**power, zero for a skipped term at distance zero, and the
-    exponent -||rho|| d'.  A term is weight * exp(-||rho|| d' - zeta d), the
-    envelope's own operations on the same operands, and a zero weight adds
-    exactly nothing to its level's sum."""
+    prefactor * d**power over the whole table, then zeroed for the skipped
+    terms, and the exponent -||rho|| d'.  A term is weight * exp(-||rho|| d'
+    - zeta d), the envelope's own operations on the same operands, and a
+    zero weight adds exactly nothing to its level's sum."""
     factors = table.derived.get("green")
     if factors is None:
-        kept = table.d > ZERO_DISTANCE
-        keep = slice(None) if kept.all() else kept  # a view, not a copy, when all are kept
-        # each root's factor over the whole table: no copy of the kept chamber rows
-        prefactor = np.ones(np.count_nonzero(kept))
+        weight = np.ones_like(table.d)
         for alpha in rs.positive_roots:
             factor = table.chamber @ alpha
             factor += 1.0
-            prefactor *= factor[keep]
+            weight *= factor
             del factor
         power = -(rs.rank - 1) / 2.0 - len(rs.positive_roots)
-        prefactor *= table.d[keep] ** power
-        weight = np.zeros_like(table.d)
-        weight[keep] = prefactor
+        with np.errstate(divide="ignore"):  # d = 0 gives inf, zeroed below
+            weight *= table.d ** power
+        weight[table.d <= ZERO_DISTANCE] = 0.0
         log_base = -rs.rho_norm * table.dprime
         for a in (weight, log_base):
             a.flags.writeable = False

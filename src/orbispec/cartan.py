@@ -244,15 +244,14 @@ def distance_polyhedral(rs: RootSystemData, x: GroupElement,
                         y: GroupElement | None = None) -> float:
     """Polyhedral distance <rho/||rho||, (y^-1 x)^+>; its balls are sublevel
     sets of <rho, .> and reflect the volume growth at infinity."""
-    return float(rs.rho @ relative_position(x, y).coords) / rs.rho_norm
+    return float(rs.polyhedral(relative_position(x, y).coords))
 
 
 def distance_mixed(rs: RootSystemData, s: float, x: GroupElement,
                    y: GroupElement | None = None) -> float:
     """One-parameter blend of the polyhedral and Riemannian distances."""
     h = relative_position(x, y)
-    dp = float(rs.rho @ h.coords) / rs.rho_norm
-    return float(mixed_from_parts(rs.rho_norm, s, dp, h.norm))
+    return float(mixed_from_parts(rs.rho_norm, s, rs.polyhedral(h.coords), h.norm))
 
 
 def mixed_from_parts(rho_norm: float, s: float | None, d_poly, d_riem):

@@ -95,9 +95,9 @@ class JobConfig:
 
 def _parse_element(spec: GroupSpec, blocks, what: str) -> GroupElement:
     if not isinstance(blocks, list) or len(blocks) != len(spec.factors):
-        raise ConfigError(
-            f"{what}: expected {len(spec.factors)} per-factor matrices"
-        )
+        raise ConfigError(f"{what}: expected {len(spec.factors)} per-factor matrices")
+    if not all(isinstance(b, list) and all(isinstance(r, list) for r in b) for b in blocks):
+        raise ConfigError(f"{what}: every matrix row must be a JSON array, got {blocks!r}")
     try:
         return GroupElement(spec, tuple(tuple(tuple(row) for row in b) for b in blocks))
     except (ValueError, TypeError) as exc:
@@ -160,6 +160,11 @@ _OPTIONAL_KEYS = {
 }
 
 
+def _refuse_unknown(what: str, obj: dict, known: set) -> None:
+    if set(obj) - known:
+        raise ConfigError(f"unknown {what} keys: {sorted(set(obj) - known)}")
+
+
 def load_config(path: str | Path, threads: int = 1) -> JobConfig:
     """Parse and validate a JSON job config.  `_OPTIONAL_KEYS` gives the
     optional keys, their parsing and defaults; null for one of them is an
@@ -173,19 +178,20 @@ def load_config(path: str | Path, threads: int = 1) -> JobConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - {"group", "generators", "max_word_length", "analyses", *_OPTIONAL_KEYS}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _refuse_unknown("config", raw, {"group", "generators", "max_word_length", "analyses",
+                                    *_OPTIONAL_KEYS})
 
     group = raw.get("group")
     if not isinstance(group, dict) or "factors" not in group:
         raise ConfigError("config needs group.factors")
+    _refuse_unknown("group", group, {"factors", "arithmetic"})
     factors = group["factors"]
     if not isinstance(factors, list):
         raise ConfigError("group.factors must be a list")
     for f in factors:
         if not isinstance(f, dict):
             raise UnsupportedGroupError(f"unsupported factor {f!r}")
+        _refuse_unknown("factor", f, {"type", "n"})
     arithmetic = group.get("arithmetic", "exact-int")
     if arithmetic not in ARITHMETIC_MODES:
         raise ConfigError(f"unknown arithmetic {arithmetic!r}; choose from {ARITHMETIC_MODES}")
@@ -246,7 +252,7 @@ def _project(config, rs, ball, triple, out) -> None:
     rows = []
     for i, g in enumerate(GeneratorSet(config.spec, tuple(config.generators)).elements):
         h = cartan_projection(g)
-        rows.append([i, *h.coords.tolist(), h.norm, float(rs.rho @ h.coords) / rs.rho_norm])
+        rows.append([i, *h.coords.tolist(), h.norm, float(rs.polyhedral(h.coords))])
     header = ["generator_index"] + [f"coordinate_{k}" for k in range(rs.ambient_dim)]
     header += ["d_riemannian", "d_polyhedral"]
     _write_csv(out / "projections.csv", header, rows)
@@ -364,7 +370,10 @@ ANALYSES = {
 def run(config: JobConfig, out_dir: str | Path = ".") -> int:
     """Execute the configured analyses and write report.json plus CSVs."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {str(out)!r} is not a usable directory: {exc.strerror}") from exc
 
     rs = build_root_system(config.spec)
     report: dict = {

@@ -176,8 +176,7 @@ def distance_table(ball: OrbitBall, rs: RootSystemData, x=None, y=None) -> Dista
         for col in chamber.T[1:]:
             d += col * col
         np.sqrt(d, out=d)
-        dprime = chamber @ rs.rho
-        dprime /= rs.rho_norm
+        dprime = rs.polyhedral(chamber)
         shift = sum((cartan_projection(g).norm for g in (x, y) if g is not None), 0.0)
         for a in (chamber, d, dprime):
             a.flags.writeable = False

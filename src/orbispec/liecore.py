@@ -150,6 +150,12 @@ class RootSystemData:
         """
         return min(float(self.rho @ u) for u in self.chamber_rays)
 
+    def polyhedral(self, h: np.ndarray):
+        """<rho, H>/||rho|| of one chamber vector H or of each row of a stack, divided in place."""
+        p = h @ self.rho
+        p /= self.rho_norm
+        return p
+
 
 def _sl_positive_roots(n: int, dim: int, offset: int) -> list[np.ndarray]:
     roots = []

@@ -8,7 +8,8 @@ offset)^2 and differ in which exponent and offset enter:
   (lower) and ||rho|| (upper),
 * an improved lower bound with the polyhedral exponent and offset ||rho||.
 
-The functions evaluate those closed forms; no PDE is solved anywhere.
+The public functions evaluate those closed forms and consistency_check calls
+them; no PDE is solved anywhere.
 """
 
 from __future__ import annotations
@@ -29,9 +30,13 @@ class SpectrumReport:
     lambda0_interval: tuple[float, float]
     inputs: dict
     statements: dict
-    theorem_tags: tuple[str, ...]
     consistent: bool
     notes: tuple[str, ...]
+    theorem_tags: tuple[str, ...] = (
+        "characterization-from-mixed-exponent",
+        "two-sided-bounds-from-riemannian-exponent",
+        "lower-bound-from-polyhedral-exponent",
+    )
 
 
 def clip_exponent(value: float, rho_norm: float, name: str = "exponent") -> float:
@@ -54,16 +59,6 @@ def _quadratic(rho_norm: float, exponent: float, offset: float) -> float:
     return rho_norm**2 - max(exponent - offset, 0.0) ** 2
 
 
-def _check_rho_min(rho_norm: float, rho_min: float) -> None:
-    if not 0 < rho_min <= rho_norm + 1e-12:
-        raise ValueError(f"rho_min must lie in (0, ||rho||], got {rho_min}")
-
-
-def _two_sided(rho_norm: float, rho_min: float, delta: float) -> tuple[float, float]:
-    return (float(max(0.0, _quadratic(rho_norm, delta, rho_min))),
-            float(_quadratic(rho_norm, delta, rho_norm)))
-
-
 def lambda0_characterization(rho_norm: float, delta_second: float) -> float:
     """Exact spectral bottom from the mixed exponent.
 
@@ -82,8 +77,11 @@ def lambda0_two_sided_bounds(rho_norm: float, rho_min: float, delta: float) -> t
     rho_min, upper bound ||rho||^2 - (delta - ||rho||)^2 once delta exceeds
     ||rho||; the four-case interval follows.
     """
-    _check_rho_min(rho_norm, rho_min)
-    return _two_sided(rho_norm, rho_min, clip_exponent(delta, rho_norm, "delta"))
+    if not 0 < rho_min <= rho_norm + 1e-12:
+        raise ValueError(f"rho_min must lie in (0, ||rho||], got {rho_min}")
+    delta = clip_exponent(delta, rho_norm, "delta")
+    return (float(max(0.0, _quadratic(rho_norm, delta, rho_min))),
+            float(_quadratic(rho_norm, delta, rho_norm)))
 
 
 def lambda0_lower_polyhedral(rho_norm: float, delta_prime: float) -> float:
@@ -99,37 +97,31 @@ def consistency_check(rho_norm: float, rho_min: float, delta: float,
     with the polyhedral lower half-line; the bounds are not mutually nested
     (the polyhedral lower bound can be weaker than the Riemannian one when
     delta_prime far exceeds delta), hence intersection rather than nesting.
-    Estimate noise of EST_TOL per exponent is propagated exactly through the
-    monotone closed forms by loosening each bound at a shifted exponent.
-    Each estimate is clipped once, so an out-of-range one warns once and
-    leaves one note with its name, raw value and range.
+    Each statement is its public closed form at the raw estimate, so an
+    out-of-range estimate warns once, from its own formula, and leaves one
+    note with its name, raw value and range.  Estimate noise of EST_TOL per
+    exponent is propagated exactly by the same forms at shifted exponents.
     """
-    _check_rho_min(rho_norm, rho_min)
-    notes = []
-
-    def clipped(value, name):
-        if value < 0.0 or value > 2.0 * rho_norm:
-            notes.append(f"{name} estimate {value:.6g} clipped into [0, {2.0 * rho_norm:.6g}]")
-        return clip_exponent(value, rho_norm, name)
-
-    d = clipped(delta, "delta")
-    dp = clipped(delta_prime, "delta_prime")
-    ds = clipped(delta_second, "delta_second")
-    lam_exact = _quadratic(rho_norm, ds, rho_norm)
-    lower2, upper2 = _two_sided(rho_norm, rho_min, d)
-    lower3 = _quadratic(rho_norm, dp, rho_norm)
+    lower2, upper2 = lambda0_two_sided_bounds(rho_norm, rho_min, delta)
+    lower3 = lambda0_lower_polyhedral(rho_norm, delta_prime)
+    lam_exact = lambda0_characterization(rho_norm, delta_second)
     tight_lo = max(lower2, lower3)
+    hi = 2.0 * rho_norm
+    notes = [f"{name} estimate {value:.6g} clipped into [0, {hi:.6g}]"
+             for name, value in (("delta", delta), ("delta_prime", delta_prime),
+                                 ("delta_second", delta_second))
+             if value < 0.0 or value > hi]
 
     # every exponent is an estimate; loosen each formula at the raw estimate
     # +- EST_TOL, back in range (all are non-increasing, so this is exact)
     def shifted(value, sign):
-        return min(max(value + sign * EST_TOL, 0.0), 2 * rho_norm)
+        return min(max(value + sign * EST_TOL, 0.0), hi)
 
-    loose_lo = max(_two_sided(rho_norm, rho_min, shifted(delta, 1))[0],
-                   _quadratic(rho_norm, shifted(delta_prime, 1), rho_norm))
-    loose_hi = _two_sided(rho_norm, rho_min, shifted(delta, -1))[1]
-    lam_lo = _quadratic(rho_norm, shifted(delta_second, 1), rho_norm)
-    lam_hi = _quadratic(rho_norm, shifted(delta_second, -1), rho_norm)
+    loose_lo = max(lambda0_two_sided_bounds(rho_norm, rho_min, shifted(delta, 1))[0],
+                   lambda0_lower_polyhedral(rho_norm, shifted(delta_prime, 1)))
+    loose_hi = lambda0_two_sided_bounds(rho_norm, rho_min, shifted(delta, -1))[1]
+    lam_lo = lambda0_characterization(rho_norm, shifted(delta_second, 1))
+    lam_hi = lambda0_characterization(rho_norm, shifted(delta_second, -1))
 
     consistent = lam_hi >= loose_lo - 1e-12 and lam_lo <= loose_hi + 1e-12
     if not consistent:
@@ -161,11 +153,6 @@ def consistency_check(rho_norm: float, rho_min: float, delta: float,
             "two_sided_interval": [lower2, upper2],
             "polyhedral_lower": lower3,
         },
-        theorem_tags=(
-            "characterization-from-mixed-exponent",
-            "two-sided-bounds-from-riemannian-exponent",
-            "lower-bound-from-polyhedral-exponent",
-        ),
         consistent=consistent,
         notes=tuple(notes),
     )

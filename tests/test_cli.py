@@ -15,7 +15,9 @@ from orbispec import (KIND_MIXED, GeneratorSet, GroupElement, GroupSpec, build_r
                       cli, enumerate_ball, exponents, pressure_exponent)
 from orbispec.cartan import distance_riemannian
 from orbispec.cli import ANALYSES, main
+from orbispec.errors import ConfigError
 from orbispec.exponents import ExponentEstimate, ExponentTriple
+from orbispec.liecore import ARITHMETIC_MODES
 
 from conftest import sanov_generators
 
@@ -329,14 +331,22 @@ def test_numerical_overflow_exits_4(tmp_path, capsys, generator, depth):
 
 
 def test_bad_json_and_unknown_keys_exit_1(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="cannot read config"):
+        cli.load_config(tmp_path / "missing.json")
     broken = tmp_path / "broken.json"
-    broken.write_text("{not json")
-    assert main(["--config", str(broken), "--out", str(tmp_path / "o")]) == 1
+    for text in ("{not json", "[1, 2]"):  # not JSON; JSON but not an object
+        broken.write_text(text)
+        assert main(["--config", str(broken), "--out", str(tmp_path / "o")]) == 1
     cfg = write_config(tmp_path, dict(sanov_config(), typo_key=1))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     # too-shallow ball for the requested fits
     cfg = write_config(tmp_path, sanov_config(max_word_length=1))
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    def group(mode="exact-int", **factor):
+        return {"factors": [{"type": "sl", "n": 2, **factor}], "arithmetic": mode}
+
+    string_row = [["12", [0, 1]]]  # a row written as a string, read as (1, 2) if accepted
     # values that are not positive numbers, or not positive integers; empty
     # lists; an unknown arithmetic mode; null for any optional key
     for bad in ({"mixed_s": -1}, {"mixed_s": "abc"}, {"green_zetas": [0.0]},
@@ -345,17 +355,69 @@ def test_bad_json_and_unknown_keys_exit_1(tmp_path, capsys):
                 {"max_elements": 0}, {"max_elements": 2.5}, {"analyses": [["orbit"]]},
                 {"analyses": 5}, {"generators": [], "max_word_length": True},
                 {"heat_times": []}, {"volume_radii_small": []}, {"volume_radii_large": []},
-                {"window_fraction": 1.5},
-                {"group": {"factors": [{"type": "sl", "n": 2}], "arithmetic": "bogus"}},
+                {"window_fraction": 1.5}, {"group": group("bogus")},
                 # a generating set that GeneratorSet refuses; JSON booleans
                 {"generators": [[[[1, 0], [0, 1]]]]},
-                {"group": {"factors": [{"type": "sl", "n": 2}], "arithmetic": "float"},
-                 "generators": [[[[True, 2], [0, True]]]]},
-                *({key: None} for key in cli._OPTIONAL_KEYS)):
+                {"group": group("float"), "generators": [[[[True, 2], [0, True]]]]},
+                *({key: None} for key in cli._OPTIONAL_KEYS),
+                # unknown keys inside the group and inside a factor
+                {"group": {**group(), "arithmatic": "float"}}, {"group": group(size=3)},
+                # string rows in generators and base points, in every mode
+                *({"group": group(mode), "generators": [string_row, [[[1, 0], [2, 1]]]]}
+                  for mode in ARITHMETIC_MODES),
+                *({"group": group(mode), "base_points": {"x": string_row}}
+                  for mode in ARITHMETIC_MODES),
+                # no factors; factors, generators or a generator of the wrong shape
+                {"group": {"arithmetic": "float"}}, {"group": {"factors": {"type": "sl"}}},
+                {"generators": 5}, {"generators": [[[[1, 2], [0, 1]], [[1, 0], [0, 1]]]]},
+                # generators with nothing to walk
+                {"max_word_length": 0}):
         capsys.readouterr()
         cfg = write_config(tmp_path, sanov_config(**bad))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1, bad
-        assert capsys.readouterr().err.startswith("config error:"), bad
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, (bad, err)
+
+
+def test_out_naming_a_file_exits_1(tmp_path, capsys, monkeypatch):
+    """An --out that names a regular file is refused in one line before the walk."""
+    cfg = write_config(tmp_path, sanov_config())
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    monkeypatch.setattr(cli, "enumerate_ball", lambda *args: pytest.fail("walked"))
+    assert main(["--config", str(cfg), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out") and "not a usable directory" in err, err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert taken.read_text() == "kept"
+
+
+def test_sl3z_ball_cannot_fit_exponents(tmp_path, capsys):
+    """SL(3,Z) from its six elementary generators at L = 5 (30,163
+    elements): levels grow about 5.4 times while their median d grows by
+    0.35-0.40, so the counting fit refuses the ball, and every pressure zero
+    sits at the bracket end 2||rho|| + 1, out of range."""
+    elementary = []
+    for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+        m = [[int(a == b) for b in range(3)] for a in range(3)]
+        m[i][j] = 1
+        elementary.append([m])
+    cfg = write_config(tmp_path, {"group": {"factors": [{"type": "sl", "n": 3}]},
+                                  "generators": elementary, "max_word_length": 5,
+                                  "analyses": ["project", "orbit", "lambda0"]})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 1
+    assert "cannot fit exponents" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+    spec = GroupSpec.sl(3)
+    ball = enumerate_ball(GeneratorSet.from_elements(
+        [GroupElement(spec, (tuple(map(tuple, m)),)) for [m] in elementary]), 5)
+    assert len(ball) == 30_163
+    rs = build_root_system(spec)
+    for kind in (exponents.KIND_RIEMANNIAN, KIND_MIXED, exponents.KIND_POLYHEDRAL):
+        est = pressure_exponent(ball, rs, kind)
+        assert est.value == 2 * rs.rho_norm + 1 and not est.in_range, kind
 
 
 @pytest.mark.parametrize("argv", [["--config", "job.json", "--no-such-flag"], ["--out", "o"],

@@ -191,22 +191,18 @@ def green_asymptotic(rs: RootSystemData, zeta: float, H) -> float:
 
 def _green_factors(table: DistanceTable, rs: RootSystemData) -> tuple[np.ndarray, np.ndarray]:
     """The zeta-free factors of the Green envelope terms over a distance
-    table, built on first use and kept with the table: the weight
-    prefactor * d**power over the whole table, then zeroed for the skipped
-    terms, and the exponent -||rho|| d'.  A term is weight * exp(-||rho|| d'
-    - zeta d), the envelope's own operations on the same operands, and a
-    zero weight adds exactly nothing to its level's sum."""
+    table, built on first use and kept with the table: the weight d**power
+    times the table's root_product, the product of the root factors
+    1 + <alpha, H>, over the whole table, then zeroed for the skipped terms,
+    and the exponent -||rho|| d'.  A term is weight * exp(-||rho|| d' - zeta d),
+    the envelope's own operations on the same operands, and a zero weight
+    adds exactly nothing to its level's sum."""
     factors = table.derived.get("green")
     if factors is None:
-        weight = np.ones_like(table.d)
-        for alpha in rs.positive_roots:
-            factor = table.chamber @ alpha
-            factor += 1.0
-            weight *= factor
-            del factor
         power = -(rs.rank - 1) / 2.0 - len(rs.positive_roots)
         with np.errstate(divide="ignore"):  # d = 0 gives inf, zeroed below
-            weight *= table.d ** power
+            weight = table.d ** power
+        weight *= table.root_product
         weight[table.d <= ZERO_DISTANCE] = 0.0
         log_base = -rs.rho_norm * table.dprime
         for a in (weight, log_base):

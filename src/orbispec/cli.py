@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -234,8 +235,32 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _check_out(out: Path) -> None:
+    """Refuse an --out that cannot be made a directory, without creating
+    it: its nearest existing path must be a directory this process may
+    write into."""
+    probe = out
+    while not probe.exists():
+        probe = probe.parent
+    if not probe.is_dir():
+        reason = "not a directory"
+    elif not os.access(probe, os.W_OK | os.X_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise ConfigError(f"--out {str(out)!r} is not a usable directory: {reason}")
+
+
+def _create(path: Path):
+    """Open `path` for writing, making its directory first: --out comes into
+    being with the first file written to it, so a job that fails before
+    then leaves nothing behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", newline="")
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with _create(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -370,10 +395,7 @@ ANALYSES = {
 def run(config: JobConfig, out_dir: str | Path = ".") -> int:
     """Execute the configured analyses and write report.json plus CSVs."""
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--out {str(out)!r} is not a usable directory: {exc.strerror}") from exc
+    _check_out(out)
 
     rs = build_root_system(config.spec)
     report: dict = {
@@ -425,7 +447,8 @@ def run(config: JobConfig, out_dir: str | Path = ".") -> int:
         if name in config.analyses:
             report.update(analysis(config, rs, ball, triple, out) or {})
 
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    with _create(out / "report.json") as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 

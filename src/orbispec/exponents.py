@@ -101,19 +101,24 @@ class ExponentTriple:
         return d <= ds + ORDER_TOL and ds <= dp + ORDER_TOL
 
 
-def relative_chamber_matrix(ball: OrbitBall, x=None, y=None) -> np.ndarray:
+def relative_chamber_matrix(ball: OrbitBall, x=None, y=None, fold=None):
     """Cartan projections of x^-1 gamma y over the ball (equivalently of
     y^-1 gamma^-1 x up to -w0, under which both distances are invariant).
-    The rows are projected one float row block of the ball at a time into
-    the one result array; every step is row-wise, so the blocks change no
-    bit of the result."""
+    The rows are projected one float row block of the ball at a time; every
+    step is row-wise, so the blocks change no bit of the result.  Without
+    `fold` the blocks fill one (N, ambient_dim) array, which is returned.
+    With it, each block's (rows, ambient_dim) chamber is handed to
+    fold(start, block), start its first element, and nothing is returned:
+    no array of the ball's length is made here."""
     spec = ball.spec
     x_inv = None if x is None else x.inverse().float_blocks()  # exact for exact data
     y_blocks = None if y is None else y.float_blocks()
-    chamber = np.empty((len(ball), spec.ambient_dim))
+    dim = spec.ambient_dim
+    chamber = np.empty((len(ball), dim)) if fold is None else None
     start = 0
     for rows in ball.float_row_blocks():
         stop = start + len(rows)
+        block = chamber[start:stop] if fold is None else np.empty((len(rows), dim))
         for k, (n, sl, cols) in enumerate(zip(spec.sizes, spec.entry_slices,
                                               spec.block_slices)):
             m = rows[:, sl].reshape(-1, n, n)
@@ -122,21 +127,26 @@ def relative_chamber_matrix(ball: OrbitBall, x=None, y=None) -> np.ndarray:
             if y_blocks is not None:
                 # einsum is faster on this stack-first form than a sum of products
                 m = np.einsum("nij,jk->nik", m, y_blocks[k])
-            chamber[start:stop, cols] = log_singular_values(m)
+            block[:, cols] = log_singular_values(m)
+        if fold is not None:
+            fold(start, block)
         start = stop
     return chamber
 
 
 @dataclass(frozen=True)
 class DistanceTable:
-    """Read-only chamber matrix of x^-1 gamma y over a ball, with each
-    element's distances d and d' and the trust-radius shift d(x,e) + d(y,e).
-    `derived` holds what other layers compute once from the table: the
-    zeta-free factors of the Green series."""
+    """Read-only distances of x^-1 gamma y over a ball: each element's d and
+    d', the product root_product of 1 + <alpha, H> over the positive roots
+    in order (the Green envelope's root factor), and the trust-radius shift
+    d(x,e) + d(y,e).  Three float64 values per element, whatever the
+    ambient dimension: the chamber matrix itself is not kept.  `derived`
+    holds what other layers compute once from the table: the zeta-free
+    factors of the Green series."""
 
-    chamber: np.ndarray
     d: np.ndarray
     dprime: np.ndarray
+    root_product: np.ndarray
     shift: float
     rho_norm: float
     derived: dict = field(default_factory=dict, repr=False, compare=False)
@@ -168,19 +178,32 @@ def distance_table(ball: OrbitBall, rs: RootSystemData, x=None, y=None) -> Dista
                              f"of blocks {ball.spec.sizes}")
     table = ball.tables.get((x, y))
     if table is None:
-        chamber = relative_chamber_matrix(ball, x, y)
-        # d = sqrt(c0^2 + c1^2 + ...) folded left to right in one accumulator:
-        # np.linalg.norm(axis=1) bit for bit below 8 columns, where numpy's
-        # row sum is sequential, without its (N, k) temporary
-        d = np.square(chamber[:, 0])
-        for col in chamber.T[1:]:
-            d += col * col
-        np.sqrt(d, out=d)
-        dprime = rs.polyhedral(chamber)
+        d, dprime, root_product = (np.empty(len(ball)) for _ in range(3))
+
+        def fold(start: int, block: np.ndarray) -> None:
+            at = slice(start, start + len(block))
+            # d = sqrt(c0^2 + c1^2 + ...) folded left to right in one
+            # accumulator: np.linalg.norm(axis=1) bit for bit below 8
+            # columns, where numpy's row sum is sequential
+            acc = d[at]
+            np.square(block[:, 0], out=acc)
+            for col in block.T[1:]:
+                acc += col * col
+            np.sqrt(acc, out=acc)
+            dprime[at] = rs.polyhedral(block)
+            product = root_product[at]
+            product[...] = 1.0
+            for alpha in rs.positive_roots:
+                factor = block @ alpha
+                factor += 1.0
+                product *= factor
+
+        relative_chamber_matrix(ball, x, y, fold=fold)
         shift = sum((cartan_projection(g).norm for g in (x, y) if g is not None), 0.0)
-        for a in (chamber, d, dprime):
+        for a in (d, dprime, root_product):
             a.flags.writeable = False
-        table = ball.tables[(x, y)] = DistanceTable(chamber, d, dprime, shift, rs.rho_norm)
+        table = ball.tables[(x, y)] = DistanceTable(d, dprime, root_product, shift,
+                                                    rs.rho_norm)
     return table
 
 

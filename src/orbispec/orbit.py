@@ -54,10 +54,11 @@ rows at a time into one compressed candidate array, frontier-major and
 generator-ascending; full key rows are formed only for the rows compared.  A
 candidate thus costs its m entries (4 or 8 bytes each, plus the Python
 objects an object row points to) and its 8-byte hash for the level, plus
-about four 8-byte indices while the level is deduplicated; keys and int64
-product temporaries live for one block only.  The L=10 walk of Gamma(2)
-peaks near 43 traced bytes per element.  The ball keeps the level arrays as
-they are made, with no stacked copy.
+about three 8-byte indices while the level is deduplicated; keys and int64
+product temporaries live for one block only.  The frontier's letters and
+parent generators are freed once the next level no longer needs them.  The
+L=10 walk of Gamma(2) peaks near 38 traced bytes per element.  The ball
+keeps the level arrays as they are made, with no stacked copy.
 """
 
 from __future__ import annotations
@@ -284,6 +285,8 @@ def enumerate_ball(gens: GeneratorSet, max_word_length: int,
             else:
                 level_dtype = np.dtype(np.int32 if bound < _INT32_SAFE else np.int64)
         cand, h = _candidates(spec, frontier, gen_rows, skip, keys_of, level_dtype)
+        if w == L:
+            del skip
         first, hashes = _fresh_rows(h, cand, known, keys_of, w == L)
         del h
         if len(first) == 0:
@@ -322,6 +325,7 @@ def enumerate_ball(gens: GeneratorSet, max_word_length: int,
             if skip is not None:
                 letter += letter >= skip[rows // per_row]
             skip = inverse[letter]
+            del rows, letter
     return OrbitBall(spec, L, levels, exhausted)
 
 
@@ -399,11 +403,15 @@ def _hash_groups(h: np.ndarray, cand: np.ndarray, keys_of) -> tuple[np.ndarray, 
     b bits, gives the order: equal hashes keep ascending index, so each
     group starts at its first candidate.  Two different hashes may share the
     64 - b bit prefix; a stable argsort of the gathered hashes then puts
-    them back in order, which costs little on nearly sorted values.  Its
-    candidate-length temporaries are freed on return."""
+    them back in order, which costs little on nearly sorted values.  The
+    index bits are set one _BLOCK_ROWS slice at a time, with no
+    candidate-length index array, and its candidate-length temporaries are
+    freed on return."""
     low = np.uint64((1 << (len(h) - 1).bit_length()) - 1)
     keys = h & ~low
-    keys |= np.arange(len(h), dtype=np.uint64)
+    for lo in range(0, len(h), _BLOCK_ROWS):
+        keys[lo:lo + _BLOCK_ROWS] |= np.arange(lo, min(lo + _BLOCK_ROWS, len(h)),
+                                               dtype=np.uint64)
     keys.sort()
     keys &= low
     order = keys.view(np.intp)

@@ -277,7 +277,8 @@ def _inline_green_sums(ball, rs, zeta, x=None):
     table = exponents.distance_table(ball, rs, x)
     keep = table.d > asymptotics.ZERO_DISTANCE
     keep = slice(None) if keep.all() else keep
-    d, dprime, chamber = table.d[keep], table.dprime[keep], table.chamber[keep]
+    chamber = exponents.relative_chamber_matrix(ball, x, None)[keep]
+    d, dprime = table.d[keep], table.dprime[keep]
     prefactor = np.ones_like(d)
     for alpha in rs.positive_roots:
         prefactor *= 1.0 + chamber @ alpha

@@ -453,20 +453,74 @@ def _hyperbolic(n):
                        for j in range(n)) for i in range(n))
 
 
+def _unipotent_ball(sizes, depth):
+    """The ball of two unipotent generators, upper and lower by turns in
+    each block, and the hyperbolic base point of the same blocks."""
+    spec = GroupSpec.product(sizes) if len(sizes) > 1 else GroupSpec.sl(sizes[0])
+    a = GroupElement(spec, tuple(_unipotent(n, k % 2) for k, n in enumerate(sizes)))
+    b = GroupElement(spec, tuple(_unipotent(n, 1 - k % 2) for k, n in enumerate(sizes)))
+    x = GroupElement(spec, tuple(map(_hyperbolic, sizes)))
+    return enumerate_ball(GeneratorSet.from_elements([a, b]), depth), x
+
+
 @pytest.mark.parametrize("sizes", [(2,), (3,), (2, 2), (3, 3)])
 @pytest.mark.parametrize("based", [False, True])
 def test_distance_is_the_row_norm_bit_for_bit(sizes, based):
     """d, folded left to right over the chamber columns, equals
     np.linalg.norm(axis=1) byte for byte on 2, 3, 4 and 6 columns, at the
     identity and at a base point."""
-    spec = GroupSpec.product(sizes) if len(sizes) > 1 else GroupSpec.sl(sizes[0])
-    a = GroupElement(spec, tuple(_unipotent(n, k % 2) for k, n in enumerate(sizes)))
-    b = GroupElement(spec, tuple(_unipotent(n, 1 - k % 2) for k, n in enumerate(sizes)))
-    x = GroupElement(spec, tuple(map(_hyperbolic, sizes))) if based else None
-    table = distance_table(enumerate_ball(GeneratorSet.from_elements([a, b]), 6),
-                           build_root_system(spec), x)
-    assert table.chamber.shape[1] == sum(sizes)
-    assert table.d.tobytes() == np.linalg.norm(table.chamber, axis=1).tobytes()
+    ball, x = _unipotent_ball(sizes, 6)
+    x = x if based else None
+    table = distance_table(ball, build_root_system(ball.spec), x)
+    chamber = relative_chamber_matrix(ball, x, None)
+    assert chamber.shape[1] == sum(sizes)
+    assert table.d.tobytes() == np.linalg.norm(chamber, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("sizes", [(2,), (3,), (2, 2), (3, 3)])
+@pytest.mark.parametrize("based", [False, True])
+def test_root_product_is_the_product_over_roots_bit_for_bit(sizes, based, monkeypatch):
+    """The table's root_product is the product, over the positive roots in
+    order, of 1 + <alpha, H> on the whole chamber matrix, byte for byte:
+    at the identity and at a base point, on one block per level and on
+    many."""
+    from orbispec import orbit
+    ball, x = _unipotent_ball(sizes, 6)
+    x = x if based else None
+    rs = build_root_system(ball.spec)
+    chamber = relative_chamber_matrix(ball, x)
+    expect = np.ones(len(ball))
+    for alpha in rs.positive_roots:
+        expect *= 1.0 + chamber @ alpha
+    assert distance_table(ball, rs, x).root_product.tobytes() == expect.tobytes()
+    monkeypatch.setattr(orbit, "_BLOCK_ROWS", 100)
+    ball.tables.clear()
+    assert distance_table(ball, rs, x).root_product.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("sizes, depth", [((2,), 11), ((3,), 12), ((2, 2), 10)])
+def test_table_holds_three_floats_per_element(sizes, depth, monkeypatch):
+    """A distance table keeps d, d' and root_product, 24 bytes per element
+    whatever the ambient dimension, and with 4096-row blocks its build
+    peaks below that plus 320 bytes per block row (266 measured, on the
+    based SL(3) table): no chamber matrix of the ball's length is made,
+    which would hold 16 to 32 bytes per element more on these balls."""
+    import tracemalloc
+    from orbispec import orbit
+    ball, x = _unipotent_ball(sizes, depth)
+    rs = build_root_system(ball.spec)
+    monkeypatch.setattr(orbit, "_BLOCK_ROWS", 4096)
+    for base in (None, x):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = distance_table(ball, rs, base)
+            held, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(table.d) == len(ball) > 100_000
+        assert 24 * len(ball) <= held < 25 * len(ball)
+        assert peak < 24 * len(ball) + 320 * 4096
 
 
 def test_distance_table_rejects_root_system_of_another_group():
@@ -520,9 +574,9 @@ def test_one_chamber_rebuild_per_base_point_pair(sanov_rs, monkeypatch):
     calls = []
     build = exponents.relative_chamber_matrix
 
-    def counted(b, bx=None, by=None):
+    def counted(b, bx=None, by=None, fold=None):
         calls.append((bx, by))
-        return build(b, bx, by)
+        return build(b, bx, by, fold)
 
     monkeypatch.setattr(exponents, "relative_chamber_matrix", counted)
     for px, py in ((x, y), (None, None), (x, None)):

@@ -678,11 +678,15 @@ def test_exact_enumeration_peak_below_two_int64_images(monkeypatch):
 
 
 def test_exact_enumeration_peak_per_element(monkeypatch):
-    """The walk builds nothing it never reads: the last level gets no row
-    hashes and no sort of its rows, so with 4096-row blocks the L=10 Sanov
-    ball's traced peak stays below 45 bytes per element (43.2 measured;
-    45.9 while int levels were sorted lexicographically, 51.2 while the
-    last level kept an 8-byte hash per element)."""
+    """The walk builds nothing it never reads and keeps nothing it has read:
+    the last level gets no row hashes and no sort of its rows, the
+    frontier's letters and parent generators are freed once used, and the
+    sort keys' index bits are set a block at a time, so with 4096-row
+    blocks the L=10 Sanov ball's traced peak stays below 40 bytes per
+    element (37.9 measured; 43.2 while the letters outlived their level
+    and the index bits took a candidate-length np.arange, 45.9 while int
+    levels were sorted lexicographically, 51.2 while the last level kept an
+    8-byte hash per element)."""
     import tracemalloc
     monkeypatch.setattr(orbit, "_BLOCK_ROWS", 4096)
     tracemalloc.start()
@@ -691,7 +695,7 @@ def test_exact_enumeration_peak_per_element(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 45 * len(ball)
+    assert peak < 40 * len(ball)
 
 
 def test_chamber_matrix_peak_below_one_float_image(monkeypatch):

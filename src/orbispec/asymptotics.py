@@ -5,8 +5,8 @@ representative expressions are evaluated with constant 1 and all tests and
 fits assert growth rates and polynomial degrees, never absolute values.
 Ball volumes integrate the Cartan density by Gauss-Legendre rules in numpy
 alone, and a volume past float64's range is refused, not returned as inf.
-The Green series weighs a whole distance table in one pass, then zeroes its
-terms at distance zero, where the envelope is singular.
+The Green series sweeps all its zetas in one call over a distance table,
+zeroing its terms at distance zero, where the envelope is singular.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import numpy as np
 from .errors import NumericalError
 # relative_chamber_matrix stays bound here, unused, because perfbench/spans.py
 # wraps it by module name to count distance-table builds
-from .exponents import (DistanceTable, _least_squares, distance_table,  # noqa: F401
-                        relative_chamber_matrix)
+from .exponents import _least_squares, distance_table, relative_chamber_matrix  # noqa: F401
 from .liecore import ChamberVector, RootSystemData
 from .orbit import OrbitBall
 
@@ -189,57 +188,49 @@ def green_asymptotic(rs: RootSystemData, zeta: float, H) -> float:
     return prefactor * norm**power * math.exp(-float(rs.rho @ h) - zeta * norm)
 
 
-def _green_factors(table: DistanceTable, rs: RootSystemData) -> tuple[np.ndarray, np.ndarray]:
-    """The zeta-free factors of the Green envelope terms over a distance
-    table, built on first use and kept with the table: the weight d**power
-    times the table's root_product, the product of the root factors
-    1 + <alpha, H>, over the whole table, then zeroed for the skipped terms,
-    and the exponent -||rho|| d'.  A term is weight * exp(-||rho|| d' - zeta d),
-    the envelope's own operations on the same operands, and a zero weight
-    adds exactly nothing to its level's sum."""
-    factors = table.derived.get("green")
-    if factors is None:
-        power = -(rs.rank - 1) / 2.0 - len(rs.positive_roots)
-        with np.errstate(divide="ignore"):  # d = 0 gives inf, zeroed below
-            weight = table.d ** power
-        weight *= table.root_product
-        weight[table.d <= ZERO_DISTANCE] = 0.0
-        log_base = -rs.rho_norm * table.dprime
-        for a in (weight, log_base):
-            a.flags.writeable = False
-        factors = table.derived["green"] = (weight, log_base)
-    return factors
+def green_series_diagnostic(ball: OrbitBall, rs: RootSystemData, zetas,
+                            x=None, y=None) -> list[GreenSeriesDiagnostic]:
+    """Partial sums per word-length level of the periodized Green series,
+    one diagnostic for each zeta of the sequence `zetas`, in order.
 
-
-def green_series_diagnostic(ball: OrbitBall, rs: RootSystemData, zeta: float,
-                            x=None, y=None) -> GreenSeriesDiagnostic:
-    """Partial sums per word-length level of the periodized Green series.
-
-    Terms follow the large-argument envelope; any orbit point at distance
-    zero (the identity, or stabilizer torsion) is skipped.  The verdict is
-    'converging' when the last relative increment is below GREEN_STRONG_REL_TOL
-    or the recent level increments decay at a trend steeper than GREEN_TREND_TOL,
+    A term is weight * exp(-||rho|| d' - zeta d), the large-argument
+    envelope, with weight d**power times the table's root_product, zero at
+    distance zero (the identity, or stabilizer torsion); the two zeta-free
+    factors are formed once per sweep.  The verdict is 'converging' when the
+    last relative increment is below GREEN_STRONG_REL_TOL or the recent
+    level increments decay at a trend steeper than GREEN_TREND_TOL,
     'diverging' when they grow at that trend, and 'inconclusive' otherwise.
     """
-    if not 0 < zeta < math.inf:
-        raise ValueError(f"zeta must be finite and positive, got {zeta}")
+    for zeta in zetas:
+        if not 0 < zeta < math.inf:
+            raise ValueError(f"zeta must be finite and positive, got {zeta}")
     table = distance_table(ball, rs, x, y)
-    weight, log_base = _green_factors(table, rs)
-    # weight * exp(log_base - zeta d), in one scratch array
-    terms = zeta * table.d
-    np.subtract(log_base, terms, out=terms)
-    np.exp(terms, out=terms)
-    terms *= weight
-    increments = ball.level_sums(terms)
-    partial = np.cumsum(increments)
+    power = -(rs.rank - 1) / 2.0 - len(rs.positive_roots)
+    with np.errstate(divide="ignore"):  # d = 0 gives inf, zeroed below
+        weight = table.d ** power
+    weight *= table.root_product
+    weight[table.d <= ZERO_DISTANCE] = 0.0
+    log_base = -rs.rho_norm * table.dprime
+    terms = np.empty(len(ball))
+    diagnostics = []
+    for zeta in zetas:
+        # weight * exp(log_base - zeta d), in the one scratch array
+        np.subtract(log_base, np.multiply(zeta, table.d, out=terms), out=terms)
+        np.exp(terms, out=terms)
+        terms *= weight
+        diagnostics.append(_green_verdict(zeta, ball.level_sums(terms)))
+    return diagnostics
 
+
+def _green_verdict(zeta: float, increments: np.ndarray) -> GreenSeriesDiagnostic:
+    """The diagnostic of one zeta, from its increments per level."""
+    partial = np.cumsum(increments)
     positive = increments > 0
     if partial[-1] <= 0 or positive.sum() < 3:
         return GreenSeriesDiagnostic(zeta, partial, "converging", -math.inf)
-    rel_last = increments[-1] / partial[-1]
     recent = np.flatnonzero(positive)[-GREEN_TREND_LEVELS:]
     slope = float(_least_squares(np.log(increments[recent]), recent.astype(float))[0][1])
-    if rel_last < GREEN_STRONG_REL_TOL or slope < -GREEN_TREND_TOL:
+    if increments[-1] / partial[-1] < GREEN_STRONG_REL_TOL or slope < -GREEN_TREND_TOL:
         verdict = "converging"
     elif slope > GREEN_TREND_TOL:
         verdict = "diverging"

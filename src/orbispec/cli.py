@@ -332,16 +332,13 @@ def _green(config, rs, ball, triple, out) -> dict:
     zetas = config.green_zetas
     if zetas is None:
         crit = triple.delta_second.value - rs.rho_norm
-        if crit > 0.05:
-            # crit at most 0.11 floors two values at 0.01: keep it once
-            zetas = list(dict.fromkeys(max(crit + d, 0.01) for d in (-0.2, -0.1, 0.0, 0.1, 0.2)))
-        else:
-            zetas = [0.1, 0.5, 1.0]
+        zetas = ([max(crit + d, 0.01) for d in (-0.2, -0.1, 0.0, 0.1, 0.2)]
+                 if crit > 0.05 else [0.1, 0.5, 1.0])
+    zetas = list(dict.fromkeys(zetas))  # a config or two floored defaults may repeat one
     rows, summary = [], []
-    for zeta in zetas:
-        diag = green_series_diagnostic(ball, rs, zeta, x=config.base_x, y=config.base_y)
-        rows += [[zeta, lvl, v, diag.verdict] for lvl, v in enumerate(diag.partial_sums)]
-        summary.append({"zeta": zeta, "verdict": diag.verdict,
+    for diag in green_series_diagnostic(ball, rs, zetas, x=config.base_x, y=config.base_y):
+        rows += [[diag.zeta, lvl, v, diag.verdict] for lvl, v in enumerate(diag.partial_sums)]
+        summary.append({"zeta": diag.zeta, "verdict": diag.verdict,
                         "trend_slope": _json_safe(diag.trend_slope)})
     _write_csv(out / "green_series.csv", ["zeta", "level", "partial_sum", "verdict"], rows)
     return {"green": summary}

@@ -12,13 +12,14 @@ for series convergence by summation by parts).
 groups the Poincare series by word length and returns the zero of the
 pressure, the growth rate in w of the level sums S_w(s), fitted over the
 last levels of the ball.  `delta_second_bisection`, the report's mixed
-diagnostic, is its mixed-kind value.
+diagnostic, is its mixed-kind value.  The partial sums and the pressure
+form their terms exp(-D_s) through one kernel, `_series_exponent`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -140,16 +141,14 @@ class DistanceTable:
     d', the product root_product of 1 + <alpha, H> over the positive roots
     in order (the Green envelope's root factor), and the trust-radius shift
     d(x,e) + d(y,e).  Three float64 values per element, whatever the
-    ambient dimension: the chamber matrix itself is not kept.  `derived`
-    holds what other layers compute once from the table: the zeta-free
-    factors of the Green series."""
+    ambient dimension: the chamber matrix itself is not kept, and neither
+    is anything an analysis derives from it."""
 
     d: np.ndarray
     dprime: np.ndarray
     root_product: np.ndarray
     shift: float
     rho_norm: float
-    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def of_kind(self, kind: str, s: float | None = None) -> np.ndarray:
         return _of_kind(kind, s, self.rho_norm, self.dprime, self.d)
@@ -275,14 +274,30 @@ def _within(dist: np.ndarray, radii: np.ndarray) -> np.ndarray:
     return dist <= (radii[-1] if radii.size else -math.inf)
 
 
+def _series_exponent(table: DistanceTable, kind: str):
+    """The one kernel of the Poincare-type series over a table: s -> -D_s in
+    a fresh array, D_s being s d, s d' or the mixed distance at s.  The mixed
+    kind is -s d' up to s = ||rho|| and (-||rho|| d') - (s - ||rho||) d past
+    it, the negated `mixed_from_parts` bit for bit, with -||rho|| d' formed
+    once per kernel."""
+    if kind != KIND_MIXED:
+        dist = table.of_kind(kind)
+        return lambda s: np.multiply(-s, dist)
+    rho_norm, neg_rho_dprime = table.rho_norm, -table.rho_norm * table.dprime
+
+    def neg_mixed(s: float) -> np.ndarray:
+        if s <= rho_norm:
+            return np.multiply(-s, table.dprime)
+        terms = np.multiply(s - rho_norm, table.d)
+        return np.subtract(neg_rho_dprime, terms, out=terms)
+    return neg_mixed
+
+
 def _series_terms(ball, rs, kind, s, x, y) -> np.ndarray:
-    """exp(-s dist), or exp(-dist) for the mixed kind, in one fresh array."""
+    """exp(-D_s) over the table of (x, y), in one fresh array."""
     if not 0 < s < math.inf:
         raise ValueError(f"series parameter must be finite and positive, got {s}")
-    rate = 1.0 if kind == KIND_MIXED else s
-    dist = distance_table(ball, rs, x, y).of_kind(kind, s)
-    # the mixed distance is already a fresh array; the others are the table's
-    terms = np.multiply(-rate, dist, out=dist if kind == KIND_MIXED else None)
+    terms = _series_exponent(distance_table(ball, rs, x, y), kind)(s)
     return np.exp(terms, out=terms)
 
 
@@ -451,20 +466,12 @@ def pressure_exponent(ball: OrbitBall, rs: RootSystemData, kind: str,
     levels = len(ball.growth_per_level) - 1
     if ball.exhausted or levels < 2:
         return _ZERO
-    table = distance_table(ball, rs, x, y)
-    rho_norm = table.rho_norm
-    dist = table.d if kind == KIND_RIEMANNIAN else table.dprime
-    # the mixed terms exp(-rho d' - (s - rho) d) for s > rho, exp(-s d') otherwise
-    neg_rho_dprime = -rho_norm * table.dprime if kind == KIND_MIXED else None
+    neg_exponent = _series_exponent(distance_table(ball, rs, x, y), kind)
     log_sums: dict[float, np.ndarray] = {}
 
     def log_level_sums(s: float) -> np.ndarray:
         if s not in log_sums:
-            if neg_rho_dprime is not None and s > rho_norm:
-                terms = np.multiply(s - rho_norm, table.d)
-                np.subtract(neg_rho_dprime, terms, out=terms)
-            else:
-                terms = np.multiply(-s, dist)
+            terms = neg_exponent(s)
             log_sums[s] = np.log(ball.level_sums(np.exp(terms, out=terms)))
         return log_sums[s]
 
@@ -483,10 +490,10 @@ def pressure_exponent(ball: OrbitBall, rs: RootSystemData, kind: str,
     def estimate(fit, s: float) -> ExponentEstimate:
         window = (float(fit[0][0]), float(fit[0][-1]))
         return ExponentEstimate(s, window, level_fit(fit, s)[1], complete=True,
-                                in_range=_in_range(s, rho_norm))
+                                in_range=_in_range(s, rs.rho_norm))
 
     slope = fits[0]
-    lo, hi = PRESSURE_LOW, 2 * rho_norm + 1.0
+    lo, hi = PRESSURE_LOW, 2 * rs.rho_norm + 1.0
     f_lo = w_coefficient(slope, lo)
     if not f_lo > 0:
         return _ZERO

@@ -151,8 +151,11 @@ class RootSystemData:
         return min(float(self.rho @ u) for u in self.chamber_rays)
 
     def polyhedral(self, h: np.ndarray):
-        """<rho, H>/||rho|| of one chamber vector H or of each row of a stack, divided in place."""
-        p = h @ self.rho
+        """<rho, H>/||rho|| of one chamber vector H or of each row of a stack,
+        summed left to right over rho's coordinates: a row's value in any stack."""
+        p = h[..., 0] * self.rho[0]
+        for k in range(1, self.ambient_dim):
+            p += h[..., k] * self.rho[k]
         p /= self.rho_norm
         return p
 

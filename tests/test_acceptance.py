@@ -262,7 +262,7 @@ def test_criterion_7_green_dichotomy(congruence_ball_14):
     verdicts = {}
     for off in offsets:
         zeta = crossing + off
-        verdicts[round(off, 2)] = green_series_diagnostic(ball, rs, zeta).verdict
+        verdicts[round(off, 2)] = green_series_diagnostic(ball, rs, [zeta])[0].verdict
     below = [verdicts[round(o, 2)] for o in offsets if o <= -0.1 + 1e-9]
     above = [verdicts[round(o, 2)] for o in offsets if o >= 0.1 - 1e-9]
     _report(7, "periodized Green series flips from diverging to converging "

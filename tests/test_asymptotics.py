@@ -230,7 +230,7 @@ def test_green_series_trivial_group(rs2):
     ball = enumerate_ball(GeneratorSet.trivial(spec), 1)
     e = math.e
     x = GroupElement(spec, (((e, 0.0), (0.0, 1.0 / e)),))
-    diag = green_series_diagnostic(ball, rs2, 1.0, x=x)
+    (diag,) = green_series_diagnostic(ball, rs2, [1.0], x=x)
     assert diag.verdict == "converging"
     assert diag.partial_sums[-1] > 0
 
@@ -241,9 +241,9 @@ def test_green_series_dichotomy_small_ball():
     spec = GroupSpec.sl(2)
     rs = build_root_system(spec)
     ball = enumerate_ball(sanov_generators(spec), 10)
-    assert green_series_diagnostic(ball, rs, 1.0).verdict == "converging"
-    assert green_series_diagnostic(ball, rs, 0.3).verdict == "diverging"
-    sums = green_series_diagnostic(ball, rs, 0.5).partial_sums
+    assert green_series_diagnostic(ball, rs, [1.0])[0].verdict == "converging"
+    assert green_series_diagnostic(ball, rs, [0.3])[0].verdict == "diverging"
+    sums = green_series_diagnostic(ball, rs, [0.5])[0].partial_sums
     assert np.all(np.diff(sums) >= 0)
 
 
@@ -289,10 +289,10 @@ def _inline_green_sums(ball, rs, zeta, x=None):
 
 
 def test_green_sums_bit_identical_to_inline_envelope(monkeypatch):
-    """The zeta-free factors computed once per distance table give the
-    inline sums bit for bit: on the Sanov ball without a base point (the
-    identity is skipped), with base point x (nothing skipped, and the cache
-    of the first table is not reused), and on a ball with torsion, whose
+    """The zeta-free factors computed once per sweep give the inline sums
+    bit for bit: on the Sanov ball without a base point (the identity is
+    skipped), with base point x (nothing skipped, and nothing of the first
+    table is reused), and on a ball with torsion, whose
     skipped elements sit at word lengths 0, 1 and 2.  A second sweep over a
     ball builds no new distance table."""
     from orbispec import GeneratorSet, GroupElement
@@ -310,10 +310,10 @@ def test_green_sums_bit_identical_to_inline_envelope(monkeypatch):
         skipped = table.d <= asymptotics.ZERO_DISTANCE
         assert sorted(word_lengths(ball)[skipped]) == skipped_levels
         for zeta in zetas:
-            got = green_series_diagnostic(ball, rs, zeta, x=base).partial_sums
+            got = green_series_diagnostic(ball, rs, [zeta], x=base)[0].partial_sums
             assert np.array_equal(got, _inline_green_sums(ball, rs, zeta, base)), zeta
-    assert not np.array_equal(green_series_diagnostic(sanov, rs, 1.0).partial_sums,
-                              green_series_diagnostic(sanov, rs, 1.0, x=x).partial_sums)
+    assert not np.array_equal(green_series_diagnostic(sanov, rs, [1.0])[0].partial_sums,
+                              green_series_diagnostic(sanov, rs, [1.0], x=x)[0].partial_sums)
 
     builds = []
     build = exponents.relative_chamber_matrix
@@ -321,7 +321,7 @@ def test_green_sums_bit_identical_to_inline_envelope(monkeypatch):
                         lambda *a: builds.append(a) or build(*a))
     for ball, base, _ in cases:
         for zeta in zetas:
-            green_series_diagnostic(ball, rs, zeta, x=base)
+            green_series_diagnostic(ball, rs, [zeta], x=base)
     assert builds == []
     assert len(sanov.tables) == 2
 
@@ -340,7 +340,7 @@ def test_green_trend_slope_is_the_lstsq_slope(monkeypatch):
                         or increments[-1])
     for zeta in (0.3, 0.5, 1.0, 2.0):
         increments.clear()
-        diag = green_series_diagnostic(ball, rs, zeta)
+        (diag,) = green_series_diagnostic(ball, rs, [zeta])
         (inc,) = increments
         recent = np.flatnonzero(inc > 0)[-asymptotics.GREEN_TREND_LEVELS:]
         w = recent.astype(float)

@@ -210,6 +210,22 @@ def test_default_green_zetas_are_distinct(tmp_path):
     assert len(rows) == 4 * len(ball.growth_per_level)
 
 
+def test_repeated_green_zetas_are_summed_once(tmp_path):
+    """A zeta given twice in green_zetas is swept and written once, at its
+    first place: the outputs are those of the list without the repeat."""
+    outs = []
+    for zetas in ([0.5, 1.0, 0.5], [0.5, 1.0]):
+        cfg = write_config(tmp_path, sanov_config(max_word_length=6, analyses=["green"],
+                                                  green_zetas=zetas))
+        outs.append(tmp_path / f"out{len(zetas)}")
+        assert main(["--config", str(cfg), "--out", str(outs[-1])]) == 0
+    repeated, once = (json.loads((out / "report.json").read_text())["green"] for out in outs)
+    assert [entry["zeta"] for entry in repeated] == [0.5, 1.0]
+    assert repeated == once
+    csv_bytes = [(out / "green_series.csv").read_bytes() for out in outs]
+    assert csv_bytes[0] == csv_bytes[1]
+
+
 def test_window_fraction_from_config(tmp_path):
     cfg = write_config(tmp_path, sanov_config(max_word_length=10, radii_step=0.1,
                                               window_fraction=0.75))

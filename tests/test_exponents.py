@@ -477,6 +477,28 @@ def test_distance_is_the_row_norm_bit_for_bit(sizes, based):
     assert table.d.tobytes() == np.linalg.norm(chamber, axis=1).tobytes()
 
 
+def test_dprime_does_not_depend_on_the_row_block(monkeypatch):
+    """<rho, H> is summed in one order over rho's coordinates, so a row's d'
+    is the same in a one-row block as in a long one, and equals
+    rs.polyhedral of its own chamber row: on SL(2) x SL(2), where rho has
+    four nonzero coordinates, a BLAS product per block moved 264 of these
+    1,457 rows in their last bit."""
+    from orbispec import orbit
+    spec = GroupSpec.product((2, 2))
+    a = GroupElement(spec, (((1, 2), (0, 1)), ((1, 0), (2, 1))))
+    b = GroupElement(spec, (((1, 0), (2, 1)), ((1, 2), (0, 1))))
+    x = GroupElement(spec, (((2, 1), (1, 1)),) * 2)
+    ball = enumerate_ball(GeneratorSet.from_elements([a, b]), 6)
+    rs = build_root_system(spec)
+    dprime = distance_table(ball, rs, x).dprime
+    assert len(dprime) == 1457
+    chamber = relative_chamber_matrix(ball, x)
+    assert [rs.polyhedral(row) for row in chamber] == dprime.tolist()
+    monkeypatch.setattr(orbit, "_BLOCK_ROWS", 1)
+    ball.tables.clear()
+    assert distance_table(ball, rs, x).dprime.tobytes() == dprime.tobytes()
+
+
 @pytest.mark.parametrize("sizes", [(2,), (3,), (2, 2), (3, 3)])
 @pytest.mark.parametrize("based", [False, True])
 def test_root_product_is_the_product_over_roots_bit_for_bit(sizes, based, monkeypatch):
@@ -563,7 +585,7 @@ def test_distance_table_cache_stays_clean_for_the_right_root_system():
         distance_table(ball, build_root_system(GroupSpec.sl(4)))
     assert poincare_partial_sum(ball, rs, KIND_POLYHEDRAL, 1.0) == \
         poincare_partial_sum(_product_ball(), rs, KIND_POLYHEDRAL, 1.0)
-    dprime = relative_chamber_matrix(ball) @ rs.rho / rs.rho_norm
+    dprime = rs.polyhedral(relative_chamber_matrix(ball))
     np.testing.assert_array_equal(distance_table(ball, rs).dprime, dprime)
 
 
@@ -587,7 +609,7 @@ def test_one_chamber_rebuild_per_base_point_pair(sanov_rs, monkeypatch):
             counting_curve(ball, sanov_rs, kind, s=s, x=px, y=py)
         level_partial_sums(ball, sanov_rs, KIND_MIXED, 1.0, px, py)
         poincare_partial_sum(ball, sanov_rs, KIND_POLYHEDRAL, 1.0, px, py)
-        green_series_diagnostic(ball, sanov_rs, 0.5, x=px, y=py)
+        green_series_diagnostic(ball, sanov_rs, [0.5], x=px, y=py)
     assert calls == [(x, y), (None, None), (x, None)]
 
 
@@ -622,7 +644,7 @@ def test_one_table_for_an_element_and_its_parsed_copy(sanov_rs):
     lambda ball, rs, v: counting_curve(ball, rs, KIND_RIEMANNIAN, radii_step=v),
     lambda ball, rs, v: poincare_partial_sum(ball, rs, KIND_POLYHEDRAL, v),
     lambda ball, rs, v: level_partial_sums(ball, rs, KIND_MIXED, v),
-    lambda ball, rs, v: green_series_diagnostic(ball, rs, v),
+    lambda ball, rs, v: green_series_diagnostic(ball, rs, [v]),
 ], ids=["counting_curve", "poincare_partial_sum", "level_partial_sums",
         "green_series_diagnostic"])
 def test_series_and_radii_parameters_must_be_finite_and_positive(sanov_rs, call, bad):
@@ -778,7 +800,8 @@ def test_mixed_fit_equals_a_stable_sort_of_the_whole_ball(case):
 def test_level_partial_sums_equal_bincount_sums(case, kind, scale):
     """Level sums of exp(-s dist), with the mixed distance blended as
     min(s, ||rho||) d' + max(s - ||rho||, 0) d, match np.bincount's bit for
-    bit, for s below, at and above ||rho||."""
+    bit, for s below, at and above ||rho||, and the partial sum over the
+    ball is the flat sum of the same terms."""
     ball, x = _fit_case(case)
     rs = build_root_system(ball.spec)
     table = distance_table(ball, rs, x)
@@ -788,24 +811,50 @@ def test_level_partial_sums_equal_bincount_sums(case, kind, scale):
                            + np.maximum(s - rs.rho_norm, 0.0) * table.d)
     else:
         rate, dist = s, table.of_kind(kind)
-    want = np.cumsum(np.bincount(word_lengths(ball), weights=np.exp(-rate * dist),
+    terms = np.exp(-rate * dist)
+    want = np.cumsum(np.bincount(word_lengths(ball), weights=terms,
                                  minlength=len(ball.growth_per_level)))
     assert np.array_equal(level_partial_sums(ball, rs, kind, s, x), want)
+    assert poincare_partial_sum(ball, rs, kind, s, x) == terms.sum()
 
 
 @pytest.mark.parametrize("case", ["sanov_at_x", "product"])
 def test_green_partial_sums_equal_bincount_sums(case):
+    """One sweep's partial sums at each zeta match np.bincount's of
+    weight * exp(-||rho|| d' - zeta d) bit for bit, the weight d**power
+    times the root product, zeroed at distance zero."""
     from orbispec import asymptotics, green_series_diagnostic
     ball, x = _fit_case(case)
     rs = build_root_system(ball.spec)
     table = distance_table(ball, rs, x)
-    for zeta in (0.25, 1.0):
-        got = green_series_diagnostic(ball, rs, zeta, x=x).partial_sums
-        weight, log_base = asymptotics._green_factors(table, rs)
-        terms = np.exp(log_base - zeta * table.d) * weight
+    power = -(rs.rank - 1) / 2.0 - len(rs.positive_roots)
+    with np.errstate(divide="ignore"):
+        weight = table.d ** power * table.root_product
+    weight[table.d <= asymptotics.ZERO_DISTANCE] = 0.0
+    zetas = (0.25, 1.0)
+    for zeta, got in zip(zetas, green_series_diagnostic(ball, rs, zetas, x=x), strict=True):
+        terms = np.exp(-rs.rho_norm * table.dprime - zeta * table.d) * weight
         want = np.cumsum(np.bincount(word_lengths(ball), weights=terms,
                                      minlength=len(ball.growth_per_level)))
-        assert np.array_equal(got, want)
+        assert np.array_equal(got.partial_sums, want)
+
+
+def test_green_sweep_leaves_nothing_with_the_table(sanov_rs):
+    """A three-zeta sweep on the 118k-element L=10 ball forms its zeta-free
+    factors once and drops them on return: under a byte per element is
+    still held afterwards (a cache kept with the table held 16)."""
+    import tracemalloc
+    from orbispec import green_series_diagnostic
+    ball = enumerate_ball(sanov_generators(), 10)
+    distance_table(ball, sanov_rs)
+    tracemalloc.start()
+    try:
+        diags = green_series_diagnostic(ball, sanov_rs, [0.5, 1.0 / SQRT2, 1.0])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [diag.zeta for diag in diags] == [0.5, 1.0 / SQRT2, 1.0]
+    assert held < len(ball)
 
 
 def test_exponent_fit_allocates_under_two_bytes_per_element(sanov_rs):

@@ -36,6 +36,9 @@ GREEN_TREND_LEVELS = 5
 # envelope is singular
 ZERO_DISTANCE = 1e-12
 
+# the largest rank whose ball volumes the chamber quadrature computes
+MAX_VOLUME_RANK = 3
+
 SMALL_RADII_DEFAULT = np.geomspace(0.05, 0.2, 10)
 LARGE_RADII_DEFAULT = np.linspace(10.0, 30.0, 21)
 
@@ -93,8 +96,8 @@ def _chamber_volume(rs: RootSystemData, r: float, gauge) -> float:
     """
     if not 0 < r < math.inf:
         raise ValueError(f"radius must be finite and positive, got {r}")
-    if rs.rank > 3:
-        raise ValueError(f"quadrature supports rank <= 3, got rank {rs.rank}")
+    if rs.rank > MAX_VOLUME_RANK:
+        raise ValueError(f"quadrature supports rank <= {MAX_VOLUME_RANK}, got rank {rs.rank}")
     # refused before any node is made, because the node count grows with r
     overflow = f"ball volume at radius {r} overflows float64"
     rate = 2.0 * rs.rho_norm * r

@@ -13,7 +13,7 @@ which interpolates between the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -85,11 +85,11 @@ def _adjugate(rows: tuple[tuple, ...]) -> list[list[Fraction]]:
 class GroupElement:
     """Block-diagonal matrix, one block per spec factor, each of determinant
     one (float blocks with a non-integer entry within 1e-9), which the
-    Cartan closed form relies on."""
+    Cartan closed form relies on.  An element is its spec and blocks alone:
+    an orbit ball's levels, not its elements, record word length."""
 
     spec: GroupSpec
     blocks: tuple[tuple[tuple, ...], ...]
-    word_length: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if len(self.blocks) != len(self.spec.factors):
@@ -119,7 +119,7 @@ class GroupElement:
     def identity(cls, spec: GroupSpec) -> "GroupElement":
         cast = float if spec.arithmetic == "float" else int
         return cls(spec, tuple(tuple(tuple(cast(i == j) for j in range(n)) for i in range(n))
-                               for n in spec.sizes), 0)
+                               for n in spec.sizes))
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if self.spec != other.spec:
@@ -147,10 +147,10 @@ class GroupElement:
         return tuple(x for rows in self.blocks for row in rows for x in row)
 
     @classmethod
-    def from_flat(cls, spec: GroupSpec, flat, word_length: int | None = None) -> "GroupElement":
+    def from_flat(cls, spec: GroupSpec, flat) -> "GroupElement":
         """The element whose `flat_entries` are `flat`."""
         return cls(spec, tuple(tuple(flat[sl][i * n:(i + 1) * n] for i in range(n))
-                               for n, sl in zip(spec.sizes, spec.entry_slices)), word_length)
+                               for n, sl in zip(spec.sizes, spec.entry_slices)))
 
     @property
     def is_identity(self) -> bool:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import (fit_ball_volume, green_series_diagnostic, heat_bound,
-                          LARGE_RADII_DEFAULT, SMALL_RADII_DEFAULT)
+                          LARGE_RADII_DEFAULT, MAX_VOLUME_RANK, SMALL_RADII_DEFAULT)
 from .cartan import GroupElement, cartan_projection
 from .errors import ConfigError, NumericalError, ResourceLimitError, UnsupportedGroupError
 from .exponents import (DEFAULT_RADII_STEP, DEFAULT_WINDOW_FRACTION, KIND_MIXED,
@@ -308,8 +308,6 @@ def _partial_sums(config, rs, ball, triple, out) -> None:
 
 
 def _volume(config, rs, ball, triple, out) -> dict:
-    if rs.rank > 3:
-        raise NumericalError("volume quadrature supports rank <= 3")
     rows, fits = [], {}
     for family in ("polyhedral", "classical"):
         for regime, radii in (("small", config.volume_radii_small),
@@ -395,6 +393,8 @@ def run(config: JobConfig, out_dir: str | Path = ".") -> int:
     _check_out(out)
 
     rs = build_root_system(config.spec)
+    if "volume" in config.analyses and rs.rank > MAX_VOLUME_RANK:
+        raise NumericalError(f"volume quadrature supports rank <= {MAX_VOLUME_RANK}")
     report: dict = {
         "group": {
             "factors": [{"type": f.type, "n": f.n} for f in config.spec.factors],

@@ -102,24 +102,19 @@ class ExponentTriple:
         return d <= ds + ORDER_TOL and ds <= dp + ORDER_TOL
 
 
-def relative_chamber_matrix(ball: OrbitBall, x=None, y=None, fold=None):
+def relative_chamber_matrix(ball: OrbitBall, x, y, fold) -> None:
     """Cartan projections of x^-1 gamma y over the ball (equivalently of
-    y^-1 gamma^-1 x up to -w0, under which both distances are invariant).
-    The rows are projected one float row block of the ball at a time; every
-    step is row-wise, so the blocks change no bit of the result.  Without
-    `fold` the blocks fill one (N, ambient_dim) array, which is returned.
-    With it, each block's (rows, ambient_dim) chamber is handed to
-    fold(start, block), start its first element, and nothing is returned:
-    no array of the ball's length is made here."""
+    y^-1 gamma^-1 x up to -w0, under which both distances are invariant),
+    one float row block of the ball at a time: each block's (rows,
+    ambient_dim) chamber is handed to fold(start, block), start its first
+    element.  Every step is row-wise, so the blocks change no bit of a row,
+    and no array of the ball's length is made here."""
     spec = ball.spec
     x_inv = None if x is None else x.inverse().float_blocks()  # exact for exact data
     y_blocks = None if y is None else y.float_blocks()
-    dim = spec.ambient_dim
-    chamber = np.empty((len(ball), dim)) if fold is None else None
     start = 0
     for rows in ball.float_row_blocks():
-        stop = start + len(rows)
-        block = chamber[start:stop] if fold is None else np.empty((len(rows), dim))
+        block = np.empty((len(rows), spec.ambient_dim))
         for k, (n, sl, cols) in enumerate(zip(spec.sizes, spec.entry_slices,
                                               spec.block_slices)):
             m = rows[:, sl].reshape(-1, n, n)
@@ -129,10 +124,8 @@ def relative_chamber_matrix(ball: OrbitBall, x=None, y=None, fold=None):
                 # einsum is faster on this stack-first form than a sum of products
                 m = np.einsum("nij,jk->nik", m, y_blocks[k])
             block[:, cols] = log_singular_values(m)
-        if fold is not None:
-            fold(start, block)
-        start = stop
-    return chamber
+        fold(start, block)
+        start += len(rows)
 
 
 @dataclass(frozen=True)
@@ -197,7 +190,7 @@ def distance_table(ball: OrbitBall, rs: RootSystemData, x=None, y=None) -> Dista
                 factor += 1.0
                 product *= factor
 
-        relative_chamber_matrix(ball, x, y, fold=fold)
+        relative_chamber_matrix(ball, x, y, fold)
         shift = sum((cartan_projection(g).norm for g in (x, y) if g is not None), 0.0)
         for a in (d, dprime, root_product):
             a.flags.writeable = False

@@ -152,12 +152,8 @@ class GeneratorSet:
     def from_elements(cls, gens) -> "GeneratorSet":
         gens = tuple(gens)
         if not gens:
-            raise ValueError("use GeneratorSet.trivial(spec) for an empty generating set")
+            raise ValueError("use GeneratorSet(spec, ()) for an empty generating set")
         return cls(gens[0].spec, gens)
-
-    @classmethod
-    def trivial(cls, spec: GroupSpec) -> "GeneratorSet":
-        return cls(spec, ())
 
 
 class OrbitBall:
@@ -192,9 +188,9 @@ class OrbitBall:
 
     def element(self, i: int) -> GroupElement:
         i = range(len(self))[i]  # a negative index counts from the end
-        for w, lvl in enumerate(self._levels):
+        for lvl in self._levels:
             if i < len(lvl):
-                return GroupElement.from_flat(self.spec, lvl[i].tolist(), w)
+                return GroupElement.from_flat(self.spec, lvl[i].tolist())
             i -= len(lvl)
 
     def level_sums(self, terms: np.ndarray) -> np.ndarray:

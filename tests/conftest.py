@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from orbispec import GeneratorSet, GroupElement, GroupSpec, OrbitBall, enumerate_ball
+from orbispec.exponents import relative_chamber_matrix
 
 SQRT2 = np.sqrt(2.0)
 
@@ -105,6 +106,14 @@ def ball_elements(ball):
 def float_image(ball) -> np.ndarray:
     """The float64 entries of a whole ball, one (N, m) array in element order."""
     return np.concatenate(list(ball.float_row_blocks()))
+
+
+def chamber_matrix(ball, x=None, y=None) -> np.ndarray:
+    """The (N, ambient_dim) Cartan projections of x^-1 gamma y over a ball:
+    the row blocks of the chamber pass, stacked in element order."""
+    blocks = []
+    relative_chamber_matrix(ball, x, y, lambda start, block: blocks.append(block))
+    return np.concatenate(blocks)
 
 
 def word_lengths(ball) -> np.ndarray:

@@ -13,7 +13,7 @@ from orbispec import (GroupSpec, build_root_system, cartan_density,
                       polyhedral_ball_volume, NumericalError)
 from orbispec import asymptotics, exponents
 
-from conftest import sanov_generators, word_lengths
+from conftest import chamber_matrix, sanov_generators, word_lengths
 
 SQRT2 = math.sqrt(2.0)
 
@@ -227,7 +227,7 @@ def test_green_monotone_in_zeta(rs3):
 def test_green_series_trivial_group(rs2):
     from orbispec import GeneratorSet, GroupElement
     spec = rs2.spec
-    ball = enumerate_ball(GeneratorSet.trivial(spec), 1)
+    ball = enumerate_ball(GeneratorSet(spec, ()), 1)
     e = math.e
     x = GroupElement(spec, (((e, 0.0), (0.0, 1.0 / e)),))
     (diag,) = green_series_diagnostic(ball, rs2, [1.0], x=x)
@@ -257,7 +257,7 @@ def test_green_terms_bracketed_by_poincare_terms():
     spec = GroupSpec.sl(2)
     rs = build_root_system(spec)
     ball = enumerate_ball(sanov_generators(spec), 8)
-    h = exponents.relative_chamber_matrix(ball)
+    h = chamber_matrix(ball)
     d = np.linalg.norm(h, axis=1)
     keep = d >= 1.0
     d = d[keep]
@@ -277,7 +277,7 @@ def _inline_green_sums(ball, rs, zeta, x=None):
     table = exponents.distance_table(ball, rs, x)
     keep = table.d > asymptotics.ZERO_DISTANCE
     keep = slice(None) if keep.all() else keep
-    chamber = exponents.relative_chamber_matrix(ball, x, None)[keep]
+    chamber = chamber_matrix(ball, x)[keep]
     d, dprime = table.d[keep], table.dprime[keep]
     prefactor = np.ones_like(d)
     for alpha in rs.positive_roots:
@@ -428,4 +428,24 @@ CASE_III = dict(delta_second=0.2, s=0.5, eps=0.05, psecond_x=1.0, psecond_y=1.0)
 def test_non_finite_inputs_rejected(rs2, call):
     """NaN passes every `<= 0` check, so each input must be required finite."""
     with pytest.raises(ValueError, match="finite"):
+        call(rs2)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda rs: fit_ball_volume(rs, "spherical", "large"), "unknown volume family"),
+    (lambda rs: fit_ball_volume(rs, "polyhedral", "medium"), "regime must be"),
+    (lambda rs: heat_bound(rs, "i", t=1.0, delta_second=0.2), "'i' needs s and psecond"),
+    (lambda rs: heat_bound(rs, "ii", t=1.0, delta_second=1.0),
+     "'ii' needs s1, s2 and psecond"),
+    (lambda rs: heat_bound(rs, "iii", t=1.0, delta_second=0.2),
+     "'iii' needs eps, psecond_x and psecond_y"),
+    (lambda rs: heat_bound(rs, "iii", t=1.0, **dict(CASE_III, delta_second=2 * rs.rho_norm)),
+     r"'iii' needs delta_second < 2\|\|rho\|\|"),
+], ids=["unknown-family", "unknown-regime", "i-no-inputs", "ii-no-inputs", "iii-no-inputs",
+        "iii-at-2rho"])
+def test_missing_or_unknown_inputs_rejected(rs2, call, match):
+    """A volume family or regime the fit does not know, a heat-bound case
+    called without its inputs, and case iii at the lattice endpoint
+    delta'' = 2||rho||, where it does not apply."""
+    with pytest.raises(ValueError, match=match):
         call(rs2)

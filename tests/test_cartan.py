@@ -218,16 +218,18 @@ def test_boolean_entries_rejected_in_every_mode(arithmetic):
         GroupElement(GroupSpec.sl(2, arithmetic), (((True, 2), (False, True)),))
 
 
-def test_equality_ignores_word_length():
-    """Two elements with one matrix are equal and hash alike, whatever word
-    length an orbit ball recorded for either."""
-    spec = GroupSpec.sl(2)
-    identity = GroupElement.identity(spec)
-    assert identity.word_length == 0
-    assert identity == GroupElement(spec, (((1, 0), (0, 1)),))
-    g = GroupElement(spec, (((1, 2), (0, 1)),), word_length=1)
-    h = GroupElement(spec, (((1, 2), (0, 1)),))
-    assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+@pytest.mark.parametrize("arithmetic, blocks, match", [
+    ("exact-int", (), "expected 1 blocks, got 0"),
+    ("exact-int", (((1, 0, 0), (0, 1, 0), (0, 0, 1)),), "block must be 2x2"),
+    ("float", (((math.nan, 0.0), (0.0, 1.0)),), "non-finite matrix entry"),
+    ("float", (((1.1, 0.0), (0.0, 1.0)),), "block determinant 1.1 != 1"),
+    ("exact-rational", (((0.5, 0), (0, 2)),), "exact-rational mode requires"),
+], ids=["no-blocks", "3x3-in-sl2", "nan", "float-det-1.1", "float-in-rational"])
+def test_element_refusals(arithmetic, blocks, match):
+    """An SL(2) element needs one 2x2 block of determinant one, with finite
+    entries, and in exact-rational mode no float entry, even 0.5."""
+    with pytest.raises(ValueError, match=match):
+        GroupElement(GroupSpec.sl(2, arithmetic), blocks)
 
 
 def test_relative_position_mismatched_specs():

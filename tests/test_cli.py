@@ -282,14 +282,18 @@ def test_unsupported_group_exits_2(tmp_path, factors):
 
 
 def test_volume_rank_cap_exits_4(tmp_path, capsys):
+    """The cap is checked before the walk: an orbit analysis requested
+    beside the volume writes nothing, and --out is not made."""
     cfg = write_config(tmp_path, {
         "group": {"factors": [{"type": "sl", "n": 2}] * 4},
         "generators": [],
         "max_word_length": 0,
-        "analyses": ["volume"],
+        "analyses": ["orbit", "volume"],
     })
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 4
     assert "volume quadrature supports rank <= 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_volume_past_float64_exits_4(tmp_path, capsys):

@@ -12,11 +12,10 @@ from orbispec import (GroupElement, GroupSpec, KIND_MIXED, KIND_POLYHEDRAL,
                       exponent_triple, green_series_diagnostic, level_partial_sums,
                       poincare_partial_sum, pressure_exponent, GeneratorSet, OrbitBall)
 
-from orbispec.exponents import (KINDS, completeness_radius, distance_table,
-                                relative_chamber_matrix)
+from orbispec.exponents import KINDS, completeness_radius, distance_table
 
-from conftest import (ball_elements, cyclic_hyperbolic_generator, float_image, sanov_generators,
-                      word_lengths)
+from conftest import (ball_elements, chamber_matrix, cyclic_hyperbolic_generator, float_image,
+                      sanov_generators, word_lengths)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -72,7 +71,7 @@ def test_counting_monotone_and_complete_flag(sanov_rs):
 
 def test_partial_sum_trivial_ball(cyclic_rs):
     spec = GroupSpec.sl(2, "float")
-    ball = enumerate_ball(GeneratorSet.trivial(spec), 0)
+    ball = enumerate_ball(GeneratorSet(spec, ()), 0)
     assert poincare_partial_sum(ball, cyclic_rs, KIND_RIEMANNIAN, 1.0) == pytest.approx(1.0)
     e = math.e
     x = GroupElement(spec, (((e, 0.0), (0.0, 1.0 / e)),))
@@ -115,7 +114,7 @@ def test_summation_by_parts_bracket(sanov_rs):
     e^{-sR} = sum_gamma e^{-s ceil(d')} brackets the partial Poincare sum
     within [e^-s, e^s]."""
     ball = enumerate_ball(sanov_generators(), 8)
-    dprime = relative_chamber_matrix(ball) @ sanov_rs.rho / sanov_rs.rho_norm
+    dprime = chamber_matrix(ball) @ sanov_rs.rho / sanov_rs.rho_norm
     for s in (0.5, 1.0, 2.0):
         series = np.exp(-s * np.ceil(dprime)).sum()
         psum = poincare_partial_sum(ball, sanov_rs, KIND_POLYHEDRAL, s)
@@ -160,6 +159,14 @@ def test_estimate_exponent_needs_points(cyclic_rs):
         estimate_exponent(curve)
 
 
+@pytest.mark.parametrize("fraction", [0.0, 1.5])
+def test_estimate_exponent_rejects_a_window_fraction_outside_0_1(cyclic_rs, fraction):
+    ball = enumerate_ball(cyclic_hyperbolic_generator(), 10)
+    curve = counting_curve(ball, cyclic_rs, KIND_RIEMANNIAN)
+    with pytest.raises(ValueError, match=r"window_fraction must lie in \(0, 1\]"):
+        estimate_exponent(curve, window_fraction=fraction)
+
+
 def test_estimate_exponent_rejects_zero_counts(cyclic_rs):
     import dataclasses
     ball = enumerate_ball(cyclic_hyperbolic_generator(), 10)
@@ -195,7 +202,7 @@ def test_estimate_exponent_flat_window_above_counted_points(cyclic_rs):
 
 
 def test_exponent_triple_trivial_group(cyclic_rs):
-    ball = enumerate_ball(GeneratorSet.trivial(GroupSpec.sl(2, "float")), 3)
+    ball = enumerate_ball(GeneratorSet(GroupSpec.sl(2, "float"), ()), 3)
     triple = exponent_triple(ball, cyclic_rs)
     assert triple.values == (0.0, 0.0, 0.0)
     assert triple.delta.complete
@@ -263,8 +270,22 @@ def test_bisection_diagnostic_brackets(sanov_rs):
 
 
 def test_bisection_trivial_group(cyclic_rs):
-    ball = enumerate_ball(GeneratorSet.trivial(GroupSpec.sl(2, "float")), 2)
+    ball = enumerate_ball(GeneratorSet(GroupSpec.sl(2, "float"), ()), 2)
     assert delta_second_bisection(ball, cyclic_rs) == 0.0
+
+
+def test_bracketed_zero_stops_at_an_exact_zero():
+    """f(s) = 1 - s on [0.5, 2]: the first secant lands exactly on 1.0,
+    where f is 0, and the search returns it after that one evaluation."""
+    from orbispec.exponents import _bracketed_zero
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return 1.0 - s
+
+    assert _bracketed_zero(f, 0.5, 0.5, 2.0, -1.0) == 1.0
+    assert calls == [1.0]
 
 
 def test_bisection_pass_budget(sanov_rs, monkeypatch):
@@ -472,7 +493,7 @@ def test_distance_is_the_row_norm_bit_for_bit(sizes, based):
     ball, x = _unipotent_ball(sizes, 6)
     x = x if based else None
     table = distance_table(ball, build_root_system(ball.spec), x)
-    chamber = relative_chamber_matrix(ball, x, None)
+    chamber = chamber_matrix(ball, x)
     assert chamber.shape[1] == sum(sizes)
     assert table.d.tobytes() == np.linalg.norm(chamber, axis=1).tobytes()
 
@@ -492,7 +513,7 @@ def test_dprime_does_not_depend_on_the_row_block(monkeypatch):
     rs = build_root_system(spec)
     dprime = distance_table(ball, rs, x).dprime
     assert len(dprime) == 1457
-    chamber = relative_chamber_matrix(ball, x)
+    chamber = chamber_matrix(ball, x)
     assert [rs.polyhedral(row) for row in chamber] == dprime.tolist()
     monkeypatch.setattr(orbit, "_BLOCK_ROWS", 1)
     ball.tables.clear()
@@ -510,7 +531,7 @@ def test_root_product_is_the_product_over_roots_bit_for_bit(sizes, based, monkey
     ball, x = _unipotent_ball(sizes, 6)
     x = x if based else None
     rs = build_root_system(ball.spec)
-    chamber = relative_chamber_matrix(ball, x)
+    chamber = chamber_matrix(ball, x)
     expect = np.ones(len(ball))
     for alpha in rs.positive_roots:
         expect *= 1.0 + chamber @ alpha
@@ -585,7 +606,7 @@ def test_distance_table_cache_stays_clean_for_the_right_root_system():
         distance_table(ball, build_root_system(GroupSpec.sl(4)))
     assert poincare_partial_sum(ball, rs, KIND_POLYHEDRAL, 1.0) == \
         poincare_partial_sum(_product_ball(), rs, KIND_POLYHEDRAL, 1.0)
-    dprime = rs.polyhedral(relative_chamber_matrix(ball))
+    dprime = rs.polyhedral(chamber_matrix(ball))
     np.testing.assert_array_equal(distance_table(ball, rs).dprime, dprime)
 
 
@@ -596,7 +617,7 @@ def test_one_chamber_rebuild_per_base_point_pair(sanov_rs, monkeypatch):
     calls = []
     build = exponents.relative_chamber_matrix
 
-    def counted(b, bx=None, by=None, fold=None):
+    def counted(b, bx, by, fold):
         calls.append((bx, by))
         return build(b, bx, by, fold)
 
@@ -628,12 +649,11 @@ def test_base_point_is_inverted_exactly(sanov_rs):
 
 
 def test_one_table_for_an_element_and_its_parsed_copy(sanov_rs):
-    """A ball element carries its word length and a matrix parsed from a
-    config does not; both name one base point and share one table."""
+    """A ball element and the matrix parsed from its blocks name one base
+    point and share one table."""
     ball = enumerate_ball(sanov_generators(), 4)
     element = ball.element(5)
     parsed = GroupElement(ball.spec, element.blocks)
-    assert (element.word_length, parsed.word_length) == (2, None)
     distance_table(ball, sanov_rs, element)
     assert distance_table(ball, sanov_rs, parsed) is distance_table(ball, sanov_rs, element)
     assert len(ball.tables) == 1
@@ -715,7 +735,7 @@ def test_relative_chamber_matrix_matches_einsum_bytes(sanov_rs, monkeypatch):
     ball_stack = float_image(ball).reshape(-1, 2, 2)
     for px, py in ((x, None), (None, y), (x, y)):
         seen.clear()
-        got = exponents.relative_chamber_matrix(ball, px, py)
+        got = chamber_matrix(ball, px, py)
         want = reference(ball_stack, px, py)
         assert len(seen) == len(ball.growth_per_level)  # one block per level
         assert_blocks_match(want)
@@ -731,7 +751,7 @@ def test_relative_chamber_matrix_matches_einsum_bytes(sanov_rs, monkeypatch):
     monkeypatch.setattr(orbit, "_BLOCK_ROWS", 1024)
     for px, py in ((shear, None), (shear, shear)):
         seen.clear()
-        exponents.relative_chamber_matrix(zeros_ball, px, py)
+        chamber_matrix(zeros_ball, px, py)
         assert len(seen) == 4
         assert_blocks_match(reference(stack, px, py))
 

@@ -96,6 +96,8 @@ def test_chamber_vector_validation():
         ChamberVector(spec, np.array([0.0, 1.0, -1.0]))
     with pytest.raises(ValueError):
         ChamberVector(spec, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="not trace-free"):
+        ChamberVector(GroupSpec.sl(2), [1.0, 0.5])
     cv = ChamberVector(spec, np.array([1.0, 0.0, -1.0]))
     assert cv.norm == pytest.approx(SQRT2)
     assert not cv.coords.flags.writeable

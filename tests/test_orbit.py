@@ -11,8 +11,8 @@ from orbispec import (GeneratorSet, GroupElement, GroupSpec, NumericalError,
                       trust_radius)
 from orbispec.exponents import distance_table, relative_chamber_matrix
 
-from conftest import (ball_elements, cyclic_hyperbolic_generator, dict_walk, float_image,
-                      orthonormal_sym2_generators, sanov_generators)
+from conftest import (ball_elements, chamber_matrix, cyclic_hyperbolic_generator, dict_walk,
+                      float_image, orthonormal_sym2_generators, sanov_generators, word_lengths)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -29,7 +29,7 @@ def test_cyclic_ball_counts_and_trust():
     assert ball.growth_per_level == [1, 2, 2, 2]
     rs = build_root_system(ball.spec)
     assert trust_radius(ball, rs) == pytest.approx(3 * SQRT2, abs=1e-9)
-    assert ball.element(0).word_length == 0
+    assert ball.element(0).is_identity
 
 
 def test_free_group_counts_sanov():
@@ -80,28 +80,28 @@ def test_non_symmetric_set_is_closed_under_inverses():
 def test_dedup_idempotence():
     deep = enumerate_ball(sanov_generators(), 5)
     shallow = enumerate_ball(sanov_generators(), 4)
-    deep_keys = {g.flat_entries() for g in ball_elements(deep) if g.word_length <= 4}
+    deep_keys = {g.flat_entries() for g, w in zip(ball_elements(deep), word_lengths(deep))
+                 if w <= 4}
     assert deep_keys == ball_key_set(shallow)
 
 
 def test_inverse_closure_preserves_word_length():
     ball = enumerate_ball(sanov_generators(), 4)
-    lengths = {g.flat_entries(): g.word_length for g in ball_elements(ball)}
+    lengths = {g.flat_entries(): w for g, w in zip(ball_elements(ball), word_lengths(ball))}
     for g in ball_elements(ball):
-        inv_key = g.inverse().flat_entries()
-        assert lengths[inv_key] == g.word_length
+        assert lengths[g.inverse().flat_entries()] == lengths[g.flat_entries()]
 
 
 def test_ball_closed_under_stored_word_length():
     ball = enumerate_ball(sanov_generators(), 3)
-    keys = {g.flat_entries(): g.word_length for g in ball_elements(ball)}
+    keys = {g.flat_entries(): w for g, w in zip(ball_elements(ball), word_lengths(ball))}
     gens = sanov_generators()
-    for g in ball_elements(ball):
-        if g.word_length >= 3:
+    for g, w in zip(ball_elements(ball), word_lengths(ball)):
+        if w >= 3:
             continue
         for h in gens.elements:
             prod = (g @ h).flat_entries()
-            assert prod in keys and keys[prod] <= g.word_length + 1
+            assert prod in keys and keys[prod] <= w + 1
 
 
 def test_cyclic_counting_matches_closed_form():
@@ -164,6 +164,21 @@ def test_generator_set_validation():
         assert ball.exhausted
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: GeneratorSet.from_elements([]), r"use GeneratorSet\(spec, \(\)\)"),
+    (lambda: GeneratorSet.from_elements([GroupElement(GroupSpec.sl(2), (((1, 2), (0, 1)),)),
+                                         GroupElement(GroupSpec.sl(3), (((1, 2, 0), (0, 1, 0),
+                                                                         (0, 0, 1)),))]),
+     "generators live in different groups"),
+    (lambda: enumerate_ball(sanov_generators(), -1), "max_word_length must be >= 0"),
+], ids=["no-elements", "two-specs", "negative-depth"])
+def test_generating_set_and_walk_refusals(call, match):
+    """from_elements reads the spec from its first element, so an empty
+    list is refused with the constructor that takes one."""
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_bigint_fallback_matches_direct_multiplication():
     """Entries beyond the int64 fast path continue on exact big integers."""
     spec = GroupSpec.sl(2)
@@ -198,14 +213,14 @@ def test_product_spec_ball():
     a = GroupElement(spec, (((1, 2), (0, 1)), ((1, 0), (0, 1))))
     ball = enumerate_ball(GeneratorSet.from_elements([a]), 3)
     assert ball.growth_per_level == [1, 2, 2, 2]
-    chamber = relative_chamber_matrix(ball)
+    chamber = chamber_matrix(ball)
     assert chamber.shape == (7, 4)
     # second factor stays at the identity: zero chamber block
     np.testing.assert_allclose(chamber[:, 2:], 0.0, atol=1e-12)
 
 
 def test_empty_generating_set_gives_trivial_ball():
-    ball = enumerate_ball(GeneratorSet.trivial(GroupSpec.sl(2)), 5)
+    ball = enumerate_ball(GeneratorSet(GroupSpec.sl(2), ()), 5)
     assert len(ball) == 1
     assert ball.exhausted
 
@@ -625,7 +640,7 @@ def test_exact_determinant_survives_large_entries():
     ball = enumerate_ball(GeneratorSet.from_elements([g]), 12)
     expect = [0.5 * math.acosh(sum(x * x for x in e.flat_entries()) / 2)
               for e in ball_elements(ball)]
-    np.testing.assert_allclose(relative_chamber_matrix(ball)[:, 0], expect, rtol=1e-15,
+    np.testing.assert_allclose(chamber_matrix(ball)[:, 0], expect, rtol=1e-15,
                                atol=0)
 
 
@@ -656,7 +671,7 @@ def test_int_ball_levels_climb_from_int32_to_int64():
 
     def rows_by_element(b):
         return {e.flat_entries(): row.tobytes()
-                for e, row in zip(ball_elements(b), relative_chamber_matrix(b))}
+                for e, row in zip(ball_elements(b), chamber_matrix(b))}
 
     assert rows_by_element(ball) == rows_by_element(dict_walk(gens, L))
 
@@ -699,36 +714,39 @@ def test_exact_enumeration_peak_per_element(monkeypatch):
 
 
 def test_chamber_matrix_peak_below_one_float_image(monkeypatch):
-    """The table projects the ball a row block at a time: with 4096-row
-    blocks its traced peak on the L=10 Sanov ball stays below one float64
-    image of the whole ball plus the chamber matrix itself."""
+    """The chamber pass projects the ball a row block at a time: with
+    4096-row blocks, through a fold that keeps no block, its traced peak on
+    the L=10 Sanov ball stays below one float64 image of the whole ball."""
     import tracemalloc
     ball = enumerate_ball(sanov_generators(), 10)
     monkeypatch.setattr(orbit, "_BLOCK_ROWS", 4096)
     tracemalloc.start()
     try:
-        chamber = relative_chamber_matrix(ball)
+        relative_chamber_matrix(ball, None, None, lambda start, block: None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < len(ball) * ball.spec.entry_count * 8 + chamber.nbytes
+    assert peak < len(ball) * ball.spec.entry_count * 8
 
 
-def test_chamber_matrix_keeps_no_float_copy_of_an_int_ball():
-    """An int ball converts its entries to float64 only while they are
-    projected: afterwards the chamber matrix is alive and no float copy."""
+def test_chamber_matrix_keeps_no_float_copy_of_an_int_ball(monkeypatch):
+    """An int ball converts its entries to float64 one row block at a time,
+    only while they are projected: with 1024-row blocks, through a fold
+    that keeps no block, the pass over the L=8 Sanov ball peaks below one
+    float64 image of it and holds under a tenth of one afterwards."""
     import tracemalloc
     ball = enumerate_ball(sanov_generators(), 8)
-    entries = sum(n * n for n in ball.spec.sizes)
+    image = len(ball) * ball.spec.entry_count * 8
+    monkeypatch.setattr(orbit, "_BLOCK_ROWS", 1024)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        chamber = relative_chamber_matrix(ball)
-        held = tracemalloc.get_traced_memory()[0] - before
+        relative_chamber_matrix(ball, None, None, lambda start, block: None)
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert chamber.shape == (len(ball), 2)
-    assert held < len(ball) * entries * 8
+    assert peak < image
+    assert held < image // 10
 
 
 def test_rational_ball_elements_are_exact_products():
@@ -742,9 +760,9 @@ def test_rational_ball_elements_are_exact_products():
         for g in frontier:
             words.setdefault(g.flat_entries(), w)
     assert len(ball) == len(words)
-    for g in ball_elements(ball):
+    for g, w in zip(ball_elements(ball), word_lengths(ball)):
         assert all(type(x) is Fraction for x in g.flat_entries())
-        assert words[g.flat_entries()] == g.word_length
+        assert words[g.flat_entries()] == w
     assert [lvl.tolist() for lvl in ball._levels] == \
         [lvl.tolist() for lvl in dict_walk(gens, 3)._levels]
 
@@ -758,7 +776,7 @@ def test_rational_ball_float_image_converts_each_entry():
 def test_oversized_int_ball_has_no_float_image():
     g = GroupElement(GroupSpec.sl(2), (((10**200, 1), (10**200 - 1, 1)),))
     ball = enumerate_ball(GeneratorSet.from_elements([g]), 2)
-    assert ball.element(len(ball) - 1).word_length == 2
+    assert word_lengths(ball)[-1] == 2
     with pytest.raises(NumericalError, match="entries too large for a float image"):
         list(ball.float_row_blocks())
 
